@@ -3,13 +3,13 @@
 Commands recompute their objects from scratch, verify them against the
 published closed formulas, write machine/human-readable tables under the
 output directory, and exit 0 only when every requested check passes
-(1 on a verification failure, 2 on usage errors).
+(1 on a verification failure, 2 on usage errors, among them a --max-n that
+leaves an empty degree range, rejected before any work or output).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -21,7 +21,7 @@ from .cohomology import CohomologyComplex
 from .cupring import CupRing
 from .exactmath import FieldError, field_from_name
 from .homology import HomologyComplex, verify_representatives, NotTranscribed
-from .report import Cache, UsageError, write_outputs
+from .report import UsageError, write_outputs
 from .resolution import BimoduleResolution
 
 
@@ -49,7 +49,6 @@ def _parser():
                         help="q (default) or prime:<p> with p >= 5")
         sp.add_argument("--max-n", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--jobs", type=int, default=None)
         sp.add_argument("--formats", default=None,
                         help="comma list of json,csv,markdown")
 
@@ -73,8 +72,6 @@ def _parser():
     sp.add_argument("--verify-printed", action="store_true")
     sp = sub.add_parser("resolution", help="resolution validity checks")
     common(sp)
-    sp.add_argument("--use-cache", action="store_true",
-                    help="cache differential matrices under HH_CACHE_DIR")
     sp = sub.add_parser("verify-all", help="run every verification")
     common(sp)
     sp.add_argument("--lift-horizon", type=int, default=None)
@@ -92,11 +89,18 @@ def _merge(args, cfg, key, default):
     return default
 
 
+def _max_n(args, cfg, default, least=0):
+    """The requested top degree; a range below `least` is a usage error."""
+    max_n = _merge(args, cfg, "max-n", default)
+    if max_n < least:
+        raise UsageError(f"--max-n must be at least {least}, got {max_n}")
+    return max_n
+
+
 class Runner:
     def __init__(self, args, cfg):
         self.field = field_from_name(_merge(args, cfg, "field", "q"))
         self.out = _merge(args, cfg, "out", "out")
-        self.jobs = _merge(args, cfg, "jobs", 1)
         fmts = _merge(args, cfg, "formats", "json,csv,markdown")
         self.formats = tuple(f.strip() for f in fmts.split(","))
         self.failures = []
@@ -121,48 +125,11 @@ class Runner:
         return 0
 
 
-def _homology_column(task):
-    field_name, n, use_tables = task
-    field = field_from_name(field_name)
-    cx = HomologyComplex(field, max_n=n, use_tables=use_tables)
-    out = []
-    for m in range(cx.max_m(n) + 1):
-        out.append((n, m, cx.dim_homology(n, m)))
-    return out
-
-
-def _cohomology_column(task):
-    field_name, n = task
-    field = field_from_name(field_name)
-    cx = CohomologyComplex(field, max_n=n)
-    out = []
-    for m in range(cx.min_m(n), 5):
-        out.append((n, m, cx.dim_cohomology(n, m)))
-    return out
-
-
-def _parallel_grid(worker, tasks, jobs):
-    grid = {}
-    totals = {}
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for rows in pool.map(worker, tasks):
-            for n, m, d in rows:
-                if d:
-                    grid[(n, m)] = d
-                totals[n] = totals.get(n, 0) + d
-    return grid, totals
-
-
 def cmd_homology(args, cfg):
     r = Runner(args, cfg)
-    max_n = _merge(args, cfg, "max-n", 19)
+    max_n = _max_n(args, cfg, 19)
     cx = HomologyComplex(r.field, max_n=max_n)
-    if r.jobs > 1:
-        grid, totals = _parallel_grid(
-            _homology_column,
-            [(r.field.name(), n, False) for n in range(max_n + 1)], r.jobs)
-    else:
-        grid, totals = cx.homology_dims(max_n)
+    grid, totals = cx.homology_dims(max_n)
     ok = all(totals[n] == homod.total_dim_formula(n) for n in range(max_n + 1))
     r.check("homology totals match the closed formula", ok)
     series = {n: cx.hilbert_series(n) for n in range(max_n + 1)}
@@ -188,14 +155,9 @@ def cmd_homology(args, cfg):
 
 def cmd_cohomology(args, cfg):
     r = Runner(args, cfg)
-    max_n = _merge(args, cfg, "max-n", 20)
+    max_n = _max_n(args, cfg, 20)
     cx = CohomologyComplex(r.field, max_n=max_n)
-    if r.jobs > 1:
-        grid, totals = _parallel_grid(
-            _cohomology_column,
-            [(r.field.name(), n) for n in range(max_n + 1)], r.jobs)
-    else:
-        grid, totals = cx.cohomology_dims(max_n)
+    grid, totals = cx.cohomology_dims(max_n)
     ok = all(totals[n] == cohomod.total_dim_formula(n)
              for n in range(max_n + 1))
     r.check("cohomology totals match the closed formula", ok)
@@ -211,7 +173,7 @@ def cmd_cohomology(args, cfg):
 
 def cmd_cyclic(args, cfg):
     r = Runner(args, cfg)
-    max_n = _merge(args, cfg, "max-n", 12)
+    max_n = _max_n(args, cfg, 12)
     if r.field.characteristic != 0:
         print("cyclic homology needs characteristic zero", file=sys.stderr)
         return 2
@@ -298,27 +260,13 @@ def cmd_gb(args, cfg):
 
 def cmd_resolution(args, cfg):
     r = Runner(args, cfg)
-    max_n = _merge(args, cfg, "max-n", 12)
+    max_n = _max_n(args, cfg, 12, least=1)
     res = BimoduleResolution(r.field, max_n=max_n + 1)
-    cache = Cache() if getattr(args, "use_cache", False) else None
     for n in range(1, max_n + 1):
         ok = res.exactness_defect(n) == 0
         r.check(f"exactness by rank at degree {n}", ok)
     ok = all(not res.minimality_violations(n) for n in range(1, max_n + 1))
     r.check("minimality (differential entries in the augmentation ideal)", ok)
-    if cache is not None:
-        import tempfile
-        for n in range(1, min(max_n, 6) + 1):
-            key = f"delta/{r.field.name()}/{n}"
-            if cache.load(key) is None:
-                with tempfile.NamedTemporaryFile("w", suffix=".txt",
-                                                 delete=False) as fh:
-                    path = fh.name
-                res.save_delta(n, path)
-                with open(path, "r", encoding="utf-8") as fh:
-                    cache.store(key, fh.read())
-                os.unlink(path)
-        print(f"cached differentials under {cache.root}")
     return r.finish()
 
 

@@ -1,16 +1,18 @@
 """Hochschild cohomology of FK(3) via the dualized resolution complex.
 
-Components Q^n_m = sum_i omega*_i K^{n-4i}_{m+2i} with K^n_m the maps sending
-one degree-n dual-basis tag to an element of A_m; basis keys are
-(i, DualGen, word_idx).  omega*_i has cohomological degree 4i and internal
-degree -6i, so Q^n_m is concentrated in internal degree m - n with
-m in [-2 floor(n/4), 4].
+Components Q^n_m = sum_i omega*_i K^{n-4i}_{m+2i} of Hom_{A^e}(P, A), with
+K^n_m the maps sending one degree-n dual-basis tag to an element of A_m;
+basis keys are (i, DualGen, word_idx).  omega*_i has cohomological degree 4i
+and internal degree -6i, so Q^n_m is concentrated in internal degree m - n
+with m in [-2 floor(n/4), 4].
 
-The codifferential and the dualized comparison maps are implemented from
-their published closed forms; the separately transcribed image tables must
-agree entrywise (`tables_agree_with_formulas`).  Cohomology dimensions come
-from ranks; `cocycle_basis` returns canonical coset representatives (kernel
-vectors reduced against the RREF of the coboundaries).
+The codifferential is derived from the resolution: a cochain g*|x pulls back
+along the strata f^(0) = d and f^(1) = f to sum l x r over the terms l|g|r
+of each source generator's image (`coreduce`); the higher strata vanish
+under this reduction.  The transcribed image tables live in `fk3hh.tables`
+as a verification oracle only.  Cohomology dimensions come from ranks;
+`cocycle_basis` returns canonical coset representatives (kernel vectors
+reduced against the RREF of the coboundaries).
 """
 
 from __future__ import annotations
@@ -18,537 +20,45 @@ from __future__ import annotations
 from .exactmath import QQ, SparseMat, Subspace
 from .fk3core import (
     BASIS_BY_DEGREE,
-    BASIS_WORDS,
     WORD_DEGREE,
-    WORD_INDEX,
-    DualGen,
     chi,
-    dgen,
     dual_basis,
-    mul_words,
+    mul_table,
 )
-from .homology import _add, _parse_gen_token, _split_sum
+from .homology import _add
+from .resolution import gen_image
 
-W = WORD_INDEX
 
-
-def _sandwich(lw: int, x: int, rw: int) -> dict:
-    """left * x * right for basis-word indices, as {word: int}."""
+def transpose_images(images: dict) -> dict:
+    """{u: sum c l|v|r} -> {v: [(u, l, r, c), ...]}: for each generator v,
+    the terms of the source generators' images that pass through it."""
     out = {}
-    for m1, c1 in mul_words(lw, x).items():
-        for m2, c2 in mul_words(m1, rw).items():
-            _add(out, m2, c1 * c2)
+    for u, image in images.items():
+        for (_, lw, v, rw), c in image.items():
+            out.setdefault(v, []).append((u, lw, rw, c))
     return out
 
 
-def _expr(x: int, *terms) -> dict:
-    """Evaluate sum of (coeff, left word, right word) sandwiches of x."""
-    out = {}
-    for c, lw, rw in terms:
-        if not c:
+def coreduce(terms, x: int, i: int = 0, out=None) -> dict:
+    """The cohomology reduction: pulling the cochain v*|x back along the
+    terms (u, l, r, c) of transpose_images gives sum c u*|(l x r), as
+    {(i, DualGen, word_idx): int} added into `out`."""
+    if out is None:
+        out = {}
+    table = mul_table()
+    room = 4 - WORD_DEGREE[x]  # A vanishes above degree 4
+    for u, lw, rw, c in terms:
+        if WORD_DEGREE[lw] + WORD_DEGREE[rw] > room:
             continue
-        for w2, c2 in _sandwich(W[lw], x, W[rw]).items():
-            _add(out, w2, c * c2)
+        for m1, c1 in table[(lw, x)].items():
+            for m2, c2 in table[(m1, rw)].items():
+                key = (i, u, m2)
+                nv = out.get(key, 0) + c * c1 * c2
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
     return out
-
-
-def co_diff_word(n: int, gen: DualGen, x: int) -> dict:
-    """The codifferential on the map gen|x: {(DualGen, word): int}."""
-    out = {}
-
-    def put(tag, deg, words: dict):
-        g2 = dgen(tag, deg)
-        if g2 is None:
-            return
-        for w2, c in words.items():
-            _add(out, (g2, w2), c)
-
-    if n == 0:
-        put("a", 1, _expr(x, (1, "", "a"), (-1, "a", "")))
-        put("b", 1, _expr(x, (1, "", "b"), (-1, "b", "")))
-        put("g", 1, _expr(x, (1, "", "c"), (-1, "c", "")))
-        return out
-    cn, cn1 = chi(n), chi(n + 1)
-    s = -1 if n % 2 == 0 else 1  # (-1)^{n+1}
-    t = gen.tag
-    if t == "a":
-        put("a", n + 1, _expr(x, (s, "a", ""), (1, "", "a")))
-        put("ab", n + 1, _expr(x, (cn1, "c", ""), (-cn, "b", ""), (1, "", "b")))
-        put("ag", n + 1, _expr(x, (cn1, "b", ""), (-cn, "c", ""), (1, "", "c")))
-    elif t == "b":
-        put("b", n + 1, _expr(x, (s, "b", ""), (1, "", "b")))
-        put("ab", n + 1, _expr(x, (cn1, "a", ""), (cn1, "", "c")))
-        put("ag", n + 1, _expr(x, (s, "c", ""), (cn1, "", "a"), (cn, "", "c")))
-        put("ab2", n + 1, _expr(x, (cn, "", "a"), (-cn, "a", "")))
-    elif t == "g":
-        put("g", n + 1, _expr(x, (s, "c", ""), (1, "", "c")))
-        put("ab", n + 1, _expr(x, (s, "b", ""), (cn1, "", "a"), (cn, "", "b")))
-        put("ag", n + 1, _expr(x, (cn1, "a", ""), (cn1, "", "b")))
-        put("ab2", n + 1, _expr(x, (cn, "", "a"), (-cn, "a", "")))
-    elif t == "ab":
-        put("ab", n + 1, _expr(x, (s, "a", ""), (1, "", "c")))
-        put("ag", n + 1, _expr(x, (cn1, "c", ""), (-cn, "b", ""), (1, "", "a")))
-        put("ab2", n + 1, _expr(x, (cn1, "b", ""), (-cn, "c", ""), (1, "", "b")))
-    elif t == "ag":
-        put("ab", n + 1, _expr(x, (cn1, "b", ""), (-cn, "c", ""), (1, "", "a")))
-        put("ag", n + 1, _expr(x, (s, "a", ""), (1, "", "b")))
-        put("ab2", n + 1, _expr(x, (cn1, "c", ""), (-cn, "b", ""), (1, "", "c")))
-    elif t == "ab2":
-        put("ab", n + 1, _expr(x, (cn1, "c", ""), (-cn, "b", ""), (1, "", "b")))
-        put("ag", n + 1, _expr(x, (cn1, "b", ""), (-cn, "c", ""), (1, "", "c")))
-        put("ab2", n + 1, _expr(x, (s, "a", ""), (1, "", "a")))
-    else:
-        raise ValueError(f"no codifferential on tag {t!r}")
-    return out
-
-
-def co_f_word(j: int, gen: DualGen, x: int) -> dict:
-    """The dualized comparison map f^j on gen|x, gen of degree j + 3."""
-    out = {}
-
-    def put(tag, deg, words: dict):
-        g2 = dgen(tag, deg) if tag != "eps" else DualGen(0, "eps")
-        if g2 is None:
-            return
-        for w2, c in words.items():
-            _add(out, (g2, w2), c)
-
-    if WORD_DEGREE[x] >= 2:
-        return {}
-    t = gen.tag
-    if j == 0:
-        vals = {
-            "a": ((2, "", "bac"), (-2, "b", "ab"), (-2, "b", "bc"),
-                  (2, "c", "ba"), (2, "ab", "c"), (2, "ac", "b"),
-                  (2, "bac", "")),
-            "b": ((2, "", "abc"), (-2, "a", "ba"), (-2, "a", "ac"),
-                  (2, "c", "ab"), (2, "bc", "a"), (2, "ba", "c"),
-                  (2, "abc", "")),
-            "g": ((-2, "", "aba"), (2, "a", "bc"), (2, "b", "ac"),
-                  (-2, "ab", "b"), (-2, "bc", "b"), (-2, "ba", "a"),
-                  (-2, "ac", "a"), (-2, "aba", "")),
-            "ab": ((-1, "", "abc"), (1, "a", "ba"), (1, "a", "ac"),
-                   (-1, "c", "ab"), (-1, "bc", "a"), (-1, "ba", "c"),
-                   (-1, "abc", "")),
-            "ag": ((1, "", "aba"), (-1, "a", "bc"), (-1, "b", "ac"),
-                   (1, "ab", "b"), (1, "bc", "b"), (1, "ba", "a"),
-                   (1, "ac", "a"), (1, "aba", "")),
-            "ab2": ((-1, "", "bac"), (1, "b", "ab"), (1, "b", "bc"),
-                    (-1, "c", "ba"), (-1, "ab", "c"), (-1, "ac", "b"),
-                    (-1, "bac", "")),
-        }[t]
-        put("eps", 0, _expr(x, *vals))
-        return out
-    n = j
-    cn, cn1 = chi(n), chi(n + 1)
-    sg = 1 if n % 2 == 0 else -1  # (-1)^n
-    if t == "a":  # alpha_{n+3}
-        put("a", n, _expr(x, (2, "", "bac"), (-cn, "b", "ab"), (-cn, "b", "bc"),
-                          (cn, "c", "ba"), (cn, "ac", "b"), (cn, "ab", "c"),
-                          (2 * sg, "bac", "")))
-        put("b", n, _expr(x, (cn, "", "bac"), (-cn, "b", "bc"),
-                          (2 * sg, "c", "ba"), (cn, "ba", "b"), (cn, "ac", "b"),
-                          (2, "ab", "c"), (cn, "bac", "")))
-        put("g", n, _expr(x, (cn, "", "bac"), (-2 * sg, "b", "ab"),
-                          (-2 * sg, "b", "bc"), (cn, "c", "ba"), (cn, "c", "ac"),
-                          (2, "ac", "b"), (-cn, "bc", "c"), (cn, "bac", "")))
-        if cn1:
-            put("ab", n, _expr(x, (1, "a", "ab"), (-(n - 2), "c", "ba"),
-                               (1, "c", "ac"), (-1, "ba", "a"),
-                               (n - 1, "ab", "c"), (1, "bc", "c")))
-            put("ag", n, _expr(x, (1, "a", "ac"), (n - 1, "b", "ab"),
-                               (n - 2, "b", "bc"), (n - 2, "ac", "b"),
-                               (-1, "ba", "b"), (1, "ab", "a"), (1, "bc", "a")))
-            put("ab2", n, _expr(x, (n - 1, "", "bac"), (1, "c", "ab"),
-                                (1, "c", "bc"), (-1, "b", "ba"), (1, "ac", "c"),
-                                (1, "ab", "b"), (-(n - 1), "bac", "")))
-        if cn and n != 2:
-            k = n - 2
-            put("ab2", n, _expr(x, (k, "", "bac"), (-k, "b", "ab"),
-                                (-k, "b", "bc"), (k, "c", "ba"), (k, "ac", "b"),
-                                (k, "ab", "c"), (k, "bac", "")))
-    elif t == "b":  # beta_{n+3}
-        put("a", n, _expr(x, (cn, "", "abc"), (2 * sg, "c", "ab"),
-                          (-cn, "a", "ac"), (2, "ba", "c"), (cn, "ab", "a"),
-                          (cn, "bc", "a"), (cn, "abc", "")))
-        put("b", n, _expr(x, (2, "", "abc"), (cn, "c", "ab"), (-cn, "a", "ba"),
-                          (-cn, "a", "ac"), (cn, "ba", "c"), (cn, "bc", "a"),
-                          (2 * sg, "abc", "")))
-        put("g", n, _expr(x, (cn, "", "abc"), (cn, "c", "ab"), (cn, "c", "bc"),
-                          (-2 * sg, "a", "ba"), (-2 * sg, "a", "ac"),
-                          (-cn, "ac", "c"), (2, "bc", "a"), (cn, "abc", "")))
-        if cn1:
-            put("ab", n, _expr(x, (n - 1, "", "abc"), (-1, "a", "ab"),
-                               (1, "c", "ba"), (1, "c", "ac"), (1, "ba", "a"),
-                               (1, "bc", "c"), (-(n - 1), "abc", "")))
-            put("ag", n, _expr(x, (1, "b", "bc"), (n - 1, "a", "ba"),
-                               (n - 2, "a", "ac"), (1, "ba", "b"), (1, "ac", "b"),
-                               (n - 2, "bc", "a"), (-1, "ab", "a")))
-            put("ab2", n, _expr(x, (1, "b", "ba"), (-(n - 2), "c", "ab"),
-                                (1, "c", "bc"), (1, "ac", "c"),
-                                (n - 1, "ba", "c"), (-1, "ab", "b")))
-        if cn and n != 2:
-            k = n - 2
-            put("ab2", n, _expr(x, (k, "", "abc"), (k, "c", "ab"),
-                                (-k, "a", "ba"), (-k, "a", "ac"), (k, "ba", "c"),
-                                (k, "bc", "a"), (k, "abc", "")))
-    elif t == "g":  # gamma_{n+3}
-        put("a", n, _expr(x, (-cn, "", "aba"), (-cn, "a", "ab"),
-                          (2 * sg, "b", "ac"), (-cn, "ba", "a"), (-2, "ab", "b"),
-                          (-2, "bc", "b"), (-cn, "aba", "")))
-        put("b", n, _expr(x, (-cn, "", "aba"), (2 * sg, "a", "bc"),
-                          (-cn, "b", "ba"), (-2, "ba", "a"), (-2, "ac", "a"),
-                          (-cn, "ab", "b"), (-cn, "aba", "")))
-        put("g", n, _expr(x, (-2, "", "aba"), (cn, "a", "bc"), (cn, "b", "ac"),
-                          (-cn, "ba", "a"), (-cn, "ac", "a"), (-cn, "ab", "b"),
-                          (-cn, "bc", "b"), (-2 * sg, "aba", "")))
-        if cn1:
-            put("ab", n, _expr(x, (-1, "a", "ab"), (-1, "c", "ba"),
-                               (-1, "c", "ac"), (-(n - 1), "a", "bc"),
-                               (-(n - 2), "ba", "a"), (-(n - 1), "ac", "a"),
-                               (-1, "bc", "c")))
-            put("ag", n, _expr(x, (-(n - 1), "", "aba"), (-1, "b", "bc"),
-                               (-1, "a", "ac"), (-1, "ba", "b"), (-1, "ac", "b"),
-                               (-1, "ab", "a"), (-1, "bc", "a"),
-                               (n - 1, "aba", "")))
-            put("ab2", n, _expr(x, (-1, "c", "ab"), (-1, "c", "bc"),
-                                (-(n - 1), "b", "ac"), (-1, "b", "ba"),
-                                (-1, "ac", "c"), (-(n - 1), "bc", "b"),
-                                (-(n - 2), "ab", "b")))
-        if cn and n != 2:
-            k = n - 2
-            put("ab2", n, _expr(x, (-k, "", "aba"), (k, "a", "bc"),
-                                (k, "b", "ac"), (-k, "ba", "a"), (-k, "ac", "a"),
-                                (-k, "ab", "b"), (-k, "bc", "b"),
-                                (-k, "aba", "")))
-    elif t == "ab":  # alpha_{n+2}beta
-        put("a", n, _expr(x, (-cn, "c", "ab"), (-cn, "ba", "c")))
-        put("b", n, _expr(x, (-cn, "", "abc"), (-cn, "abc", "")))
-        put("g", n, _expr(x, (cn, "a", "ba"), (cn, "a", "ac"), (-cn, "bc", "a")))
-    elif t == "ag":  # alpha_{n+2}gamma
-        put("a", n, _expr(x, (-cn, "b", "ac"), (cn, "ab", "b"), (cn, "bc", "b")))
-        put("b", n, _expr(x, (-cn, "a", "bc"), (cn, "ba", "a"), (cn, "ac", "a")))
-        put("g", n, _expr(x, (cn, "", "aba"), (cn, "aba", "")))
-    elif t == "ab2":  # alpha_{n+1}beta_2
-        put("a", n, _expr(x, (-1, "", "bac"), (cn1, "b", "ac"), (cn1, "c", "ab"),
-                          (cn1, "ab", "b"), (cn1, "bc", "b"), (-cn1, "ba", "c"),
-                          (-sg, "bac", "")))
-        put("b", n, _expr(x, (-cn1, "", "abc"), (-sg, "c", "ba"),
-                          (cn1, "a", "bc"), (-1, "ab", "c"), (cn1, "ba", "a"),
-                          (cn1, "ac", "a"), (cn1, "abc", "")))
-        put("g", n, _expr(x, (cn1, "", "aba"), (-cn1, "a", "ba"),
-                          (-cn1, "a", "ac"), (sg, "b", "ab"), (sg, "b", "bc"),
-                          (-cn1, "bc", "a"), (-1, "ac", "b"), (-cn1, "aba", "")))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# transcribed tables (must equal the closed formulas above, entrywise)
-# ---------------------------------------------------------------------------
-
-# cells are genexpr|wordexpr strings; rows are source tags at the stated level
-T_ODD_43 = {  # columns abac, aba, abc, bac
-    "a": ("0", "(ag[n]-ab[n])|abac", "(ag[n]-ab[n])|abac", "0"),
-    "b": ("0", "(ab[n]-ag[n])|abac", "0", "(ab[n]-ag[n])|abac"),
-    "g": ("0", "0", "(ab[n]-ag[n])|abac", "(ag[n]-ab[n])|abac"),
-    "ab": ("0", "(ab[n]-ag[n])|abac", "0", "(ab[n]-ag[n])|abac"),
-    "ag": ("0", "0", "(ab[n]-ag[n])|abac", "(ag[n]-ab[n])|abac"),
-    "ab2": ("0", "(ag[n]-ab[n])|abac", "(ag[n]-ab[n])|abac", "0"),
-}
-
-T_ODD_2 = {  # columns ab, bc, ba, ac
-    "a": ("a[n+1]|aba+ab[n]|bac+ag[n]|(aba+abc)",
-          "a[n+1]|(abc-aba)-2ab[n]|bac",
-          "a[n+1]|aba+ab[n]|(aba+abc)+ag[n]|bac",
-          "-a[n+1]|abc-ab[n]|(aba+abc)+ag[n]|bac"),
-    "b": ("b[n+1]|aba+ab[n]|abc+ag[n]|(aba+bac)",
-          "-b[n+1]|bac+ab[n]|abc-ag[n]|(aba+bac)",
-          "b[n+1]|aba+ab[n]|(aba+bac)+ag[n]|abc",
-          "b[n+1]|(bac-aba)-2ag[n]|abc"),
-    "g": ("g[n+1]|(abc+bac)+2ab[n]|aba",
-          "-g[n+1]|bac-ab[n]|aba+ag[n]|(abc-bac)",
-          "g[n+1]|(abc+bac)+2ag[n]|aba",
-          "-g[n+1]|abc+ab[n]|(bac-abc)-ag[n]|aba"),
-    "ab": ("ab[n]|abc+ag[n]|(aba+bac)+ab2[n-1]|aba",
-           "ab[n]|abc-ag[n]|(aba+bac)-ab2[n-1]|bac",
-           "ab[n]|(aba+bac)+ag[n]|abc+ab2[n-1]|aba",
-           "-2ag[n]|abc+ab2[n-1]|(bac-aba)"),
-    "ag": ("2ab[n]|aba+ab2[n-1]|(abc+bac)",
-           "-ab[n]|aba+ag[n]|(abc-bac)-ab2[n-1]|bac",
-           "2ag[n]|aba+ab2[n-1]|(abc+bac)",
-           "ab[n]|(bac-abc)-ag[n]|aba-ab2[n-1]|abc"),
-    "ab2": ("ab[n]|bac+ag[n]|(aba+abc)+ab2[n-1]|aba",
-            "-2ab[n]|bac+ab2[n-1]|(abc-aba)",
-            "ab[n]|(aba+abc)+ag[n]|bac+ab2[n-1]|aba",
-            "-ab[n]|(aba+abc)+ag[n]|bac-ab2[n-1]|abc"),
-}
-
-T_ODD_10 = {  # columns a, b, c, 1
-    "a": ("-ab[n]|bc+ag[n]|(ba+ac)",
-          "a[n+1]|(ab+ba)-ab[n]|(ba+ac)+ag[n]|bc",
-          "a[n+1]|(ac-ab-bc)-ab[n]|(ba+ac)+ag[n]|bc",
-          "2a[n+1]|a+(ab[n]+ag[n])|(b+c)"),
-    "b": ("b[n+1]|(ab+ba)+ab[n]|ac-ag[n]|(ab+bc)",
-          "ab[n]|(ab+bc)-ag[n]|ac",
-          "b[n+1]|(bc-ba-ac)+ab[n]|ac-ag[n]|(ab+bc)",
-          "2b[n+1]|b+(ab[n]+ag[n])|(a+c)"),
-    "g": ("g[n+1]|(ac-ab-bc)+ab[n]|ba+ag[n]|ab",
-          "g[n+1]|(bc-ba-ac)+ab[n]|ba+ag[n]|ab",
-          "-ab[n]|ab-ag[n]|ba",
-          "2g[n+1]|c+(ab[n]+ag[n])|(a+b)"),
-    "ab": ("ab[n]|ac-ag[n]|(ab+bc)+ab2[n-1]|(ab+ba)",
-           "ab[n]|(ab+bc)-ag[n]|ac",
-           "ab[n]|ac-ag[n]|(ab+bc)+ab2[n-1]|(bc-ba-ac)",
-           "(ab[n]+ag[n])|(a+c)+2ab2[n-1]|b"),
-    "ag": ("ab[n]|ba+ag[n]|ab+ab2[n-1]|(ac-ab-bc)",
-           "ab[n]|ba+ag[n]|ab+ab2[n-1]|(bc-ba-ac)",
-           "-ab[n]|ab-ag[n]|ba",
-           "(ab[n]+ag[n])|(a+b)+2ab2[n-1]|c"),
-    "ab2": ("-ab[n]|bc+ag[n]|(ba+ac)",
-            "-ab[n]|(ba+ac)+ag[n]|bc+ab2[n-1]|(ab+ba)",
-            "-ab[n]|(ba+ac)+ag[n]|bc+ab2[n-1]|(ac-ab-bc)",
-            "(ab[n]+ag[n])|(b+c)+2ab2[n-1]|a"),
-}
-
-T_EVEN_43 = {  # columns abac, aba, abc, bac
-    "a": ("0", "2ag[n]|abac", "-2ab[n]|abac", "-2a[n+1]|abac"),
-    "b": ("0", "2ag[n]|abac", "-2b[n+1]|abac", "-2ab2[n-1]|abac"),
-    "g": ("0", "2g[n+1]|abac", "-2ab[n]|abac", "-2ab2[n-1]|abac"),
-    "ab": ("0", "ab[n]|abac+ab2[n-1]|abac", "-ag[n]|abac-ab2[n-1]|abac",
-           "-ab[n]|abac-ag[n]|abac"),
-    "ag": ("0", "ab[n]|abac+ab2[n-1]|abac", "-ag[n]|abac-ab2[n-1]|abac",
-           "-ab[n]|abac-ag[n]|abac"),
-    "ab2": ("0", "2ag[n]|abac", "-2ab[n]|abac", "-2ab2[n-1]|abac"),
-}
-
-T_EVEN_2 = {  # columns ab, bc, ba, ac
-    "a": ("a[n+1]|aba-ab[n]|aba+ag[n]|(abc-bac)",
-          "-a[n+1]|(aba+abc)-ab[n]|bac+ag[n]|bac",
-          "-a[n+1]|aba+ab[n]|aba+ag[n]|(bac-abc)",
-          "-a[n+1]|abc-ab[n]|(aba+bac)+ag[n]|abc"),
-    "b": ("-b[n+1]|aba+ag[n]|(abc-bac)+ab2[n-1]|aba",
-          "-b[n+1]|bac+ag[n]|bac-ab2[n-1]|(aba+abc)",
-          "b[n+1]|aba+ag[n]|(bac-abc)-ab2[n-1]|aba",
-          "-b[n+1]|(aba+bac)+ag[n]|abc-ab2[n-1]|abc"),
-    "g": ("g[n+1]|(abc-bac)-ab[n]|aba+ab2[n-1]|aba",
-          "g[n+1]|bac-ab[n]|bac-ab2[n-1]|(aba+abc)",
-          "g[n+1]|(bac-abc)+ab[n]|aba-ab2[n-1]|aba",
-          "g[n+1]|abc-ab[n]|(aba+bac)-ab2[n-1]|abc"),
-    "ab": ("ab[n]|abc-ab2[n-1]|bac",
-           "-ab[n]|abc-ag[n]|aba",
-           "ab[n]|(bac-aba)+ab2[n-1]|(aba-abc)",
-           "-ag[n]|(abc+bac)+ab2[n-1]|(abc-aba)"),
-    "ag": ("ab[n]|(aba-bac)+ab2[n-1]|(abc-aba)",
-           "ab[n]|(bac-aba)-ag[n]|(abc+bac)",
-           "-ab[n]|abc+ab2[n-1]|bac",
-           "-ag[n]|aba-ab2[n-1]|bac"),
-    "ab2": ("-ab[n]|aba+ag[n]|(abc-bac)+ab2[n-1]|aba",
-            "-ab[n]|bac+ag[n]|bac-ab2[n-1]|(aba+abc)",
-            "ab[n]|aba+ag[n]|(bac-abc)-ab2[n-1]|aba",
-            "-ab[n]|(aba+bac)+ag[n]|abc-ab2[n-1]|abc"),
-}
-
-T_EVEN_10 = {  # columns a, b, c, 1
-    "a": ("ab[n]|(ab-ba)+ag[n]|(ab+bc+ac)",
-          "a[n+1]|(ba-ab)+ag[n]|(ba+ac+bc)",
-          "-a[n+1]|(ab+bc+ac)-ab[n]|(bc+ba+ac)",
-          "0"),
-    "b": ("b[n+1]|(ab-ba)+ag[n]|(ab+bc+ac)",
-          "ag[n]|(ba+ac+bc)+ab2[n-1]|(ba-ab)",
-          "-b[n+1]|(bc+ba+ac)-ab2[n-1]|(ab+bc+ac)",
-          "0"),
-    "g": ("g[n+1]|(ab+bc+ac)+ab[n]|(ab-ba)",
-          "g[n+1]|(ba+ac+bc)+ab2[n-1]|(ba-ab)",
-          "-ab[n]|(bc+ba+ac)-ab2[n-1]|(ab+bc+ac)",
-          "0"),
-    "ab": ("ab[n]|ac-ag[n]|ba+ab2[n-1]|(2ab+bc)",
-           "ab[n]|(bc-ab)+ag[n]|ba+ab2[n-1]|(ba+ac)",
-           "-ab[n]|ac-ag[n]|(ab+2bc)-ab2[n-1]|(ba+ac)",
-           "ab[n]|(c-a)+ag[n]|(a-b)+ab2[n-1]|(b-c)"),
-    "ag": ("ab[n]|(ab+bc)+ag[n]|ab+ab2[n-1]|(ac-ba)",
-           "ab[n]|(2ba+ac)-ag[n]|ab+ab2[n-1]|bc",
-           "-ab[n]|(ab+bc)-ag[n]|(ba+2ac)-ab2[n-1]|bc",
-           "ab[n]|(a-c)+ag[n]|(b-a)+ab2[n-1]|(c-b)"),
-    "ab2": ("ab[n]|(ab-ba)+ag[n]|(ab+bc+ac)",
-            "ag[n]|(ba+ac+bc)+ab2[n-1]|(ba-ab)",
-            "-ab[n]|(bc+ba+ac)-ab2[n-1]|(ab+bc+ac)",
-            "0"),
-}
-
-T_F0 = {  # f^0, columns 1, a, b, c; rows at degree 3
-    "a": ("4e|(bac-aba+abc)", "0", "0", "0"),
-    "b": ("4e|(bac-aba+abc)", "0", "0", "0"),
-    "g": ("4e|(bac-aba+abc)", "0", "0", "0"),
-    "ab": ("2e|(aba-abc-bac)", "0", "0", "0"),
-    "ag": ("2e|(aba-abc-bac)", "0", "0", "0"),
-    "ab2": ("2e|(aba-abc-bac)", "0", "0", "0"),
-}
-
-T_F_ODD = {  # f^n, n odd, columns 1, a, b, c; rows at degree n + 3
-    "a": ("0",
-          "(4a[n]+4b[n]+4g[n]+2(n-2)ab[n-1]+2(n-2)ag[n-1]+2(n-1)ab2[n-2])|abac",
-          "(2ag[n-1]-2ab2[n-2])|abac",
-          "(2ab[n-1]-2ab2[n-2])|abac"),
-    "b": ("0",
-          "(2ag[n-1]-2ab[n-1])|abac",
-          "(4a[n]+4b[n]+4g[n]+2(n-1)ab[n-1]+2(n-2)ag[n-1]+2(n-2)ab2[n-2])|abac",
-          "(2ab2[n-2]-2ab[n-1])|abac"),
-    "g": ("0",
-          "(2ab[n-1]-2ag[n-1])|abac",
-          "(2ab2[n-2]-2ag[n-1])|abac",
-          "(4a[n]+4b[n]+4g[n]+2(n-2)ab[n-1]+2(n-1)ag[n-1]+2(n-2)ab2[n-2])|abac"),
-    "ab": ("0", "0", "0", "0"),
-    "ag": ("0", "0", "0", "0"),
-    "ab2": ("0",
-            "(-2a[n]-2b[n]-2g[n])|abac",
-            "(-2a[n]-2b[n]-2g[n])|abac",
-            "(-2a[n]-2b[n]-2g[n])|abac"),
-}
-
-T_F_EVEN = {  # f^n, n >= 2 even, column 1 only (all other columns vanish)
-    "a": "2a[n]|(2bac-aba+abc)+2b[n]|(2abc+bac)+2g[n]|(bac-2aba)"
-         "+(2(n-2)ab2[n-2])|(abc-aba+bac)",
-    "b": "2a[n]|(2bac+abc)+2b[n]|(2abc-aba+bac)+2g[n]|(abc-2aba)"
-         "+(2(n-2)ab2[n-2])|(abc-aba+bac)",
-    "g": "2a[n]|(2bac-aba)+2b[n]|(2abc-aba)+2g[n]|(abc-2aba+bac)"
-         "+(2(n-2)ab2[n-2])|(abc-aba+bac)",
-    "ab": "-2a[n]|bac-2b[n]|abc+2g[n]|aba",
-    "ag": "-2a[n]|bac-2b[n]|abc+2g[n]|aba",
-    "ab2": "-2a[n]|bac-2b[n]|abc+2g[n]|aba",
-}
-
-import re as _re
-
-_NCOEFF = _re.compile(r"^(\d+)\(n([+-]\d+)?\)$")
-
-
-def _parse_colin(s: str, atom, n: int):
-    """Linear parser allowing n-linear coefficients like 2(n-2)."""
-    s = s.strip()
-    if s in ("0", ""):
-        return {}
-    if s.startswith("(") and s.endswith(")"):
-        depth = 0
-        whole = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i < len(s) - 1:
-                    whole = False
-                    break
-        if whole:
-            return _parse_colin(s[1:-1], atom, n)
-    out = {}
-    for sign, chunk in _split_sum(s):
-        coeff = sign
-        m = _re.match(r"^(\d+)\(n([+-]\d+)\)(.*)$", chunk)
-        if m:
-            shift = int(m.group(2))
-            coeff = sign * int(m.group(1)) * (n + shift)
-            chunk = m.group(3).strip()
-        else:
-            m = _re.match(r"^(\d+)(.*)$", chunk)
-            if m and m.group(2).strip():
-                coeff = sign * int(m.group(1))
-                chunk = m.group(2).strip()
-        if chunk.startswith("(") and chunk.endswith(")"):
-            for k, v in _parse_colin(chunk, atom, n).items():
-                _add(out, k, coeff * v)
-        else:
-            k = atom(chunk)
-            if k is not None:
-                _add(out, k, coeff)
-    return out
-
-
-def parse_co_cell(cell: str, n: int) -> dict:
-    """Parse a genexpr|wordexpr cell into {(DualGen, word_idx): int}."""
-    cell = cell.strip()
-    out = {}
-    if cell == "0":
-        return out
-    for sign, term in _split_sum(cell):
-        depth = 0
-        left = right = None
-        for i, ch in enumerate(term):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                left, right = term[:i], term[i + 1:]
-                break
-        if left is None:
-            raise ValueError(f"bad cell term {term!r}")
-        gens = _parse_colin(left, lambda t: _parse_gen_token(t, n), n)
-        words = _parse_colin(right, lambda w: W[w] if w != "1" else W[""], n)
-        for g2, cg in gens.items():
-            for w2, cw in words.items():
-                _add(out, (g2, w2), sign * cg * cw)
-    return out
-
-
-_CO_COLS_43 = ("abac", "aba", "abc", "bac")
-_CO_COLS_2 = ("ab", "bc", "ba", "ac")
-_CO_COLS_10 = ("a", "b", "c", "1")
-
-
-def co_table_diff(n: int, gen: DualGen, x: int) -> dict:
-    """The transcribed-table codifferential on gen|x (n >= 1)."""
-    word = BASIS_WORDS[x] or "1"
-    t = gen.tag
-    if n % 2 == 1:
-        if word in _CO_COLS_43:
-            return parse_co_cell(T_ODD_43[t][_CO_COLS_43.index(word)], n)
-        if word in _CO_COLS_2:
-            return parse_co_cell(T_ODD_2[t][_CO_COLS_2.index(word)], n)
-        return parse_co_cell(T_ODD_10[t][_CO_COLS_10.index(word)], n)
-    if word in _CO_COLS_43:
-        return parse_co_cell(T_EVEN_43[t][_CO_COLS_43.index(word)], n)
-    if word in _CO_COLS_2:
-        return parse_co_cell(T_EVEN_2[t][_CO_COLS_2.index(word)], n)
-    return parse_co_cell(T_EVEN_10[t][_CO_COLS_10.index(word)], n)
-
-
-def co_table_f(j: int, gen: DualGen, x: int) -> dict:
-    """The transcribed-table comparison map f^j on gen|x."""
-    if WORD_DEGREE[x] >= 2:
-        return {}
-    word = BASIS_WORDS[x] or "1"
-    col = _CO_COLS_10.index(word) if word in ("a", "b", "c") else 3
-    col = {"1": 0, "a": 1, "b": 2, "c": 3}[word]
-    t = gen.tag
-    if j == 0:
-        return parse_co_cell(T_F0[t][col], j)
-    if j % 2 == 1:
-        return parse_co_cell(T_F_ODD[t][col], j)
-    if col == 0:
-        return parse_co_cell(T_F_EVEN[t], j)
-    return {}
-
-
-def co_tables_agree_with_formulas(max_n: int = 12):
-    """Entrywise comparison of the cohomology tables with the closed formulas."""
-    bad = []
-    for n in range(1, max_n + 1):
-        for gen in dual_basis(n):
-            for x in range(len(BASIS_WORDS)):
-                a = co_diff_word(n, gen, x)
-                b = co_table_diff(n, gen, x)
-                if a != b:
-                    bad.append(("d", n, gen, BASIS_WORDS[x] or "1", a, b))
-    for j in range(0, max_n + 1):
-        for gen in dual_basis(j + 3):
-            for x in range(len(BASIS_WORDS)):
-                if WORD_DEGREE[x] >= 2:
-                    continue
-                a = co_f_word(j, gen, x)
-                b = co_table_f(j, gen, x)
-                if a != b:
-                    bad.append(("f", j, gen, BASIS_WORDS[x] or "1", a, b))
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +77,7 @@ class CohomologyComplex:
         self._images = {}
         self._classes = {}
         self._class_solvers = {}
+        self._dual = {}
 
     def min_m(self, n: int) -> int:
         return -2 * (n // 4)
@@ -590,16 +101,21 @@ class CohomologyComplex:
     def dim(self, n: int, m: int) -> int:
         return len(self.basis(n, m))
 
+    def _dual_terms(self, k: int, n: int) -> dict:
+        """transpose_images of f^(k)_n over the degree-n generators,
+        computed once per (k, n)."""
+        if (k, n) not in self._dual:
+            self._dual[(k, n)] = transpose_images(
+                {u: gen_image(k, n, u) for u in dual_basis(n)})
+        return self._dual[(k, n)]
+
     def diff_key(self, n: int, key) -> dict:
+        """Codifferential of a single basis element of degree n: the
+        omega_i part pulls back along d_{n+1}, the omega_{i+1} part along f."""
         i, g, x = key
         deg = n - 4 * i
-        out = {}
-        for (g2, x2), c in co_diff_word(deg, g, x).items():
-            _add(out, (i, g2, x2), c)
-        if deg >= 3:
-            for (g2, x2), c in co_f_word(deg - 3, g, x).items():
-                _add(out, (i + 1, g2, x2), c)
-        return out
+        out = coreduce(self._dual_terms(0, deg + 1).get(g, ()), x, i)
+        return coreduce(self._dual_terms(1, deg - 3).get(g, ()), x, i + 1, out)
 
     def diff_elem(self, n: int, elem: dict) -> dict:
         out = {}

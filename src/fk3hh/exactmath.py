@@ -386,16 +386,6 @@ class SparseMat:
                 out[key] = nv
         return SparseMat(self.rows, self.cols, out, F)
 
-    def mul_scalar(self, c):
-        c = self.field.of(c)
-        if c == self.field.zero:
-            return SparseMat.zero(self.rows, self.cols, self.field)
-        return SparseMat(
-            self.rows, self.cols,
-            {(i, j): self.field.mul(c, v) for (i, j), v in self._d.items()},
-            self.field,
-        )
-
     # ----- elimination -----
 
     def rank(self) -> int:
@@ -459,10 +449,6 @@ class SparseMat:
         """Canonical (RREF) basis of the column space."""
         rref_rows, _ = self.transpose().rref()
         return Subspace(self.rows, rref_rows, self.field)
-
-    def row_space(self) -> Subspace:
-        rref_rows, _ = self.rref()
-        return Subspace(self.cols, rref_rows, self.field)
 
     def solve(self, rhs):
         """One particular solution of M x = rhs, or None if inconsistent."""

@@ -1,11 +1,12 @@
 """Hochschild homology of FK(3) via the induced complex of the resolution.
 
-The complex has components P~_{n,m} = sum_i omega_i K~_{n-4i,m-2i} with
-K~_{n,m} = A_m (x) (dual of degree n); basis keys are (i, word_idx, DualGen).
-The differential combines the closed one-stratum formulas with the reduced
-comparison maps; both are implemented straight from their published closed
-forms, and the separately transcribed image tables must agree entrywise
-(checked in the test suite and by `tables_agree_with_formulas`).
+The complex A (x)_{A^e} P has components P~_{n,m} = sum_i omega_i K~_{n-4i,m-2i}
+with K~_{n,m} = A_m (x) (dual of degree n); basis keys are (i, word_idx,
+DualGen).  Its differential is derived from the resolution: the strata
+f^(0) = d and f^(1) = f of each generator's image are reduced by
+x (x) l|v|r -> (r x l)|v (`reduce_image`); the higher strata vanish under
+this reduction.  The transcribed image tables live in `fk3hh.tables` as a
+verification oracle only.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 hand-picked representative bases; those enter only through
@@ -15,20 +16,18 @@ independent where transcribed.
 
 from __future__ import annotations
 
-import re
-
 from .exactmath import QQ, SparseMat, Subspace
 from .fk3core import (
     BASIS_BY_DEGREE,
-    BASIS_WORDS,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
     chi,
     dgen,
     dual_basis,
-    mul_words,
+    mul_table,
 )
+from .resolution import gen_image
 
 W = WORD_INDEX
 
@@ -43,422 +42,28 @@ def _add(out, key, c):
         out[key] = nv
 
 
-def _lmul(letter_idx, x):
-    """letter * (basis word x) as {word: int}."""
-    return mul_words(letter_idx, x)
+def reduce_image(image: dict, x: int, i: int = 0, out=None) -> dict:
+    """The homology reduction of omega_i x (x)_{A^e} image.
 
-
-def _rmul(x, letter_idx):
-    return mul_words(x, letter_idx)
-
-
-_A, _B, _C = 1, 2, 3  # word indices of the letters a, b, c
-
-
-def tilde_diff_word(n: int, x: int, gen: DualGen) -> dict:
-    """The closed formula for the induced differential on x|gen.
-
-    Returns {(word_idx, DualGen): int} in K~_{n-1, m+1}.
+    x (x) c l|v|r goes to c (r x l)|v, so a bimodule image
+    {(_, l, v, r): c} becomes {(i, word_idx, v): int}, added into `out`.
     """
-    out = {}
-
-    def put(words: dict, gens):
-        for w2, cw in words.items():
-            for g2 in gens:
-                if g2 is not None:
-                    _add(out, (w2, g2), cw)
-
-    def comb(*pairs):
-        tot = {}
-        for sign, words in pairs:
-            for w2, cw in words.items():
-                _add(tot, w2, sign * cw)
-        return tot
-
-    t = gen.tag
-    if n == 1:
-        letter = {"a": _A, "b": _B, "g": _C}[t]
-        words = comb((1, _lmul(letter, x)), (-1, _rmul(x, letter)))
-        put(words, [DualGen(0, "eps")])
-        return out
-    if n % 2 == 0:
-        if t in ("a", "b", "g"):
-            letter = {"a": _A, "b": _B, "g": _C}[t]
-            put(comb((1, _rmul(x, letter)), (1, _lmul(letter, x))),
-                [dgen(t, n - 1)])
-        elif t == "ab":
-            put(comb((1, _rmul(x, _A)), (1, _lmul(_C, x))),
-                [dgen("b", n - 1), dgen("ab", n - 1)])
-            put(comb((1, _rmul(x, _B)), (1, _lmul(_A, x))),
-                [dgen("g", n - 1), dgen("ag", n - 1)])
-            put(comb((1, _rmul(x, _C)), (1, _lmul(_B, x))),
-                [dgen("a", n - 1), dgen("ab2", n - 1)])
-        elif t == "ag":
-            put(comb((1, _rmul(x, _A)), (1, _lmul(_B, x))),
-                [dgen("g", n - 1), dgen("ag", n - 1)])
-            put(comb((1, _rmul(x, _B)), (1, _lmul(_C, x))),
-                [dgen("a", n - 1), dgen("ab2", n - 1)])
-            put(comb((1, _rmul(x, _C)), (1, _lmul(_A, x))),
-                [dgen("b", n - 1), dgen("ab", n - 1)])
-        elif t == "ab2":
-            put(comb((1, _rmul(x, _A)), (1, _lmul(_A, x))), [dgen("ab2", n - 1)])
-            put(comb((1, _rmul(x, _B)), (1, _lmul(_B, x))), [dgen("ab", n - 1)])
-            put(comb((1, _rmul(x, _C)), (1, _lmul(_C, x))), [dgen("ag", n - 1)])
-        return out
-    # n >= 3 odd
-    if t in ("a", "b", "g"):
-        letter = {"a": _A, "b": _B, "g": _C}[t]
-        put(comb((1, _lmul(letter, x)), (-1, _rmul(x, letter))),
-            [dgen(t, n - 1)])
-    elif t == "ab":
-        put(comb((1, _lmul(_C, x)), (-1, _rmul(x, _A))), [dgen("ab", n - 1)])
-        put(comb((1, _lmul(_A, x)), (-1, _rmul(x, _C))), [dgen("ag", n - 1)])
-        put(comb((1, _lmul(_B, x)), (-1, _rmul(x, _B))),
-            [dgen("a", n - 1), dgen("g", n - 1), dgen("ab2", n - 1)])
-    elif t == "ag":
-        put(comb((1, _lmul(_A, x)), (-1, _rmul(x, _B))), [dgen("ab", n - 1)])
-        put(comb((1, _lmul(_B, x)), (-1, _rmul(x, _A))), [dgen("ag", n - 1)])
-        put(comb((1, _lmul(_C, x)), (-1, _rmul(x, _C))),
-            [dgen("a", n - 1), dgen("b", n - 1), dgen("ab2", n - 1)])
-    elif t == "ab2":
-        put(comb((1, _lmul(_A, x)), (-1, _rmul(x, _A))),
-            [dgen("b", n - 1), dgen("g", n - 1), dgen("ab2", n - 1)])
-        put(comb((1, _lmul(_B, x)), (-1, _rmul(x, _C))), [dgen("ab", n - 1)])
-        put(comb((1, _lmul(_C, x)), (-1, _rmul(x, _B))), [dgen("ag", n - 1)])
+    if out is None:
+        out = {}
+    table = mul_table()
+    room = 4 - WORD_DEGREE[x]  # A vanishes above degree 4
+    for (_, lw, v, rw), c in image.items():
+        if WORD_DEGREE[lw] + WORD_DEGREE[rw] > room:
+            continue
+        for m1, c1 in table[(rw, x)].items():
+            for m2, c2 in table[(m1, lw)].items():
+                key = (i, m2, v)
+                nv = out.get(key, 0) + c * c1 * c2
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
     return out
-
-
-def tilde_f_word(n: int, x: int, gen: DualGen) -> dict:
-    """The reduced comparison map on x|gen: {(word_idx, DualGen): int}."""
-    m = WORD_DEGREE[x]
-    if m >= 2:
-        return {}
-    abac = W["abac"]
-    bac, abc, aba = W["bac"], W["abc"], W["aba"]
-    if n == 0:
-        if x != W[""]:
-            return {}
-        return {
-            (bac, dgen("a", 3)): 12, (abc, dgen("b", 3)): 12,
-            (aba, dgen("g", 3)): -12, (abc, dgen("ab", 3)): -6,
-            (aba, dgen("ag", 3)): 6, (bac, dgen("ab2", 3)): -6,
-        }
-    t = gen.tag
-    if n % 2 == 1:
-        diag = {("a", _A), ("b", _B), ("g", _C)}
-        if (t, x) in {("a", W["a"]), ("b", W["b"]), ("g", W["c"])}:
-            return {
-                (abac, dgen("a", n + 3)): -4, (abac, dgen("b", n + 3)): -4,
-                (abac, dgen("g", n + 3)): -4, (abac, dgen("ab2", n + 3)): 6,
-            }
-        if (t, x) in {("ab", W["b"]), ("ag", W["c"]), ("ab2", W["a"])}:
-            c = -2 * (n - 1)
-            return {
-                (abac, dgen("a", n + 3)): c, (abac, dgen("b", n + 3)): c,
-                (abac, dgen("g", n + 3)): c,
-            }
-        return {}
-    # n >= 2 even
-    if x != W[""]:
-        return {}
-    if t in ("a", "b", "g"):
-        return {
-            (bac, dgen("a", n + 3)): 8, (abc, dgen("b", n + 3)): 8,
-            (aba, dgen("g", n + 3)): -8, (abc, dgen("ab", n + 3)): -2,
-            (aba, dgen("ag", n + 3)): 2, (bac, dgen("ab2", n + 3)): -2,
-        }
-    if t == "ab2":
-        c = 6 * (n - 2)
-        return {(bac, dgen("a", n + 3)): c, (abc, dgen("b", n + 3)): c,
-                (aba, dgen("g", n + 3)): -c}
-    return {}  # ab, ag
-
-
-# ---------------------------------------------------------------------------
-# transcribed image tables (independently encoded; must equal the formulas)
-# ---------------------------------------------------------------------------
-
-_ROWS = ("1", "a", "b", "c", "ab", "bc", "ba", "ac", "aba", "abc", "bac", "abac")
-
-TABLE_D1 = {  # images of the degree-1 differential, columns a, b, g
-    "1": ("0", "0", "0"),
-    "a": ("0", "(ba-ab)|e", "(-ab-bc-ac)|e"),
-    "b": ("(ab-ba)|e", "0", "(-ba-ac-bc)|e"),
-    "c": ("(ab+bc+ac)|e", "(ba+ac+bc)|e", "0"),
-    "ab": ("-aba|e", "aba|e", "(bac-abc)|e"),
-    "bc": ("(aba+abc)|e", "bac|e", "-bac|e"),
-    "ba": ("aba|e", "-aba|e", "(abc-bac)|e"),
-    "ac": ("abc|e", "(aba+bac)|e", "-abc|e"),
-    "aba": ("0", "0", "-2abac|e"),
-    "abc": ("0", "2abac|e", "0"),
-    "bac": ("2abac|e", "0", "0"),
-    "abac": ("0", "0", "0"),
-}
-
-TABLE_EVEN_ABG = {  # even n, columns a[n], b[n], g[n]
-    "1": ("2a|a[n-1]", "2b|b[n-1]", "2c|g[n-1]"),
-    "a": ("0", "(ab+ba)|b[n-1]", "(ac-ab-bc)|g[n-1]"),
-    "b": ("(ab+ba)|a[n-1]", "0", "(bc-ba-ac)|g[n-1]"),
-    "c": ("(ac-ab-bc)|a[n-1]", "(bc-ba-ac)|b[n-1]", "0"),
-    "ab": ("aba|a[n-1]", "aba|b[n-1]", "(abc+bac)|g[n-1]"),
-    "bc": ("(abc-aba)|a[n-1]", "-bac|b[n-1]", "-bac|g[n-1]"),
-    "ba": ("aba|a[n-1]", "aba|b[n-1]", "(abc+bac)|g[n-1]"),
-    "ac": ("-abc|a[n-1]", "(bac-aba)|b[n-1]", "-abc|g[n-1]"),
-    "aba": ("0", "0", "0"),
-    "abc": ("0", "0", "0"),
-    "bac": ("0", "0", "0"),
-    "abac": ("0", "0", "0"),
-}
-
-TABLE_EVEN_AB = {  # even n, column ab[n-1] (the paper's alpha_{n-1}beta)
-    "1": "(a+c)|(b[n-1]+ab[n-2])+(b+a)|(g[n-1]+ag[n-2])+(c+b)|(a[n-1]+ab2[n-3])",
-    "a": "-(ab+bc)|(b[n-1]+ab[n-2])+ab|(g[n-1]+ag[n-2])+(ba+ac)|(a[n-1]+ab2[n-3])",
-    "b": "-ac|(b[n-1]+ab[n-2])+ab|(g[n-1]+ag[n-2])+bc|(a[n-1]+ab2[n-3])",
-    "c": "-(ab+bc)|(b[n-1]+ab[n-2])-ba|(g[n-1]+ag[n-2])+bc|(a[n-1]+ab2[n-3])",
-    "ab": "(aba+bac)|(b[n-1]+ab[n-2])+(aba+abc)|(a[n-1]+ab2[n-3])",
-    "bc": "(-aba-bac)|(b[n-1]+ab[n-2])+(abc-bac)|(g[n-1]+ag[n-2])",
-    "ba": "abc|(b[n-1]+ab[n-2])+2aba|(g[n-1]+ag[n-2])+bac|(a[n-1]+ab2[n-3])",
-    "ac": "-2abc|(b[n-1]+ab[n-2])-aba|(g[n-1]+ag[n-2])+bac|(a[n-1]+ab2[n-3])",
-    "aba": "abac|(-b[n-1]-ab[n-2]+a[n-1]+ab2[n-3])",
-    "abc": "abac|(-g[n-1]-ag[n-2]+a[n-1]+ab2[n-3])",
-    "bac": "abac|(-b[n-1]-ab[n-2]+g[n-1]+ag[n-2])",
-    "abac": "0",
-}
-
-TABLE_EVEN_AG = {  # even n, column ag[n-1]
-    "1": "(a+b)|(g[n-1]+ag[n-2])+(b+c)|(a[n-1]+ab2[n-3])+(c+a)|(b[n-1]+ab[n-2])",
-    "a": "ba|(g[n-1]+ag[n-2])-bc|(a[n-1]+ab2[n-3])+ac|(b[n-1]+ab[n-2])",
-    "b": "ba|(g[n-1]+ag[n-2])-(ba+ac)|(a[n-1]+ab2[n-3])+(ab+bc)|(b[n-1]+ab[n-2])",
-    "c": "-ab|(g[n-1]+ag[n-2])-(ba+ac)|(a[n-1]+ab2[n-3])+ac|(b[n-1]+ab[n-2])",
-    "ab": "2aba|(g[n-1]+ag[n-2])+bac|(a[n-1]+ab2[n-3])+abc|(b[n-1]+ab[n-2])",
-    "bc": "-aba|(g[n-1]+ag[n-2])-2bac|(a[n-1]+ab2[n-3])+abc|(b[n-1]+ab[n-2])",
-    "ba": "(aba+abc)|(a[n-1]+ab2[n-3])+(aba+bac)|(b[n-1]+ab[n-2])",
-    "ac": "(bac-abc)|(g[n-1]+ag[n-2])-(aba+abc)|(a[n-1]+ab2[n-3])",
-    "aba": "abac|(-a[n-1]-ab2[n-3]+b[n-1]+ab[n-2])",
-    "abc": "abac|(g[n-1]+ag[n-2]-a[n-1]-ab2[n-3])",
-    "bac": "abac|(-g[n-1]-ag[n-2]+b[n-1]+ab[n-2])",
-    "abac": "0",
-}
-
-TABLE_EVEN_AB2 = {  # even n >= 4, column ab2[n-2]
-    "1": "2a|ab2[n-3]+2b|ab[n-2]+2c|ag[n-2]",
-    "a": "(ab+ba)|ab[n-2]+(ac-ab-bc)|ag[n-2]",
-    "b": "(ab+ba)|ab2[n-3]+(bc-ba-ac)|ag[n-2]",
-    "c": "(ac-ab-bc)|ab2[n-3]+(bc-ba-ac)|ab[n-2]",
-    "ab": "aba|ab2[n-3]+aba|ab[n-2]+(abc+bac)|ag[n-2]",
-    "bc": "(abc-aba)|ab2[n-3]-bac|ab[n-2]-bac|ag[n-2]",
-    "ba": "aba|ab2[n-3]+aba|ab[n-2]+(abc+bac)|ag[n-2]",
-    "ac": "-abc|ab2[n-3]+(bac-aba)|ab[n-2]-abc|ag[n-2]",
-    "aba": "0",
-    "abc": "0",
-    "bac": "0",
-    "abac": "0",
-}
-
-TABLE_ODD_ABG = {  # odd n >= 3, columns a[n], b[n], g[n]
-    "1": ("0", "0", "0"),
-    "a": ("0", "(ba-ab)|b[n-1]", "(-ab-bc-ac)|g[n-1]"),
-    "b": ("(ab-ba)|a[n-1]", "0", "(-ba-ac-bc)|g[n-1]"),
-    "c": ("(ab+bc+ac)|a[n-1]", "(ba+ac+bc)|b[n-1]", "0"),
-    "ab": ("-aba|a[n-1]", "aba|b[n-1]", "(bac-abc)|g[n-1]"),
-    "bc": ("(aba+abc)|a[n-1]", "bac|b[n-1]", "-bac|g[n-1]"),
-    "ba": ("aba|a[n-1]", "-aba|b[n-1]", "(abc-bac)|g[n-1]"),
-    "ac": ("abc|a[n-1]", "(aba+bac)|b[n-1]", "-abc|g[n-1]"),
-    "aba": ("0", "0", "-2abac|g[n-1]"),
-    "abc": ("0", "2abac|b[n-1]", "0"),
-    "bac": ("2abac|a[n-1]", "0", "0"),
-    "abac": ("0", "0", "0"),
-}
-
-TABLE_ODD_AB = {  # odd n >= 3, column ab[n-1]
-    "1": "(c-a)|ab[n-2]+(a-c)|ag[n-2]",
-    "a": "-(ab+bc)|ab[n-2]-ac|ag[n-2]+(ba-ab)|(a[n-1]+g[n-1]+ab2[n-3])",
-    "b": "(-2ba-ac)|ab[n-2]+(ab-bc)|ag[n-2]",
-    "c": "(ab+bc)|ab[n-2]+ac|ag[n-2]+(ba+ac+bc)|(a[n-1]+g[n-1]+ab2[n-3])",
-    "ab": "(bac-aba)|ab[n-2]-abc|ag[n-2]+aba|(a[n-1]+g[n-1]+ab2[n-3])",
-    "bc": "(aba-bac)|ab[n-2]+abc|ag[n-2]+bac|(a[n-1]+g[n-1]+ab2[n-3])",
-    "ba": "abc|ab[n-2]+(aba-bac)|ag[n-2]-aba|(a[n-1]+g[n-1]+ab2[n-3])",
-    "ac": "(aba+bac)|(a[n-1]+g[n-1]+ab2[n-3])",
-    "aba": "-abac|(ab[n-2]+ag[n-2])",
-    "abc": "2abac|(a[n-1]+g[n-1]+ab2[n-3])",
-    "bac": "abac|(ab[n-2]+ag[n-2])",
-    "abac": "0",
-}
-
-TABLE_ODD_AG = {  # odd n >= 3, column ag[n-1]
-    "1": "(a-b)|ab[n-2]+(b-a)|ag[n-2]",
-    "a": "-ab|ab[n-2]+ba|ag[n-2]-(ab+bc+ac)|(a[n-1]+b[n-1]+ab2[n-3])",
-    "b": "ab|ab[n-2]-ba|ag[n-2]-(ba+ac+bc)|(a[n-1]+b[n-1]+ab2[n-3])",
-    "c": "(2ac+ba)|ab[n-2]+(ab+2bc)|ag[n-2]",
-    "ab": "(bac-abc)|(a[n-1]+b[n-1]+ab2[n-3])",
-    "bc": "(abc+bac)|ab[n-2]+aba|ag[n-2]-bac|(a[n-1]+b[n-1]+ab2[n-3])",
-    "ba": "(abc-bac)|(a[n-1]+b[n-1]+ab2[n-3])",
-    "ac": "aba|ab[n-2]+(abc+bac)|ag[n-2]-abc|(a[n-1]+b[n-1]+ab2[n-3])",
-    "aba": "-2abac|(a[n-1]+b[n-1]+ab2[n-3])",
-    "abc": "abac|(ab[n-2]+ag[n-2])",
-    "bac": "abac|(ab[n-2]+ag[n-2])",
-    "abac": "0",
-}
-
-TABLE_ODD_AB2 = {  # odd n >= 3, column ab2[n-2]
-    "1": "(b-c)|ab[n-2]+(c-b)|ag[n-2]",
-    "a": "(ba-ac)|ab[n-2]-(2ab+bc)|ag[n-2]",
-    "b": "(ab-ba)|(b[n-1]+g[n-1]+ab2[n-3])-bc|ab[n-2]-(ba+ac)|ag[n-2]",
-    "c": "(ab+bc+ac)|(b[n-1]+g[n-1]+ab2[n-3])+bc|ab[n-2]+(ba+ac)|ag[n-2]",
-    "ab": "-aba|(b[n-1]+g[n-1]+ab2[n-3])+(aba-abc)|ab[n-2]+bac|ag[n-2]",
-    "bc": "(aba+abc)|(b[n-1]+g[n-1]+ab2[n-3])",
-    "ba": "aba|(b[n-1]+g[n-1]+ab2[n-3])-bac|ab[n-2]+(abc-aba)|ag[n-2]",
-    "ac": "abc|(b[n-1]+g[n-1]+ab2[n-3])+bac|ab[n-2]+(aba-abc)|ag[n-2]",
-    "aba": "-abac|(ab[n-2]+ag[n-2])",
-    "abc": "abac|(ab[n-2]+ag[n-2])",
-    "bac": "2abac|(b[n-1]+g[n-1]+ab2[n-3])",
-    "abac": "0",
-}
-
-
-_TOKEN = re.compile(r"^(a|b|g|ab|ag|ab2)\[n([+-]\d+)?\]$")
-
-
-def _parse_gen_token(tok: str, n: int):
-    """Tokens use the paper's letter indices: a[k] is alpha_k (degree k),
-    ab[k] is alpha_k beta (degree k+1), ab2[k] is alpha_k beta_2 (degree k+2)."""
-    tok = tok.strip()
-    if tok == "e":
-        return DualGen(0, "eps")
-    m = _TOKEN.match(tok)
-    if not m:
-        raise ValueError(f"bad dual token {tok!r}")
-    tag = m.group(1)
-    shift = int(m.group(2) or 0)
-    degree = n + shift + {"a": 0, "b": 0, "g": 0, "ab": 1, "ag": 1, "ab2": 2}[tag]
-    return dgen(tag, degree)
-
-
-def _split_sum(s: str):
-    """Split at top-level +/- (outside parens and index brackets)."""
-    out = []
-    depth = 0
-    buf = ""
-    sign = 1
-    for ch in s:
-        if ch in "([":
-            depth += 1
-            buf += ch
-        elif ch in ")]":
-            depth -= 1
-            buf += ch
-        elif ch in "+-" and depth == 0:
-            if buf.strip():
-                out.append((sign, buf.strip()))
-                sign = 1 if ch == "+" else -1
-            else:
-                sign = sign * (1 if ch == "+" else -1)
-            buf = ""
-        else:
-            buf += ch
-    if buf.strip():
-        out.append((sign, buf.strip()))
-    return out
-
-
-def _parse_lin(s: str, atom):
-    """Linear combination parser: '2a - (b+c)' -> {atom_value: coeff}."""
-    s = s.strip()
-    if s in ("0", ""):
-        return {}
-    if s.startswith("(") and s.endswith(")"):
-        # strip only if the parens match across the whole string
-        depth = 0
-        whole = True
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i < len(s) - 1:
-                    whole = False
-                    break
-        if whole:
-            return _parse_lin(s[1:-1], atom)
-    out = {}
-    for sign, chunk in _split_sum(s):
-        m = re.match(r"^(\d+)(.*)$", chunk)
-        coeff = sign
-        if m and m.group(2).strip():
-            coeff = sign * int(m.group(1))
-            chunk = m.group(2).strip()
-        if chunk.startswith("(") and chunk.endswith(")"):
-            inner = _parse_lin(chunk, atom)
-            for k, v in inner.items():
-                _add(out, k, coeff * v)
-        else:
-            k = atom(chunk)
-            if k is not None:
-                _add(out, k, coeff)
-    return out
-
-
-def parse_table_cell(cell: str, n: int) -> dict:
-    """Parse a table cell into {(word_idx, DualGen): int}."""
-    cell = cell.strip()
-    out = {}
-    if cell == "0":
-        return out
-    for sign, term in _split_sum(cell):
-        if "|" not in term:
-            raise ValueError(f"bad cell term {term!r}")
-        depth = 0
-        for i, ch in enumerate(term):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                left, right = term[:i], term[i + 1:]
-                break
-        words = _parse_lin(left, lambda w: W[w] if w != "1" else W[""])
-        gens = _parse_lin(right, lambda t: _parse_gen_token(t, n))
-        for w2, cw in words.items():
-            for g2, cg in gens.items():
-                _add(out, (w2, g2), sign * cw * cg)
-    return out
-
-
-def table_diff_word(n: int, x: int, gen: DualGen) -> dict:
-    """The transcribed-table value of the differential on x|gen."""
-    row = BASIS_WORDS[x] or "1"
-    t = gen.tag
-    if n == 1:
-        col = {"a": 0, "b": 1, "g": 2}[t]
-        return parse_table_cell(TABLE_D1[row][col], n)
-    if n % 2 == 0:
-        if t in ("a", "b", "g"):
-            col = {"a": 0, "b": 1, "g": 2}[t]
-            return parse_table_cell(TABLE_EVEN_ABG[row][col], n)
-        table = {"ab": TABLE_EVEN_AB, "ag": TABLE_EVEN_AG,
-                 "ab2": TABLE_EVEN_AB2}[t]
-        return parse_table_cell(table[row], n)
-    if t in ("a", "b", "g"):
-        col = {"a": 0, "b": 1, "g": 2}[t]
-        return parse_table_cell(TABLE_ODD_ABG[row][col], n)
-    table = {"ab": TABLE_ODD_AB, "ag": TABLE_ODD_AG, "ab2": TABLE_ODD_AB2}[t]
-    return parse_table_cell(table[row], n)
-
-
-def tables_agree_with_formulas(max_n: int = 12):
-    """Entrywise comparison of the transcribed tables with the closed formulas.
-
-    Returns a list of disagreements (empty when all entries match).
-    """
-    bad = []
-    for n in range(1, max_n + 1):
-        for gen in dual_basis(n):
-            for x in range(len(BASIS_WORDS)):
-                a = tilde_diff_word(n, x, gen)
-                b = table_diff_word(n, x, gen)
-                if a != b:
-                    bad.append((n, BASIS_WORDS[x] or "1", gen, a, b))
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +73,13 @@ def tables_agree_with_formulas(max_n: int = 12):
 class HomologyComplex:
     """The induced complex with components indexed by (n, m)."""
 
-    def __init__(self, field=QQ, max_n=19, use_tables=False):
+    def __init__(self, field=QQ, max_n=19):
         self.field = field
         self.max_n = max_n
-        self.use_tables = use_tables
         self._basis = {}
         self._mat = {}
         self._rank = {}
+        self._images = {}
 
     def max_m(self, n=None) -> int:
         n = self.max_n if n is None else n
@@ -499,18 +104,19 @@ class HomologyComplex:
     def dim(self, n: int, m: int) -> int:
         return len(self.basis(n, m))
 
+    def _image(self, k: int, n: int, g: DualGen) -> dict:
+        """f^(k)_n(1|g|1), computed once per (k, n, g)."""
+        if (k, n, g) not in self._images:
+            self._images[(k, n, g)] = gen_image(k, n, g)
+        return self._images[(k, n, g)]
+
     def diff_key(self, n: int, key) -> dict:
         """Differential of a single basis element of degree n."""
         i, x, g = key
         deg = n - 4 * i
-        out = {}
-        if deg >= 1:
-            word_fn = table_diff_word if self.use_tables else tilde_diff_word
-            for (x2, g2), c in word_fn(deg, x, g).items():
-                _add(out, (i, x2, g2), c)
+        out = reduce_image(self._image(0, deg, g), x, i)
         if i >= 1:
-            for (x2, g2), c in tilde_f_word(deg, x, g).items():
-                _add(out, (i - 1, x2, g2), c)
+            reduce_image(self._image(1, deg, g), x, i - 1, out)
         return out
 
     def diff_elem(self, n: int, elem: dict) -> dict:
@@ -542,12 +148,10 @@ class HomologyComplex:
         src = [k for k in self.basis(n, m) if k[0] == 0]
         tgt = [k for k in self.basis(n - 1, m + 1) if k[0] == 0]
         pos = {k: r for r, k in enumerate(tgt)}
-        word_fn = table_diff_word if self.use_tables else tilde_diff_word
         ent = {}
-        for col, (i, x, g) in enumerate(src):
-            if n >= 1:
-                for (x2, g2), c in word_fn(n, x, g).items():
-                    ent[(pos[(0, x2, g2)], col)] = F.of(c)
+        for col, (_, x, g) in enumerate(src):
+            for key2, c in reduce_image(self._image(0, n, g), x).items():
+                ent[(pos[key2], col)] = F.of(c)
         return SparseMat(len(tgt), len(src), ent, F)
 
     def dim_one_stratum_homology(self, n: int, m: int) -> int:

@@ -173,14 +173,6 @@ class FreeAlgebra:
                 polys.append(self.parse_poly(line))
         return polys
 
-    def write_file(self, path, polys, header=""):
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                for hline in header.splitlines():
-                    fh.write(f"# {hline}\n")
-            for p in polys:
-                fh.write(self.format_poly(p) + "\n")
-
 
 def lead_word(p) -> Word:
     return max(p, key=word_key)
@@ -414,12 +406,6 @@ def standard_word_counts(basis: GBasis, up_to_hom_degree):
         bd = basis.algebra.word_bidegree(w)
         counts[bd] = counts.get(bd, 0) + 1
     return counts
-
-
-def quotient_hilbert_series(basis: GBasis, up_to_hom_degree):
-    """Bigraded dimension table of the quotient algebra: standard words are a
-    basis, so this is their count per (homological, internal) bidegree."""
-    return standard_word_counts(basis, up_to_hom_degree)
 
 
 def brute_force_standard_words(basis: GBasis, length):

@@ -1,17 +1,14 @@
-"""Persistence and presentation: artifact cache and rendered tables.
+"""Presentation: deterministic rendered tables.
 
 Every emitted document is byte-deterministic for a fixed configuration:
 dictionaries are sorted, scalars are rendered as exact integer or num/den
-strings, and no timestamps enter the payloads (the manifest records them
-outside the hashed artifact text).
+strings, and no timestamps enter the payloads.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import time
 
 
 TABLE_KINDS = ("hh-dims", "hhco-dims", "hilbert", "cyclic", "cup-table",
@@ -20,10 +17,6 @@ FORMATS = ("json", "csv", "markdown")
 
 
 class UsageError(ValueError):
-    pass
-
-
-class CacheCorruption(RuntimeError):
     pass
 
 
@@ -156,66 +149,6 @@ def _emit_gb(fmt, payload):
     for k, v in sorted(payload["std_words"].items()):
         lines.append(f"| std_words[{k}] | {v} |")
     return "\n".join(lines) + "\n"
-
-
-class Cache:
-    """Content-addressed text cache with a manifest of hashes.
-
-    Layout: <root>/manifest.json plus <root>/objects/<sha256>.  Artifacts are
-    keyed by arbitrary strings; a stored artifact whose content no longer
-    matches its recorded hash raises CacheCorruption on load.
-    """
-
-    def __init__(self, root=None):
-        self.root = root or os.environ.get("HH_CACHE_DIR") or \
-            os.path.join(os.getcwd(), "cache")
-        self.manifest_path = os.path.join(self.root, "manifest.json")
-
-    def _manifest(self):
-        if not os.path.exists(self.manifest_path):
-            return {"schema": 1, "artifacts": {}}
-        with open(self.manifest_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def _write_manifest(self, man):
-        os.makedirs(self.root, exist_ok=True)
-        with open(self.manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(man, fh, sort_keys=True, indent=1)
-
-    def store(self, key: str, text: str) -> str:
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        objdir = os.path.join(self.root, "objects")
-        os.makedirs(objdir, exist_ok=True)
-        path = os.path.join(objdir, digest)
-        if not os.path.exists(path):
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        man = self._manifest()
-        man["artifacts"][key] = {"sha256": digest, "stored_at": time.time()}
-        self._write_manifest(man)
-        return path
-
-    def load(self, key: str):
-        """The stored text, or None on a miss."""
-        man = self._manifest()
-        entry = man["artifacts"].get(key)
-        if entry is None:
-            return None
-        path = os.path.join(self.root, "objects", entry["sha256"])
-        if not os.path.exists(path):
-            return None
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if hashlib.sha256(text.encode()).hexdigest() != entry["sha256"]:
-            raise CacheCorruption(f"artifact {key!r} fails its hash check")
-        return text
-
-    def drop(self, key: str):
-        man = self._manifest()
-        man["artifacts"].pop(key, None)
-        self._write_manifest(man)
 
 
 def write_outputs(out_dir, kind, payload, formats=FORMATS):

@@ -24,13 +24,12 @@ f^(2), f^(3), ... are correcting homotopies solved degreewise from
 
 which is always consistent (the right-hand side is a cycle and the Koszul
 complex is exact in the relevant degrees).  Every f^(k) with k >= 2 has outer
-degree >= 5 on both reductions, so the trivial-module reduction, the induced
-homology complex and the cohomology complex are exactly the published ones.
+degree >= 5 on both reductions (tested through k = 4), so the induced homology
+and cohomology complexes are reductions of the strata k = 0, 1 alone,
+whose generator images `gen_image` gives.
 """
 
 from __future__ import annotations
-
-import os
 
 from .exactmath import QQ, SparseMat
 from .fk3core import (
@@ -278,6 +277,16 @@ def fb_elem(n: int, elem: dict) -> dict:
     return out
 
 
+def gen_image(k: int, n: int, gen: DualGen) -> dict:
+    """f^(k)_n(1|gen|1) for the closed-form strata k = 0 (d) and k = 1 (f)."""
+    if k == 0:
+        return koszul_diff_elem(n, {(0, W[""], gen, W[""]): 1})
+    if k == 1:
+        return fb_on_gen(n, gen)
+    raise ValueError(f"stratum {k} has no closed form; it is solved per "
+                     "resolution (BimoduleResolution.stratum_on_gen)")
+
+
 def f_reduced_on_gen(n: int, gen: DualGen) -> dict:
     """id_k (x)_A f^b_n: the right-module comparison map value on gen|1.
 
@@ -322,10 +331,8 @@ class BimoduleResolution:
 
     def stratum_on_gen(self, k: int, n: int, gen: DualGen) -> dict:
         """f^(k)_n(1|gen|1) as a sparse K^b_{n+4k-1} element."""
-        if k == 0:
-            return koszul_diff_elem(n, {(0, W[""], gen, W[""]): 1})
-        if k == 1:
-            return fb_on_gen(n, gen)
+        if k <= 1:
+            return gen_image(k, n, gen)
         if (k, n) not in self._homotopy:
             self._solve_homotopy(k, n)
         return {key: c for key, c in
@@ -488,7 +495,10 @@ class BimoduleResolution:
         return mat
 
     def delta_rank(self, n: int) -> int:
-        if n <= 0 or n > self.max_n + 1:
+        if n > self.max_n + 1:
+            raise ValueError(f"delta_{n} lies beyond the resolution's "
+                             f"degree range (max_n = {self.max_n})")
+        if n <= 0:
             return 0
         return sum(self.delta_block(n, d).rank() for d in self.intdegs(n))
 
@@ -508,20 +518,6 @@ class BimoduleResolution:
         comp = self.pb_comp(n, d)
         return {basis[comp[r]]: c for r, c in vec.items()}
 
-    def augmentation_elem(self, elem: dict) -> dict:
-        """eps^b : P^b_0 -> A, x|eps|y -> xy (sparse, integer coefficients)."""
-        out = {}
-        for (i, x, g, y), c in elem.items():
-            if i != 0:
-                raise ValueError("augmentation lives on degree zero")
-            for k, s in mul_words(x, y).items():
-                nv = out.get(k, 0) + c * s
-                if nv == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-        return out
-
     def minimality_violations(self, n: int):
         """Generator-image terms with both outer words trivial (must be none)."""
         bad = []
@@ -536,36 +532,3 @@ class BimoduleResolution:
     def exactness_defect(self, n: int) -> int:
         """dim P^b_n - rank(delta_n) - rank(delta_{n+1}); 0 at exact degrees n >= 1."""
         return self.pb_dim(n) - self.delta_rank(n) - self.delta_rank(n + 1)
-
-    # ----- persistence (documented sparse-triplet text format) -----
-
-    def save_delta(self, n: int, path):
-        """Write all internal-degree blocks of delta^b_n as triplet text."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# delta_b n={n} field={self.field.name()}\n")
-            for d in self.intdegs(n):
-                blk = self.delta_block(n, d)
-                fh.write(f"block d={d} rows={blk.rows} cols={blk.cols}\n")
-                for i, j, v in blk.triplets():
-                    fh.write(f"{i} {j} {v}\n")
-
-    def load_delta(self, n: int, path):
-        """Read blocks back; returns {internal degree: SparseMat}."""
-        out = {}
-        cur = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("block"):
-                    parts = dict(p.split("=") for p in line.split()[1:])
-                    cur = (int(parts["d"]), int(parts["rows"]), int(parts["cols"]), [])
-                    out[cur[0]] = cur
-                else:
-                    i, j, v = line.split()
-                    cur[3].append((int(i), int(j), self.field.of(v)))
-        return {
-            d: SparseMat(rows, cols, trips, self.field)
-            for d, (dd, rows, cols, trips) in out.items()
-        }

@@ -18,7 +18,7 @@ from paper_data import (
 from fk3hh import cohomology as cohomod
 from fk3hh import homology as homod
 from fk3hh import ncgroebner as ncg
-from fk3hh.cohomology import CohomologyComplex, co_tables_agree_with_formulas
+from fk3hh.cohomology import CohomologyComplex
 from fk3hh.cupring import CupRing
 from fk3hh.exactmath import QQ, PrimeField
 from fk3hh.fk3core import (
@@ -29,12 +29,13 @@ from fk3hh.fk3core import (
     dual_word_left_action,
     mul_words,
 )
-from fk3hh.homology import HomologyComplex, tables_agree_with_formulas
+from fk3hh.homology import HomologyComplex
 from fk3hh.resolution import (
     BimoduleResolution,
     fb_elem,
     koszul_diff_elem,
 )
+from fk3hh.tables import tables_agree_with_maps
 
 FP = PrimeField(10007)
 ONE = WORD_INDEX[""]
@@ -129,10 +130,9 @@ def test_criterion_5_resolution_validity(res_q):
 
 
 def test_criterion_6_tables_equal_formulas():
-    ok = tables_agree_with_formulas(max_n=12) == []
-    ok = ok and co_tables_agree_with_formulas(max_n=12) == []
-    _verdict(6, "published image tables equal the closed formulas entrywise",
-             ok)
+    ok = tables_agree_with_maps(max_n=12) == []
+    _verdict(6, "published image tables equal the maps derived from the "
+                "resolution entrywise", ok)
 
 
 @pytest.fixture(scope="module")

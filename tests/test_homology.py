@@ -8,14 +8,11 @@ from fk3hh.homology import (
     cyclic_series_formula,
     hilbert_series_formula,
     homology_representatives,
-    table_diff_word,
-    tables_agree_with_formulas,
-    tilde_diff_word,
-    tilde_f_word,
     total_dim_formula,
     verify_representatives,
 )
 from fk3hh.resolution import fb_on_gen
+from fk3hh.tables import tables_agree_with_maps
 from fk3hh.fk3core import mul_words
 
 W = WORD_INDEX
@@ -45,37 +42,45 @@ def cx():
     return HomologyComplex(QQ, max_n=19)
 
 
+def induced_word(k, n, x, gen):
+    """id_A (x) f^(k)_n on x|gen as the engine's differential computes it:
+    the omega_0 part of the differential on omega_k x|gen."""
+    img = HomologyComplex().diff_key(n + 4 * k, (k, x, gen))
+    return {(w, v): c for (i, w, v), c in img.items() if i == 0}
+
+
 def test_tilde_diff_examples():
     # d1(a|beta) = (ba-ab)|eps
-    got = tilde_diff_word(1, W["a"], dgen("b", 1))
+    got = induced_word(0, 1, W["a"], dgen("b", 1))
     eps = DualGen(0, "eps")
     assert got == {(W["ba"], eps): 1, (W["ab"], eps): -1}
     # even n: 1|alpha_n -> 2a|alpha_{n-1}
-    got = tilde_diff_word(6, W[""], dgen("a", 6))
+    got = induced_word(0, 6, W[""], dgen("a", 6))
     assert got == {(W["a"], dgen("a", 5)): 2}
     # even n: abac row is zero
     for g in dual_basis(6):
-        assert tilde_diff_word(6, W["abac"], g) == {}
+        assert induced_word(0, 6, W["abac"], g) == {}
 
 
 def test_tables_equal_formulas():
-    assert tables_agree_with_formulas(max_n=12) == []
+    bad = [b for b in tables_agree_with_maps(max_n=12) if b[0] == "homology d"]
+    assert bad == []
 
 
 def test_tilde_f_examples():
     # f0(a|eps) = 0 and the 12/6 value on 1|eps
-    assert tilde_f_word(0, W["a"], DualGen(0, "eps")) == {}
-    v = tilde_f_word(0, W[""], DualGen(0, "eps"))
+    assert induced_word(1, 0, W["a"], DualGen(0, "eps")) == {}
+    v = induced_word(1, 0, W[""], DualGen(0, "eps"))
     assert v[(W["bac"], dgen("a", 3))] == 12
     assert v[(W["bac"], dgen("ab2", 3))] == -6
     # odd n: b|alpha_{n-1}beta -> -2(n-1) abac|(a+b+g)
     n = 7
-    v = tilde_f_word(n, W["b"], dgen("ab", n))
+    v = induced_word(1, n, W["b"], dgen("ab", n))
     assert v == {(W["abac"], dgen("a", n + 3)): -12,
                  (W["abac"], dgen("b", n + 3)): -12,
                  (W["abac"], dgen("g", n + 3)): -12}
     # even n: 1|alpha_{n-1}beta -> 0
-    assert tilde_f_word(6, W[""], dgen("ab", 6)) == {}
+    assert induced_word(1, 6, W[""], dgen("ab", 6)) == {}
 
 
 def test_tilde_f_consistency_with_bimodule_maps():
@@ -91,7 +96,7 @@ def test_tilde_f_consistency_with_bimodule_maps():
                             derived[k] = derived.get(k, 0) + c * c1 * c2
                             if derived[k] == 0:
                                 del derived[k]
-                assert derived == tilde_f_word(n, x, g), (n, g, x)
+                assert derived == induced_word(1, n, x, g), (n, g, x)
 
 
 def test_diff_squares_to_zero(cx):
@@ -268,11 +273,10 @@ def test_rank_kernel_image_spec_values(cx):
     # restricting the degree-1 differential to the 12-dim A (x) alpha block
     # gives rank 5 (by row-reducing the first table column)
     from fk3hh.exactmath import SparseMat, QQ
-    from fk3hh.homology import tilde_diff_word
     eps_basis = {}
     cols = []
     for x in range(12):
-        img = tilde_diff_word(1, x, dgen("a", 1))
+        img = induced_word(0, 1, x, dgen("a", 1))
         col = {}
         for (w, g), c in img.items():
             eps_basis.setdefault((w, g), len(eps_basis))

@@ -1,7 +1,9 @@
 import pytest
 
+from fk3hh.cohomology import coreduce, transpose_images
 from fk3hh.exactmath import QQ, PrimeField
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
+from fk3hh.homology import reduce_image
 from fk3hh.resolution import (
     BimoduleResolution,
     f_reduced_on_gen,
@@ -186,12 +188,28 @@ def test_augmentation_exact_at_zero(res):
     assert res.delta_rank(1) == res.pb_dim(0) - 12
 
 
-def test_save_load_roundtrip(res, tmp_path):
-    path = tmp_path / "delta3.txt"
-    res.save_delta(3, path)
-    blocks = res.load_delta(3, path)
-    for d in res.intdegs(3):
-        assert blocks[d] == res.delta_block(3, d)
+def test_delta_rank_beyond_range_raises():
+    res3 = BimoduleResolution(QQ, max_n=3)
+    assert res3.delta_rank(4) >= 0
+    with pytest.raises(ValueError):
+        res3.delta_rank(5)
+    with pytest.raises(ValueError):
+        res3.exactness_defect(6)
+
+
+def test_higher_strata_vanish_under_both_reductions():
+    # the induced complexes use only f^(0) = d and f^(1) = f; every higher
+    # stratum of the tower must reduce to zero on both sides
+    resq = BimoduleResolution(QQ, max_n=21)
+    for k, top in ((2, 17), (3, 13), (4, 9)):
+        for n in range(top + 1):
+            images = {g: resq.stratum_on_gen(k, n, g) for g in dual_basis(n)}
+            for g, image in images.items():
+                for x in range(12):
+                    assert reduce_image(image, x) == {}, (k, n, g, x)
+            for g, terms in transpose_images(images).items():
+                for x in range(12):
+                    assert coreduce(terms, x) == {}, (k, n, g, x)
 
 
 def test_delta_blocks_prime_field_ranks_match(res):
