@@ -4,7 +4,8 @@ Commands recompute their objects from scratch, verify them against the
 published closed formulas, write machine/human-readable tables under the
 output directory, and exit 0 only when every requested check passes
 (1 on a verification failure, 2 on usage errors, among them a --max-n that
-leaves an empty degree range, rejected before any work or output).
+leaves an empty degree range or a cup degree beyond --max-n, rejected before
+any work or output; 3 on an internal error of the engine).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import cohomology as cohomod
 from . import homology as homod
 from . import ncgroebner as ncg
 from .cohomology import CohomologyComplex
-from .cupring import CupRing
+from .cupring import GENERATOR_BIDEGREES, CupRing
 from .exactmath import FieldError, field_from_name
 from .homology import HomologyComplex, verify_representatives, NotTranscribed
 from .report import UsageError, write_outputs
@@ -85,7 +86,12 @@ def _merge(args, cfg, key, default):
         return val
     if key in cfg:
         raw = cfg[key]
-        return type(default)(raw) if default is not None else raw
+        if default is None:
+            return raw
+        try:
+            return type(default)(raw)
+        except ValueError:
+            raise UsageError(f"bad value {raw!r} for {key}") from None
     return default
 
 
@@ -186,19 +192,47 @@ def cmd_cyclic(args, cfg):
     return r.finish()
 
 
+def _check_cup_degrees(max_n, requested):
+    """Reject cup degrees whose lifts would run past the resolution.
+
+    A lift of a degree-m cocycle to stage k needs the resolution to degree
+    k + m, and ChainLift raises beyond max_n; each requested bound, the top
+    degree of the relations and that of the pairwise product table is such a
+    k + m.  requested maps a name to (least allowed value, value).
+    """
+    for name, (least, top) in requested.items():
+        if top < least:
+            raise UsageError(f"{name} must be at least {least}, got {top}")
+        if top > max_n:
+            raise UsageError(f"{name} {top} needs the resolution to degree "
+                             f"{top}, beyond --max-n {max_n}")
+
+
 def cmd_cup(args, cfg):
     r = Runner(args, cfg)
     horizon = _merge(args, cfg, "lift-horizon", 7)
     gen_degree = _merge(args, cfg, "gen-degree", 8)
     comm_degree = _merge(args, cfg, "commutativity-degree", 7)
     max_n = _merge(args, cfg, "max-n", 12)
-    ring = CupRing(r.field, max_n=max_n, lift_horizon=horizon)
     alg = ncg.ring_algebra(r.field)
+    comm_rels = ncg.load_commutation_relations(alg)
+    ideal_rels = ncg.load_ideal_relations(alg)
+    rel_degree = max(sum(GENERATOR_BIDEGREES[i][0] for i in w)
+                     for p in comm_rels + ideal_rels for w in p)
+    top_gen = max(d for d, _ in GENERATOR_BIDEGREES.values())
+    _check_cup_degrees(max_n, {
+        "--lift-horizon": (0, horizon),
+        "--gen-degree": (1, gen_degree),
+        "--commutativity-degree": (0, comm_degree),
+        "the relations' degree": (0, rel_degree),
+        "the product table's degree": (0, 2 * top_gen),
+    })
+    ring = CupRing(r.field, max_n=max_n, lift_horizon=horizon)
     relrep = {}
-    rep = ring.verify_relations(ncg.load_commutation_relations(alg))
+    rep = ring.verify_relations(comm_rels)
     relrep["commutation"] = rep
     r.check("97 commutation relations vanish", rep["ok"], rep["failures"])
-    rep = ring.verify_relations(ncg.load_ideal_relations(alg))
+    rep = ring.verify_relations(ideal_rels)
     relrep["ideal"] = rep
     r.check("63 ideal relations vanish", rep["ok"], rep["failures"])
     os.makedirs(r.out, exist_ok=True)
@@ -307,9 +341,14 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args, cfg)
-    except (FieldError, UsageError, ValueError) as exc:
+    except (FieldError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # an engine fault, not a bad request
+        import traceback  # only here: importing it costs a fifth of start-up
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,12 @@
 """Exact scalar arithmetic and sparse linear algebra.
 
-Every rank, kernel, image and solve in the project runs through this module.
+Every rank, kernel, image and solve in the project runs through this module,
+and all of them through one sparse elimination kernel, _rref_core: pivot
+columns in increasing order (so the reduced row echelon form is canonical),
+each taken from the shortest row holding it, with a column -> rows index kept
+up to date as entries fill in and cancel.  Over Q the kernel works on integer
+rows, fraction-free (Bareiss-style r <- a r - b prow, then divided by the
+row's content); over F_p it scales each pivot row by the inverse pivot.
 Scalars live in a Field: either Q (stdlib Fraction) or a prime field F_p with
 p >= 5 (residues as plain ints).  All values are immutable after construction,
 so matrices and subspaces can be shared freely.
@@ -9,6 +15,7 @@ so matrices and subspaces can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -26,9 +33,7 @@ class RationalField:
     def of(self, x):
         if isinstance(x, Fraction):
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
+        if isinstance(x, (int, str)):
             return Fraction(x)
         raise FieldError(f"cannot coerce {x!r} into Q")
 
@@ -129,56 +134,99 @@ def field_from_name(name: str):
     name = name.strip().lower()
     if name in ("q", "qq", "rational"):
         return QQ
-    if name.startswith("prime:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+    if name.startswith("prime:") and name[6:].strip().isdigit():
+        return PrimeField(int(name[6:]))
     raise FieldError(f"unknown field {name!r}")
 
 
-def _rref_core(row_dicts, pivot_limit, field):
+def _integral(row):
+    """A rational row scaled to coprime integers (a nonzero multiple of it)."""
+    den = lcm(*(x.denominator for x in row.values()))
+    row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+    g = gcd(*row.values())
+    return {c: x // g for c, x in row.items()}
+
+
+def _rref_core(row_dicts, pivot_limit, field, reduced=True):
     """Reduced row echelon form with pivots restricted to columns < pivot_limit.
 
     Rows are dicts col->scalar (consumed).  Returns (pivrows, leftovers) where
     pivrows is a list of (pivot_col, row) sorted by pivot column with pivot
     entries normalized to one and pivot columns cleared from every other row,
-    and leftovers are the nonzero rows supported entirely in columns >= limit.
+    and leftovers are nonzero rows supported entirely in columns >= limit
+    (multiples of combinations of the input rows; over Q with int entries).
+    Over Q the rows are scaled to integers first and Fractions are built
+    only for the returned pivot rows.  reduced=False stops after the forward
+    sweep: the pivot rows are then echelon rows, good only for counting.
     """
-    F = field
-    rows = [r for r in row_dicts if r]
+    p = field.characteristic
+    rows = {i: r if p else _integral(r) for i, r in enumerate(row_dicts) if r}
+    colrows = {}
+    for i, r in rows.items():
+        for c in r:
+            if c < pivot_limit:
+                colrows.setdefault(c, set()).add(i)
     pivrows = []
-    leftovers = []
-    while rows:
-        best = None
-        for ri, r in enumerate(rows):
-            c = min((c for c in r if c < pivot_limit), default=None)
-            if c is not None and (best is None or c < best[0]):
-                best = (c, ri)
-        if best is None:
-            leftovers.extend(rows)
-            break
-        pc, ri = best
-        prow = rows.pop(ri)
-        pinv = F.inv(prow[pc])
-        prow = {c: F.mul(pinv, x) for c, x in prow.items()}
-        for rset in (rows, pivrows):
-            for k in range(len(rset)):
-                r = rset[k][1] if rset is pivrows else rset[k]
-                if pc in r:
-                    coef = r[pc]
-                    nr = dict(r)
-                    for c, x in prow.items():
-                        nv = F.sub(nr.get(c, F.zero), F.mul(coef, x))
-                        if nv == F.zero:
-                            nr.pop(c, None)
-                        else:
-                            nr[c] = nv
-                    if rset is pivrows:
-                        rset[k] = (rset[k][0], nr)
-                    else:
-                        rset[k] = nr
-        rows = [r for r in rows if r]
+    for pc in sorted(colrows):  # fill-in only copies columns already present
+        holders = colrows.pop(pc)
+        if not holders:
+            continue
+        pi = min(holders, key=lambda i: (len(rows[i]), i))
+        holders.discard(pi)
+        prow = rows.pop(pi)
+        for c in prow.keys() & colrows.keys():
+            colrows[c].discard(pi)
+        if p:
+            pinv = pow(prow[pc], -1, p)
+            prow = {c: x * pinv % p for c, x in prow.items()}
+        for i in holders:
+            if not _eliminate(rows[i], prow, pc, p, colrows, i):
+                del rows[i]
         pivrows.append((pc, prow))
-    pivrows.sort(key=lambda t: t[0])
-    return pivrows, leftovers
+    if not reduced:
+        return pivrows, list(rows.values())
+    # back-substitution: clear each later pivot column from the rows above it
+    pivcols = dict(pivrows)
+    for pc, r in reversed(pivrows):
+        for c in [c for c in r if c in pivcols and c != pc]:
+            _eliminate(r, pivcols[c], c, p, {}, None)
+    if not p:
+        pivrows = [(pc, {c: Fraction(x, r[pc]) for c, x in r.items()})
+                   for pc, r in pivrows]
+    return pivrows, list(rows.values())
+
+
+def _eliminate(r, prow, pc, p, colrows, i):
+    """Clear column pc of row r in place with prow; returns r.
+
+    Over F_p, prow[pc] is one and r <- r - r[pc] prow.  Over Q (p == 0) the
+    rows hold ints and r <- a r - b prow with a / b = prow[pc] / r[pc] in
+    lowest terms, then r is divided by its content.  Entries that fill in
+    or cancel are recorded for row i in the column index colrows.
+    """
+    if p:
+        a, b = 1, r[pc]
+    else:
+        g = gcd(prow[pc], r[pc])
+        a, b = prow[pc] // g, r[pc] // g
+        if a != 1:
+            for c in r:
+                r[c] *= a
+    for c, x in prow.items():
+        nv = (r.get(c, 0) - b * x) % p if p else r.get(c, 0) - b * x
+        if not nv:
+            del r[c]
+            if c in colrows:
+                colrows[c].discard(i)
+        else:
+            if c in colrows and c not in r:
+                colrows[c].add(i)
+            r[c] = nv
+    if a != 1:
+        g = gcd(*r.values())
+        for c in r:
+            r[c] //= g
+    return r
 
 
 class Subspace:
@@ -195,7 +243,8 @@ class Subspace:
     @classmethod
     def span(cls, ambient_dim, vectors, field=QQ):
         """Canonicalize arbitrary spanning vectors (dicts col->scalar)."""
-        pivrows, _ = _rref_core([dict(v) for v in vectors], ambient_dim, field)
+        rows = [{c: x for c, x in v.items() if x != field.zero} for v in vectors]
+        pivrows, _ = _rref_core(rows, ambient_dim, field)
         return cls(ambient_dim, [r for _, r in pivrows], field)
 
     @property
@@ -210,11 +259,9 @@ class Subspace:
         F = self.field
         v = {c: x for c, x in vec.items() if x != F.zero}
         for row in self.basis:
-            row = dict(row)
-            piv = min(row)
-            if piv in v:
-                coef = v[piv]
-                for c, x in row.items():
+            coef = v.get(row[0][0])  # an RREF row starts with its pivot, 1
+            if coef is not None:
+                for c, x in row:
                     nv = F.sub(v.get(c, F.zero), F.mul(coef, x))
                     if nv == F.zero:
                         v.pop(c, None)
@@ -389,40 +436,10 @@ class SparseMat:
     # ----- elimination -----
 
     def rank(self) -> int:
-        """Rank by structural (Markowitz) pivoting; fast, not canonical."""
-        F = self.field
-        rows = [r for r in self.row_dicts() if r]
-        rank = 0
-        while rows:
-            colcount = {}
-            for r in rows:
-                for j in r:
-                    colcount[j] = colcount.get(j, 0) + 1
-            best = None
-            for ri, r in enumerate(rows):
-                rl = len(r) - 1
-                for j in r:
-                    key = (rl * (colcount[j] - 1), rl, j, ri)
-                    if best is None or key < best:
-                        best = key
-            _, _, pj, pri = best
-            prow = rows.pop(pri)
-            rank += 1
-            pinv = F.inv(prow[pj])
-            nrows = []
-            for r in rows:
-                if pj in r:
-                    coef = F.mul(r[pj], pinv)
-                    for c, x in prow.items():
-                        nv = F.sub(r.get(c, F.zero), F.mul(coef, x))
-                        if nv == F.zero:
-                            r.pop(c, None)
-                        else:
-                            r[c] = nv
-                if r:
-                    nrows.append(r)
-            rows = nrows
-        return rank
+        """Rank: the number of pivots of the elimination kernel."""
+        pivrows, _ = _rref_core(self.row_dicts(), self.cols, self.field,
+                                reduced=False)
+        return len(pivrows)
 
     def rref(self):
         """Canonical RREF: (list of rows as dicts, sorted pivot columns)."""
@@ -433,17 +450,14 @@ class SparseMat:
         """Canonical (RREF) basis of the null space."""
         F = self.field
         rref_rows, pivots = self.rref()
-        pivset = set(pivots)
         basis = []
-        for fcol in range(self.cols):
-            if fcol in pivset:
-                continue
+        for fcol in sorted(set(range(self.cols)) - set(pivots)):
             vec = {fcol: F.one}
             for row, pcol in zip(rref_rows, pivots):
                 if fcol in row:
                     vec[pcol] = F.neg(row[fcol])
             basis.append(vec)
-        return Subspace(self.cols, basis, F)
+        return Subspace.span(self.cols, basis, F)
 
     def image(self) -> Subspace:
         """Canonical (RREF) basis of the column space."""
@@ -462,7 +476,6 @@ class SparseMat:
         with None for inconsistent systems.
         """
         F = self.field
-        k = len(rhs_list)
         rows = self.row_dicts()
         for t, rhs in enumerate(rhs_list):
             if not isinstance(rhs, dict):
@@ -473,17 +486,12 @@ class SparseMat:
                     rows[i][self.cols + t] = v
         pivrows, leftovers = _rref_core(rows, self.cols, F)
         out = []
-        for t in range(k):
-            rcol = self.cols + t
+        for rcol in range(self.cols, self.cols + len(rhs_list)):
             if any(rcol in r for r in leftovers):
                 out.append(None)
-                continue
-            sol = {}
-            for pcol, row in pivrows:
-                v = row.get(rcol, F.zero)
-                if v != F.zero:
-                    sol[pcol] = v
-            out.append(sol)
+            else:
+                out.append({pcol: row[rcol] for pcol, row in pivrows
+                            if rcol in row})
         return out
 
     def solver(self) -> "LinearSolver":
@@ -507,26 +515,20 @@ class LinearSolver:
         for i in range(mat.rows):
             rows[i][mat.cols + i] = F.one
         pivrows, leftovers = _rref_core(rows, mat.cols, F)
-        self.transform = [
-            (pcol, {c - mat.cols: v for c, v in row.items() if c >= mat.cols})
-            for pcol, row in pivrows
-        ]
-        self.checks = [
-            {c - mat.cols: v for c, v in row.items() if c >= mat.cols}
-            for row in leftovers
-        ]
+
+        def tail(row):
+            return {c - mat.cols: v for c, v in row.items() if c >= mat.cols}
+        self.transform = [(pcol, tail(row)) for pcol, row in pivrows]
+        self.checks = [tail(row) for row in leftovers]
 
     def _dot(self, row, b):
         F = self.field
+        if len(row) > len(b):
+            row, b = b, row
         s = F.zero
-        if len(row) < len(b):
-            for i, v in row.items():
-                if i in b:
-                    s = F.add(s, F.mul(v, b[i]))
-        else:
-            for i, v in b.items():
-                if i in row:
-                    s = F.add(s, F.mul(row[i], v))
+        for i, v in row.items():
+            if i in b:
+                s = F.add(s, F.mul(v, b[i]))
         return s
 
     def solve(self, rhs):
@@ -536,9 +538,5 @@ class LinearSolver:
         for row in self.checks:
             if self._dot(row, b) != F.zero:
                 return None
-        sol = {}
-        for pcol, trow in self.transform:
-            v = self._dot(trow, b)
-            if v != F.zero:
-                sol[pcol] = v
-        return sol
+        sol = ((pcol, self._dot(trow, b)) for pcol, trow in self.transform)
+        return {pcol: v for pcol, v in sol if v != F.zero}

@@ -325,6 +325,7 @@ class BimoduleResolution:
         self._index = {}
         self._comp = {}
         self._delta_blocks = {}
+        self._delta_ranks = {}
         self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}
 
     # ----- the homotopy tower f^(k) -----
@@ -500,7 +501,10 @@ class BimoduleResolution:
                              f"degree range (max_n = {self.max_n})")
         if n <= 0:
             return 0
-        return sum(self.delta_block(n, d).rank() for d in self.intdegs(n))
+        if n not in self._delta_ranks:
+            self._delta_ranks[n] = sum(self.delta_block(n, d).rank()
+                                       for d in self.intdegs(n))
+        return self._delta_ranks[n]
 
     def comp_vector(self, n: int, d: int, elem: dict, field=None):
         """Coordinates of an element supported in internal degree d."""

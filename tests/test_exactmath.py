@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fk3hh.exactmath import (
     QQ,
@@ -209,3 +211,126 @@ def test_factorized_solver_matches_solve():
             assert (got is None) == (want is None)
             if got is not None:
                 assert m.apply(got) == {k: v for k, v in rhs.items() if v}
+
+
+# ----- property tests: the elimination kernel against a dense oracle -----
+
+FIELDS = (QQ, PrimeField(7))
+
+
+def entries(field):
+    """Scalars of a field, zero about half the time; over Q signed fractions."""
+    if field.characteristic:
+        nonzero = st.integers(1, field.p - 1)
+    else:
+        nonzero = st.fractions(-3, 3, max_denominator=4)
+    return st.one_of(st.just(field.zero), nonzero).map(field.of)
+
+
+def dense_rows(field, rows, cols):
+    return st.lists(st.lists(entries(field), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def matrices(draw, max_dim=7):
+    """(field, SparseMat) with 0..max_dim rows and columns."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    dense = draw(dense_rows(field, rows, cols))
+    ent = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)}
+    return field, SparseMat(rows, cols, ent, field)
+
+
+def gauss_jordan(rows, pivot_limit, F):
+    """Textbook dense Gauss-Jordan with pivots in columns < pivot_limit.
+
+    Returns all rows after elimination (the first len(pivots) are the pivot
+    rows, normalized) and the pivot columns.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(pivot_limit):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col] != F.zero),
+                   None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = F.inv(rows[top][col])
+        rows[top] = [F.mul(inv, x) for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col] != F.zero:
+                coef = row[col]
+                rows[i] = [F.sub(x, F.mul(coef, y))
+                           for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def sparse(row, F):
+    return {j: v for j, v in enumerate(row) if v != F.zero}
+
+
+@given(matrices())
+def test_rank_and_rref_equal_dense_oracle(fm):
+    F, m = fm
+    rows, pivots = gauss_jordan(dense(m), m.cols, F)
+    assert m.rank() == len(pivots)
+    assert m.rref() == ([sparse(r, F) for r in rows[:len(pivots)]], pivots)
+
+
+@given(matrices())
+def test_kernel_and_image_membership(fm):
+    F, m = fm
+    rows, pivots = gauss_jordan(dense(m), m.cols, F)
+    ker, img = m.kernel(), m.image()
+    assert ker.dim == m.cols - len(pivots) and img.dim == len(pivots)
+    null = []
+    for free in sorted(set(range(m.cols)) - set(pivots)):
+        vec = {free: F.one}
+        for row, pcol in zip(rows, pivots):
+            if row[free] != F.zero:
+                vec[pcol] = F.neg(row[free])
+        null.append(vec)
+    assert all(ker.contains(v) and m.apply(v) == {} for v in null)
+    assert all(m.apply(v) == {} for v in ker.basis_dicts())
+    assert ker == Subspace.span(m.cols, null, F)
+    for j in range(m.cols):  # a unit vector is in the kernel iff its column is 0
+        assert ker.contains({j: F.one}) == (not m.col_dict(j))
+        assert img.contains(m.col_dict(j))
+    trows, tpivots = gauss_jordan(dense(m.transpose()), m.rows, F)
+    assert img.basis_dicts() == [sparse(r, F) for r in trows[:len(tpivots)]]
+    for i in range(m.rows):  # e_i is in the image iff it adds no pivot
+        _, more = gauss_jordan(dense(m.transpose()) +
+                               [[F.one if k == i else F.zero
+                                 for k in range(m.rows)]], m.rows, F)
+        assert img.contains({i: F.one}) == (len(more) == len(tpivots))
+
+
+@given(st.data())
+def test_solve_many_and_solver_equal_dense_oracle(data):
+    F, m = data.draw(matrices())
+    rhs = []
+    for consistent in data.draw(st.lists(st.booleans(), max_size=4)):
+        if consistent:
+            x0 = data.draw(dense_rows(F, 1, m.cols))[0]
+            rhs.append(m.apply(sparse(x0, F)))
+        else:  # arbitrary, explicit zeros included: usually inconsistent
+            rhs.append(dict(enumerate(data.draw(dense_rows(F, 1, m.rows))[0])))
+    aug = [row + [b.get(i, F.zero) for b in rhs]
+           for i, row in enumerate(dense(m))]
+    rows, pivots = gauss_jordan(aug, m.cols, F)
+    want = []
+    for t in range(m.cols, m.cols + len(rhs)):
+        if any(row[t] != F.zero for row in rows[len(pivots):]):
+            want.append(None)
+        else:
+            want.append({p: row[t] for row, p in zip(rows, pivots)
+                         if row[t] != F.zero})
+    assert m.solve_many(rhs) == want
+    solver = m.solver()
+    for b, sol in zip(rhs, want):
+        assert solver.solve(b) == m.solve(b) == sol
+        if sol is not None:
+            assert m.apply(sol) == {i: v for i, v in b.items() if v != F.zero}

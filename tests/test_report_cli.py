@@ -93,3 +93,31 @@ def test_cli_rejects_empty_degree_range(tmp_path, capsys, command, max_n):
     assert rc == 2
     assert "[pass]" not in captured.out and "all checks passed" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--gen-degree", "14"], ["--commutativity-degree", "13"],
+    ["--lift-horizon", "13"], ["--gen-degree", "0"], ["--max-n", "7"]])
+def test_cli_cup_rejects_degrees_beyond_resolution(tmp_path, capsys, flags):
+    out = tmp_path / "o"
+    rc = cli.main(["cup", *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error" in captured.err and "Traceback" not in captured.err
+    assert "[pass]" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("cochain is not bihomogeneous")
+
+    monkeypatch.setattr(cli, "HomologyComplex", broken)
+    rc = cli.main(["homology", "--max-n", "2", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "internal error" in err and "usage error" not in err
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text("max-n = two\n")  # a bad value stays a usage error
+    assert cli.main(["--config", str(cfgfile), "homology"]) == 2
+    assert cli.main(["homology", "--field", "prime:abc"]) == 2
