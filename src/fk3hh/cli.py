@@ -62,7 +62,6 @@ def _parser():
     common(sp)
     sp = sub.add_parser("cup", help="cup products: relations and generators")
     common(sp)
-    sp.add_argument("--lift-horizon", type=int, default=None)
     sp.add_argument("--gen-degree", type=int, default=None,
                     help="span check bound (default 8)")
     sp.add_argument("--commutativity-degree", type=int, default=None,
@@ -75,7 +74,6 @@ def _parser():
     common(sp)
     sp = sub.add_parser("verify-all", help="run every verification")
     common(sp)
-    sp.add_argument("--lift-horizon", type=int, default=None)
     sp.add_argument("--gb-bound", type=int, default=None)
     return p
 
@@ -210,7 +208,6 @@ def _check_cup_degrees(max_n, requested):
 
 def cmd_cup(args, cfg):
     r = Runner(args, cfg)
-    horizon = _merge(args, cfg, "lift-horizon", 7)
     gen_degree = _merge(args, cfg, "gen-degree", 8)
     comm_degree = _merge(args, cfg, "commutativity-degree", 7)
     max_n = _merge(args, cfg, "max-n", 12)
@@ -221,13 +218,12 @@ def cmd_cup(args, cfg):
                      for p in comm_rels + ideal_rels for w in p)
     top_gen = max(d for d, _ in GENERATOR_BIDEGREES.values())
     _check_cup_degrees(max_n, {
-        "--lift-horizon": (0, horizon),
         "--gen-degree": (1, gen_degree),
         "--commutativity-degree": (0, comm_degree),
         "the relations' degree": (0, rel_degree),
         "the product table's degree": (0, 2 * top_gen),
     })
-    ring = CupRing(r.field, max_n=max_n, lift_horizon=horizon)
+    ring = CupRing(r.field, max_n=max_n)
     relrep = {}
     rep = ring.verify_relations(comm_rels)
     relrep["commutation"] = rep

@@ -15,7 +15,7 @@ x_{i_1} ... x_{i_r} as f = X_{i_1} composed with successive lift stages.
 from __future__ import annotations
 
 from .cohomology import CohomologyComplex
-from .exactmath import QQ, SparseMat
+from .exactmath import QQ, EchelonBasis, SparseMat
 from .fk3core import (
     BASIS_BY_DEGREE,
     WORD_DEGREE,
@@ -194,11 +194,10 @@ class ChainLift:
 class CupRing:
     """Cup-product engine over a resolution plus the dual cochain complex."""
 
-    def __init__(self, field=QQ, max_n=12, lift_horizon=7):
+    def __init__(self, field=QQ, max_n=12):
         self.field = field
         self.res = BimoduleResolution(field, max_n=max_n)
         self.cox = CohomologyComplex(field, max_n=max_n)
-        self.lift_horizon = lift_horizon
         self._lifts = {}
         self._delta_solvers = {}
         self._aug_solvers = {}
@@ -258,18 +257,19 @@ class CupRing:
 
     # ----- lifts and products -----
 
-    def lift(self, key, cochain: dict, horizon=None) -> ChainLift:
-        """Chain lift of a cocycle, cached under a hashable key."""
+    def lift(self, key, cochain: dict, horizon: int) -> ChainLift:
+        """Chain lift of a cocycle, cached under a hashable key, solved at
+        least to stage `horizon`."""
         if key not in self._lifts:
             n, _ = cochain_degrees(cochain)
             if self.cox.diff_elem(n, cochain):
                 raise ValueError("lift requested for a non-cocycle")
             self._lifts[key] = ChainLift(self, cochain)
         lift = self._lifts[key]
-        lift.ensure(self.lift_horizon if horizon is None else horizon)
+        lift.ensure(horizon)
         return lift
 
-    def generator_lift(self, idx: int, horizon=None) -> ChainLift:
+    def generator_lift(self, idx: int, horizon: int) -> ChainLift:
         return self.lift(("X", idx), self.generators[idx], horizon)
 
     def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int):
@@ -358,18 +358,14 @@ class CupRing:
         return {"checked": len(relations), "failures": failures,
                 "ok": not failures}
 
-    def class_matrix_rank(self, vectors, n):
-        """Rank of a set of class-coordinate dicts in degree n."""
-        dim = len(self.cox.cocycle_basis(n))
-        cols = [dict(v) for v in vectors]
-        return SparseMat.from_cols(cols, dim, self.field).rank()
-
     def verify_generating_set(self, max_degree=8):
         """Span check: products of the generators exhaust HH^n for n <= bound.
 
         Follows the inductive argument: the span at degree n is generated by
         X_i cup (span at degree n - deg X_i) for deg X_i >= 1 together with
-        the degree-0 generators acting on degree n itself.
+        the degree-0 generators acting on degree n itself.  Each candidate
+        is reduced once against the span found so far, and kept if it
+        enlarges it.
         """
         F = self.field
         report = {"degrees": {}, "ok": True}
@@ -384,6 +380,10 @@ class CupRing:
                 lift = self.generator_lift(idx, horizon=n - d)
                 for s in spans.get(n - d, []):
                     cands.append(self.compose_with_lift(s, lift, n - d))
+            # independent representatives of the span, in order
+            span = EchelonBasis(F)
+            keep = [c for c in cands
+                    if span.add(self.cox.class_coordinates(n, c))]
             # close under the degree-0 generators
             frontier = list(cands)
             while frontier:
@@ -393,29 +393,13 @@ class CupRing:
                     for s in frontier:
                         more.append(self.compose_with_lift(s, lift, n))
                 # keep only products enlarging the span
-                vecs = [self.cox.class_coordinates(n, c) for c in cands]
-                rank0 = self.class_matrix_rank(vecs, n)
-                frontier = []
-                for c in more:
-                    v = self.cox.class_coordinates(n, c)
-                    if self.class_matrix_rank(vecs + [v], n) > rank0:
-                        cands.append(c)
-                        vecs.append(v)
-                        rank0 += 1
-                        frontier.append(c)
-            vecs = [self.cox.class_coordinates(n, c) for c in cands]
-            spanned = self.class_matrix_rank(vecs, n)
+                frontier = [c for c in more
+                            if span.add(self.cox.class_coordinates(n, c))]
+                keep.extend(frontier)
             want = len(self.cox.cocycle_basis(n))
-            report["degrees"][n] = {"spanned": spanned, "dim": want}
-            if spanned != want:
+            report["degrees"][n] = {"spanned": len(span), "dim": want}
+            if len(span) != want:
                 report["ok"] = False
-            # reduce the span basis to independent representatives
-            keep = []
-            kept_vecs = []
-            for c, v in zip(cands, vecs):
-                if self.class_matrix_rank(kept_vecs + [v], n) > len(keep):
-                    keep.append(c)
-                    kept_vecs.append(v)
             spans[n] = keep
         return report
 
@@ -426,14 +410,11 @@ class CupRing:
             d, intd = GENERATOR_BIDEGREES[i]
             others = [j for j in range(1, 15) if j != i]
             words = self._words_of_bidegree(others, d, intd)
-            vecs = []
+            span = EchelonBasis(self.field)
             for w in words:
-                f = self.evaluate_word(w)
-                vecs.append(self.cox.class_coordinates(d, f))
+                span.add(self.cox.class_coordinates(d, self.evaluate_word(w)))
             xi = self.cox.class_coordinates(d, self.generators[i])
-            r0 = self.class_matrix_rank(vecs, d)
-            r1 = self.class_matrix_rank(vecs + [xi], d)
-            report[i] = (r1 == r0 + 1)
+            report[i] = span.add(xi)
         return report
 
     def _words_of_bidegree(self, letters, hom, intd, max_len=5):

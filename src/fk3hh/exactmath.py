@@ -7,9 +7,11 @@ each taken from the shortest row holding it, with a column -> rows index kept
 up to date as entries fill in and cancel.  Over Q the kernel works on integer
 rows, fraction-free (Bareiss-style r <- a r - b prow, then divided by the
 row's content); over F_p it scales each pivot row by the inverse pivot.
+Membership tests reduce a vector by stored echelon rows instead: those of a
+Subspace, or of an EchelonBasis, which grows one vector at a time.
 Scalars live in a Field: either Q (stdlib Fraction) or a prime field F_p with
-p >= 5 (residues as plain ints).  All values are immutable after construction,
-so matrices and subspaces can be shared freely.
+p >= 5 (residues as plain ints).  Matrices and subspaces are immutable after
+construction, so they can be shared freely.
 """
 
 from __future__ import annotations
@@ -229,6 +231,25 @@ def _eliminate(r, prow, pc, p, colrows, i):
     return r
 
 
+def _reduce_by_rows(rows, vec, F):
+    """Residual of vec after reduction by echelon rows, in their order.
+
+    Each row is a sorted tuple of (col, scalar) that starts with its pivot,
+    1, and is zero at the pivots of the rows before it.
+    """
+    v = {c: x for c, x in vec.items() if x != F.zero}
+    for row in rows:
+        coef = v.get(row[0][0])
+        if coef is not None:
+            for c, x in row:
+                nv = F.sub(v.get(c, F.zero), F.mul(coef, x))
+                if nv == F.zero:
+                    v.pop(c, None)
+                else:
+                    v[c] = nv
+    return v
+
+
 class Subspace:
     """A subspace of k^n, stored by its reduced row-echelon basis.
 
@@ -256,18 +277,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of a vector (dict col->scalar) after reduction by the basis."""
-        F = self.field
-        v = {c: x for c, x in vec.items() if x != F.zero}
-        for row in self.basis:
-            coef = v.get(row[0][0])  # an RREF row starts with its pivot, 1
-            if coef is not None:
-                for c, x in row:
-                    nv = F.sub(v.get(c, F.zero), F.mul(coef, x))
-                    if nv == F.zero:
-                        v.pop(c, None)
-                    else:
-                        v[c] = nv
-        return v
+        return _reduce_by_rows(self.basis, vec, self.field)
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec)
@@ -285,6 +295,31 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+class EchelonBasis:
+    """A span grown one vector at a time, at one reduction per vector.
+
+    Unlike Subspace the rows are not canonical: each is the residual of the
+    vector that added it, scaled to pivot 1 at its first column.
+    """
+
+    def __init__(self, field=QQ):
+        self.field = field
+        self.rows = []
+
+    def __len__(self):
+        return len(self.rows)
+
+    def add(self, vec) -> bool:
+        """Keep what vec adds to the span; True when that is not zero."""
+        F = self.field
+        v = _reduce_by_rows(self.rows, vec, F)
+        if not v:
+            return False
+        inv = F.inv(v[min(v)])
+        self.rows.append(tuple(sorted((c, F.mul(inv, x)) for c, x in v.items())))
+        return True
 
 
 class SparseMat:

@@ -11,6 +11,7 @@ Polynomials are dicts word -> nonzero scalar over a Field from exactmath.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import re
 from itertools import product
@@ -211,54 +212,81 @@ def make_monic(F, p):
 
 
 class GBasis:
-    """A list of monic polynomials; `reduced` marks full interreduction."""
+    """Monic polynomials with a lead-word index that `add` keeps up to date.
+
+    `polys[i]` has lead word `leads[i]`, computed once.  The constructor
+    sorts its input by lead word (stably); `add` appends, and `remove` takes
+    an element out of the index only.  The first-letter buckets hold
+    `(word_key(lead), i)` pairs in sorted order, so a lookup meets the leads
+    in canonical order, equal leads by index.  `reduced` marks full
+    interreduction.
+    """
 
     def __init__(self, algebra: FreeAlgebra, polys, reduced=False, truncated=False):
         self.algebra = algebra
-        self.polys = sorted(polys, key=lambda p: word_key(lead_word(p)))
         self.reduced = reduced
         self.truncated = truncated
+        self.polys = []
+        self.leads = []
         self._by_first = {}
-        for idx, p in enumerate(self.polys):
-            lw = lead_word(p)
-            self._by_first.setdefault(lw[0], []).append((lw, idx))
+        for lw, p in sorted(((lead_word(p), p) for p in polys),
+                            key=lambda t: word_key(t[0])):
+            self._insert(p, lw)
 
     def __len__(self):
         return len(self.polys)
 
     def lead_words(self):
-        return [lead_word(p) for p in self.polys]
+        return list(self.leads)
 
-    def find_divisor(self, w: Word):
+    def add(self, p):
+        """Append a nonzero polynomial, index its lead word, return its index."""
+        return self._insert(p, lead_word(p))
+
+    def _insert(self, p, lw):
+        idx = len(self.polys)
+        self.polys.append(p)
+        self.leads.append(lw)
+        bisect.insort(self._by_first.setdefault(lw[0], []), (word_key(lw), idx))
+        return idx
+
+    def remove(self, idx):
+        """Drop element idx from the index; its slot in polys stays."""
+        lw = self.leads[idx]
+        bucket = self._by_first[lw[0]]
+        del bucket[bisect.bisect_left(bucket, (word_key(lw), idx))]
+
+    def find_divisor(self, w: Word, skip=None):
         """Leftmost occurrence of any leading word inside w.
 
         Returns (position, basis index) or None; among leads matching at one
-        position the first in canonical order wins.
+        position the first in canonical order wins.  The element at index
+        `skip`, if given, is left out.
         """
-        for pos in range(len(w)):
-            cands = self._by_first.get(w[pos])
-            if not cands:
-                continue
-            for lw, idx in cands:
-                if len(lw) <= len(w) - pos and w[pos:pos + len(lw)] == lw:
+        n = len(w)
+        for pos in range(n):
+            for (size, lw), idx in self._by_first.get(w[pos], ()):
+                if size > n - pos:
+                    break  # buckets are sorted by length first
+                if w[pos:pos + size] == lw and idx != skip:
                     return pos, idx
         return None
 
 
-def normal_form(p, basis: GBasis, strategy=None):
+def normal_form(p, basis: GBasis, strategy=None, skip=None):
     """Remainder of p on division by the basis (leading-word reduction).
 
     The default strategy always rewrites the largest reducible monomial at its
     leftmost divisor, which is deterministic; `strategy(reducibles)` may pick
     any (word, pos, idx) triple instead — the result is the same once the
-    basis is confluent.
+    basis is confluent.  The element at index `skip` is not used.
     """
     F = basis.algebra.field
     p = dict(p)
     while True:
         reducibles = []
         for w in sorted(p, key=word_key, reverse=True):
-            hit = basis.find_divisor(w)
+            hit = basis.find_divisor(w, skip)
             if hit is not None:
                 reducibles.append((w, hit[0], hit[1]))
                 if strategy is None:
@@ -266,9 +294,8 @@ def normal_form(p, basis: GBasis, strategy=None):
         if not reducibles:
             return p
         w, pos, idx = reducibles[0] if strategy is None else strategy(reducibles)
-        g = basis.polys[idx]
-        lw = lead_word(g)
-        repl = sandwich(F, w[:pos], g, w[pos + len(lw):])
+        repl = sandwich(F, w[:pos], basis.polys[idx],
+                        w[pos + len(basis.leads[idx]):])
         p = poly_sub(F, p, poly_scale(F, repl, p[w]))
 
 
@@ -283,30 +310,45 @@ def _overlaps(w1: Word, w2: Word):
             yield w1[: len(w1) - k], w1[len(w1) - k:], w2[k:]
 
 
+def _contains(p, lw: Word):
+    """Whether some monomial of p has lw as a subword."""
+    k = len(lw)
+    return any(w[s:s + k] == lw for w in p for s in range(len(w) - k + 1))
+
+
 def interreduce(algebra: FreeAlgebra, polys):
-    """Fully interreduce: monic, no monomial divisible by another lead."""
+    """Fully interreduce: monic, no monomial divisible by another lead.
+
+    Repeatedly rewrites the first element, in order of lead word, that the
+    others reduce, until none does; the result is sorted by lead word.  One
+    index serves the whole run: an element is reduced against the others by
+    skipping its own index, and a changed element is indexed afresh.  Only
+    the elements that its new lead divides need another look.
+    """
     F = algebra.field
-    polys = [make_monic(F, dict(p)) for p in polys if p]
-    changed = True
-    while changed:
-        changed = False
-        polys.sort(key=lambda p: word_key(lead_word(p)))
-        for i in range(len(polys)):
-            others = GBasis(algebra, polys[:i] + polys[i + 1:])
-            r = normal_form(polys[i], others)
-            if r != polys[i]:
-                changed = True
-                if r:
-                    polys[i] = make_monic(F, r)
-                else:
-                    polys.pop(i)
-                break
-    # drop exact duplicates
-    seen = []
-    for p in polys:
-        if p not in seen:
-            seen.append(p)
-    return seen
+    index = GBasis(algebra, [make_monic(F, dict(p)) for p in polys if p])
+    polys, leads = index.polys, index.leads
+    live = set(range(len(polys)))
+    dirty = [(word_key(lw), i) for i, lw in enumerate(leads)]  # sorted: a heap
+    queued = set(live)
+    while dirty:
+        _, i = heapq.heappop(dirty)
+        queued.discard(i)
+        p = polys[i]
+        r = normal_form(p, index, skip=i)
+        if r == p:
+            continue
+        index.remove(i)
+        live.discard(i)
+        if not r:
+            continue
+        new = index.add(make_monic(F, r))
+        for j in live - queued:
+            if _contains(polys[j], leads[new]):
+                queued.add(j)
+                heapq.heappush(dirty, (word_key(leads[j]), j))
+        live.add(new)
+    return [polys[i] for i in sorted(live, key=lambda i: word_key(leads[i]))]
 
 
 def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
@@ -315,16 +357,17 @@ def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
 
     Obstructions whose overlap word is longer than degree_bound are skipped
     (the result is then flagged truncated=True only if any were skipped).
+    One index serves the whole pair loop: each new element is added to it.
     Returns a reduced GBasis.
     """
     F = algebra.field
-    basis = interreduce(algebra, rels)
+    index = GBasis(algebra, interreduce(algebra, rels))
+    basis, leads = index.polys, index.leads
     pending = []
     skipped = False
 
     def enqueue(i, j):
-        wi, wj = lead_word(basis[i]), lead_word(basis[j])
-        for u, o, v in _overlaps(wi, wj):
+        for u, o, v in _overlaps(leads[i], leads[j]):
             heapq.heappush(pending, (word_key(u + o + v), i, j, u, v))
 
     n0 = len(basis)
@@ -339,14 +382,12 @@ def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
             continue
         gi, gj = basis[i], basis[j]
         spoly = poly_sub(F, sandwich(F, (), gi, v), sandwich(F, u, gj, ()))
-        r = normal_form(spoly, GBasis(algebra, basis))
+        r = normal_form(spoly, index)
         if not r:
             continue
-        r = make_monic(F, r)
-        basis.append(r)
+        new = index.add(make_monic(F, r))
         if len(basis) > element_ceiling:
             raise CompletionOverflow(f"completion exceeded {element_ceiling} elements")
-        new = len(basis) - 1
         for t in range(len(basis)):
             enqueue(t, new)
             if t != new:

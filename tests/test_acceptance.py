@@ -137,7 +137,7 @@ def test_criterion_6_tables_equal_formulas():
 
 @pytest.fixture(scope="module")
 def ring_q():
-    return CupRing(QQ, max_n=12, lift_horizon=7)
+    return CupRing(QQ, max_n=12)
 
 
 def test_criterion_7_cup_relations(ring_q):

@@ -21,7 +21,7 @@ EPS = DualGen(0, "eps")
 
 @pytest.fixture(scope="module")
 def ring():
-    return CupRing(QQ, max_n=12, lift_horizon=7)
+    return CupRing(QQ, max_n=12)
 
 
 def test_generator_bidegrees(ring):
@@ -162,7 +162,7 @@ def test_internal_degree_additivity(ring):
 
 def test_lift_independence(ring):
     # perturbing a lift stage by kernel vectors must not change any class
-    fresh = CupRing(QQ, max_n=12, lift_horizon=4)
+    fresh = CupRing(QQ, max_n=12)
     lift = fresh.generator_lift(9, horizon=2)
     base = fresh.word_class((9, 9))
     changed = lift.perturb_stage(2, seed=1)
@@ -200,7 +200,7 @@ def test_graded_commutativity_low_degrees(ring):
 
 
 def test_generating_set_and_minimality():
-    ring = CupRing(QQ, max_n=12, lift_horizon=8)
+    ring = CupRing(QQ, max_n=12)
     rep = ring.verify_generating_set(max_degree=6)
     assert rep["ok"], rep
     for n, row in rep["degrees"].items():

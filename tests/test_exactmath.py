@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fk3hh.exactmath import (
     QQ,
+    EchelonBasis,
     FieldError,
     PrimeField,
     SparseMat,
@@ -334,3 +335,17 @@ def test_solve_many_and_solver_equal_dense_oracle(data):
         assert solver.solve(b) == m.solve(b) == sol
         if sol is not None:
             assert m.apply(sol) == {i: v for i, v in b.items() if v != F.zero}
+
+
+@given(matrices())
+def test_echelon_basis_grows_with_the_dense_rank(fm):
+    # add() says whether a row enlarges the span of the rows before it
+    F, m = fm
+    rows = dense(m)
+    span = EchelonBasis(F)
+    for k, row in enumerate(rows):
+        _, before = gauss_jordan(rows[:k], m.cols, F)
+        _, after = gauss_jordan(rows[:k + 1], m.cols, F)
+        assert span.add(dict(enumerate(row))) == (len(after) > len(before))
+        assert len(span) == len(after)
+    assert not any(span.add(sparse(row, F)) for row in rows)

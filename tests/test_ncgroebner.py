@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fk3hh.exactmath import QQ
 from fk3hh.ncgroebner import (
@@ -12,6 +14,7 @@ from fk3hh.ncgroebner import (
     buchberger_complete,
     interreduce,
     lead_word,
+    make_monic,
     normal_form,
     standard_words,
     word_key,
@@ -148,3 +151,82 @@ def test_lead_word():
     alg = FreeAlgebra(2, QQ)
     p = alg.parse_poly("x1*x2 + x2*x1 + x1")
     assert lead_word(p) == (2, 1)
+
+
+# ----- property tests: the lead-word index against brute-force scans -----
+
+def words(min_size=1, max_size=3):
+    return st.lists(st.integers(1, 3), min_size=min_size,
+                    max_size=max_size).map(tuple)
+
+
+def brute_force_divisor(leads, w, skip=None):
+    """Leftmost position, then the least lead (word_key, index) there."""
+    hits = [(pos, word_key(lw), i) for i, lw in enumerate(leads)
+            if lw is not None and i != skip
+            for pos in range(len(w) - len(lw) + 1) if w[pos:pos + len(lw)] == lw]
+    return min(hits)[::2] if hits else None
+
+
+@given(st.lists(words()), st.data())
+def test_find_divisor_equals_brute_force_scan(initial, data):
+    alg = FreeAlgebra(3, QQ)
+    basis = GBasis(alg, [{w: QQ.one} for w in initial])
+    leads = list(basis.leads)  # None once removed
+    assert sorted(initial, key=word_key) == leads
+    for _ in range(data.draw(st.integers(0, 8))):
+        present = [i for i, lw in enumerate(leads) if lw is not None]
+        if present and data.draw(st.booleans()):
+            i = data.draw(st.sampled_from(present))
+            basis.remove(i)
+            leads[i] = None
+        else:
+            w = data.draw(words())
+            assert basis.add({w: QQ.one, w[1:]: QQ.of(2)}) == len(leads)
+            leads.append(w)
+    for w in data.draw(st.lists(words(0, 6), min_size=1, max_size=6)):
+        skip = data.draw(st.one_of(st.none(), st.integers(0, len(leads))))
+        assert basis.find_divisor(w, skip) == brute_force_divisor(leads, w, skip)
+
+
+def interreduce_by_restarts(alg, polys):
+    """Reference interreduction: a fresh index of the others for every
+    element, and a new pass from the start after each change."""
+    F = alg.field
+    polys = [make_monic(F, dict(p)) for p in polys if p]
+    changed = True
+    while changed:
+        changed = False
+        polys.sort(key=lambda p: word_key(lead_word(p)))
+        for i in range(len(polys)):
+            r = normal_form(polys[i], GBasis(alg, polys[:i] + polys[i + 1:]))
+            if r != polys[i]:
+                changed = True
+                if r:
+                    polys[i] = make_monic(F, r)
+                else:
+                    polys.pop(i)
+                break
+    seen = []
+    for p in polys:
+        if p not in seen:
+            seen.append(p)
+    return seen
+
+
+@st.composite
+def polys(draw):
+    terms = draw(st.dictionaries(words(), st.integers(-2, 2).map(QQ.of),
+                                 min_size=1, max_size=3))
+    return {w: c for w, c in terms.items() if c}
+
+
+@given(st.lists(polys(), max_size=7), st.data())
+def test_interreduce_equals_restarting_reference(ps, data):
+    alg = FreeAlgebra(3, QQ)
+    ps = ps + data.draw(st.lists(st.sampled_from(ps), max_size=2)) if ps else ps
+    got = interreduce(alg, ps)
+    assert got == interreduce_by_restarts(alg, ps)
+    index = GBasis(alg, got)
+    for i, p in enumerate(index.polys):
+        assert normal_form(p, index, skip=i) == p

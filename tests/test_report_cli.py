@@ -97,7 +97,7 @@ def test_cli_rejects_empty_degree_range(tmp_path, capsys, command, max_n):
 
 @pytest.mark.parametrize("flags", [
     ["--gen-degree", "14"], ["--commutativity-degree", "13"],
-    ["--lift-horizon", "13"], ["--gen-degree", "0"], ["--max-n", "7"]])
+    ["--commutativity-degree", "-1"], ["--gen-degree", "0"], ["--max-n", "7"]])
 def test_cli_cup_rejects_degrees_beyond_resolution(tmp_path, capsys, flags):
     out = tmp_path / "o"
     rc = cli.main(["cup", *flags, "--out", str(out)])

@@ -1,6 +1,8 @@
 """Verification of the cohomology-ring presentation data and its completion."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fk3hh.cohomology import CohomologyComplex
 from fk3hh.exactmath import QQ, PrimeField
@@ -244,7 +246,58 @@ def test_completion_over_prime_field():
         sorted(map(tuple, gbq.lead_words()))
 
 
-def test_deeper_bound_adds_nothing(alg):
+def test_deeper_bound_adds_nothing(alg, gb):
     rels = load_commutation_relations(alg) + load_ideal_relations(alg)
-    gb7 = buchberger_complete(alg, rels, degree_bound=7)
-    assert len(gb7) == 184
+    gb8 = buchberger_complete(alg, rels, degree_bound=8)
+    assert len(gb8) == 184 and not gb8.truncated
+    assert gb8.polys == gb.polys
+
+
+def test_bigraded_counts_equal_cohomology_dims_to_degree_40(gb):
+    counts = standard_word_counts(gb, up_to_hom_degree=40)
+    cox = CohomologyComplex(max_n=40)
+    for n in range(0, 41):
+        gbrow = {d: c for (h, d), c in counts.items() if h == n}
+        assert cox.hilbert_series(n) == gbrow, n
+
+
+def test_completion_is_reduced(alg, gb):
+    F = alg.field
+    leads = gb.lead_words()
+    assert gb.reduced and len(set(leads)) == len(leads)
+    for i, lw in enumerate(leads):
+        assert gb.polys[i][lw] == F.one
+        assert not any(lw[s:s + len(other)] == other
+                       for j, other in enumerate(leads) if j != i
+                       for s in range(len(lw) - len(other) + 1))
+        assert normal_form(gb.polys[i], gb, skip=i) == gb.polys[i]
+
+
+def test_completion_builds_a_handful_of_indexes(alg, monkeypatch):
+    # one index for each interreduction, one for the pair loop, one result
+    builds = []
+    init = GBasis.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GBasis, "__init__", counting)
+    rels = load_commutation_relations(alg) + load_ideal_relations(alg)
+    assert len(buchberger_complete(alg, rels, degree_bound=6)) == 184
+    assert len(builds) == 4
+
+
+@st.composite
+def ring_polys(draw):
+    words = st.lists(st.integers(1, 14), max_size=4).map(tuple)
+    terms = draw(st.dictionaries(words, st.integers(-3, 3), min_size=1,
+                                 max_size=5))
+    return {w: QQ.of(c) for w, c in terms.items() if c}
+
+
+@given(ring_polys(), st.randoms(use_true_random=False))
+def test_normal_form_ignores_reduction_order(gb, p, rnd):
+    # the 184 elements are confluent: any reduction order, one normal form
+    want = normal_form(p, gb)
+    assert normal_form(p, gb, strategy=rnd.choice) == want
