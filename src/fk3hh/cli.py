@@ -26,7 +26,8 @@ from .report import UsageError, write_outputs
 from .resolution import BimoduleResolution
 
 
-def _load_config_file(path):
+def _load_config_file(path, known):
+    """key = value lines; a key must be in `known` (see _config_keys)."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -36,8 +37,22 @@ def _load_config_file(path):
             if "=" not in line:
                 raise UsageError(f"bad config line {line!r}")
             k, v = line.split("=", 1)
-            out[k.strip().replace("_", "-")] = v.strip()
+            k = k.strip().replace("_", "-")
+            if k not in known:
+                raise UsageError(f"unknown config key {k!r}")
+            out[k] = v.strip()
     return out
+
+
+def _config_keys(parser):
+    """Every long option of any subcommand, without its dashes."""
+    keys = set()
+    for action in parser._actions:
+        for sp in (getattr(action, "choices", None) or {}).values():
+            for opt in sp._actions:
+                keys.update(o[2:] for o in opt.option_strings
+                            if o.startswith("--") and o != "--help")
+    return keys
 
 
 def _parser():
@@ -140,7 +155,8 @@ def cmd_homology(args, cfg):
     ok = all(series[n] == homod.hilbert_series_formula(n)
              for n in range(max_n + 1))
     r.check("homology series match the closed formulas", ok)
-    if getattr(args, "verify_representatives", False):
+    if getattr(args, "verify_representatives", False) or \
+            "verify-representatives" in cfg:
         bad = []
         for n in range(min(max_n, 13) + 1):
             for m in range(0, 5):
@@ -322,7 +338,7 @@ def main(argv=None):
     cfg = {}
     if args.config:
         try:
-            cfg = _load_config_file(args.config)
+            cfg = _load_config_file(args.config, _config_keys(parser))
         except (OSError, UsageError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

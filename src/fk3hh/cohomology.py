@@ -17,7 +17,7 @@ reduced against the RREF of the coboundaries).
 
 from __future__ import annotations
 
-from .exactmath import QQ, SparseMat, Subspace
+from .exactmath import QQ, SparseMat, Subspace, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
     WORD_DEGREE,
@@ -118,11 +118,12 @@ class CohomologyComplex:
         return coreduce(self._dual_terms(1, deg - 3).get(g, ()), x, i + 1, out)
 
     def diff_elem(self, n: int, elem: dict) -> dict:
+        """Codifferential of a cochain, as field scalars without zeros."""
         out = {}
         for key, c in elem.items():
             for key2, c2 in self.diff_key(n, key).items():
                 _add(out, key2, c * c2)
-        return out
+        return scalars(out, self.field)
 
     def matrix(self, n: int, m: int) -> SparseMat:
         """Matrix of Q^n_m -> Q^{n+1}_{m+1}."""

@@ -15,7 +15,7 @@ x_{i_1} ... x_{i_r} as f = X_{i_1} composed with successive lift stages.
 from __future__ import annotations
 
 from .cohomology import CohomologyComplex
-from .exactmath import QQ, EchelonBasis, SparseMat
+from .exactmath import QQ, EchelonBasis, SparseMat, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
     WORD_DEGREE,
@@ -27,14 +27,6 @@ from .fk3core import (
 from .resolution import BimoduleResolution
 
 W = WORD_INDEX
-
-
-def _add(out, key, c, zero):
-    nv = out.get(key, zero) + c
-    if nv == zero:
-        out.pop(key, None)
-    else:
-        out[key] = nv
 
 
 def cochain_degrees(cochain: dict):
@@ -143,21 +135,23 @@ class ChainLift:
         self.stages.append(stage)
 
     def apply(self, k: int, elem: dict) -> dict:
-        """Bimodule extension of stage k to an element of P^b_{k+m}."""
-        F = self.ring.field
+        """Bimodule extension of stage k to an element of P^b_{k+m}.
+
+        elem's coefficients must be ints or field scalars; products are
+        summed raw and each output coefficient is made a scalar once."""
         stage = self.stages[k]
-        out = {}
+        acc = {}
         for (i, x, g, y), c in elem.items():
             val = stage.get((i, g))
             if not val:
                 continue
-            c = F.of(c)
             for (j, x2, g2, y2), s in val.items():
+                cs = c * s
                 for x3, cx in mul_words(x, x2).items():
                     for y3, cy in mul_words(y2, y).items():
-                        coeff = F.mul(c, F.mul(F.of(s), F.of(cx * cy)))
-                        _add(out, (j, x3, g2, y3), coeff, F.zero)
-        return out
+                        key = (j, x3, g2, y3)
+                        acc[key] = acc.get(key, 0) + cs * (cx * cy)
+        return scalars(acc, self.ring.field)
 
     def perturb_stage(self, k: int, seed: int = 0):
         """Replace stage k by another valid solution (adds a kernel vector).
@@ -180,11 +174,10 @@ class ChainLift:
             if ker.dim == 0:
                 continue
             vec = ker.basis_dicts()[(seed + idx) % ker.dim]
-            add = res.comp_element(k, tgt_int, vec)
             new = dict(elem)
-            for key, c in add.items():
-                _add(new, key, F.of(c), F.zero)
-            stage[(i, g)] = new
+            for key, c in res.comp_element(k, tgt_int, vec).items():
+                new[key] = new.get(key, 0) + c
+            stage[(i, g)] = scalars(new, F)
             changed = True
         if changed:
             self.stages = self.stages[:k] + [stage]
@@ -238,22 +231,19 @@ class CupRing:
 
     def evaluate_cochain(self, cochain: dict, elem: dict) -> dict:
         """Apply a cochain to a resolution element; value in A as {word: c},
-        encoded on the augmentation row positions of the right component."""
-        F = self.field
-        vals = {}
+        encoded on the augmentation row positions of the right component.
+        Coefficients must be ints or field scalars, as in ChainLift.apply."""
+        by_gen = {}
+        for (j, g, w), cc in cochain.items():
+            by_gen.setdefault((j, g), []).append((w, cc))
+        acc = {}
         for (i, x, g, y), c in elem.items():
-            base = {}
-            for (j, g2, w), cc in cochain.items():
-                if j == i and g2 == g:
-                    base[w] = cc
-            if not base:
-                continue
-            c = F.of(c)
-            for w, cc in base.items():
+            for w, cc in by_gen.get((i, g), ()):
+                ccc = c * cc
                 for w2, c2 in mul_words(x, w).items():
                     for w3, c3 in mul_words(w2, y).items():
-                        _add(vals, w3, F.mul(c, F.of(cc * c2 * c3)), F.zero)
-        return vals
+                        acc[w3] = acc.get(w3, 0) + ccc * (c2 * c3)
+        return scalars(acc, self.field)
 
     # ----- lifts and products -----
 
@@ -273,16 +263,18 @@ class CupRing:
         return self.lift(("X", idx), self.generators[idx], horizon)
 
     def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int):
-        """The cochain f . g_stage as a cochain on degree stage + deg(g)."""
+        """The cochain f . g_stage as a cochain on degree stage + deg(g).
+
+        On a generator 1|g|1 the bimodule extension of the stage is the
+        stage's stored value, so that value is read, not applied."""
         lift.ensure(stage)
-        F = self.field
+        values = lift.stages[stage]
         out = {}
         for i, g in self.res.pb_gens(stage + lift.m):
-            gen_elem = {(i, W[""], g, W[""]): 1}
-            img = lift.apply(stage, gen_elem)
-            val = self.evaluate_cochain(cochain, img)
-            for w, c in val.items():
-                _add(out, (i, g, w), c, F.zero)
+            img = values.get((i, g))
+            if img:
+                for w, c in self.evaluate_cochain(cochain, img).items():
+                    out[(i, g, w)] = c
         return out
 
     def cup_cochain(self, f: dict, g_key, g: dict) -> dict:
@@ -331,11 +323,10 @@ class CupRing:
         n = degs.pop()[0]
         total = {}
         for w, c in poly.items():
-            f = self.evaluate_word(w)
             c = F.of(c)
-            for key, v in f.items():
-                _add(total, key, F.mul(c, v), F.zero)
-        return n, total
+            for key, v in self.evaluate_word(w).items():
+                total[key] = total.get(key, 0) + c * v
+        return n, scalars(total, F)
 
     def poly_is_zero_class(self, poly: dict) -> bool:
         n, total = self.evaluate_poly(poly)

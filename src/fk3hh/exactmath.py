@@ -141,6 +141,17 @@ def field_from_name(name: str):
     raise FieldError(f"unknown field {name!r}")
 
 
+def scalars(acc, field):
+    """Sums accumulated in raw ints or Fractions, made field scalars once,
+    with the zeros dropped (over F_p a sum may be a nonzero multiple of p)."""
+    out = {}
+    for key, v in acc.items():
+        v = field.of(v)
+        if v:
+            out[key] = v
+    return out
+
+
 def _integral(row):
     """A rational row scaled to coprime integers (a nonzero multiple of it)."""
     den = lcm(*(x.denominator for x in row.values()))
@@ -157,10 +168,21 @@ def _rref_core(row_dicts, pivot_limit, field, reduced=True):
     entries normalized to one and pivot columns cleared from every other row,
     and leftovers are nonzero rows supported entirely in columns >= limit
     (multiples of combinations of the input rows; over Q with int entries).
-    Over Q the rows are scaled to integers first and Fractions are built
-    only for the returned pivot rows.  reduced=False stops after the forward
-    sweep: the pivot rows are then echelon rows, good only for counting.
+    Fractions are built only for the returned pivot rows, from the integer
+    rows of _echelon.  reduced=False stops after the forward sweep: the pivot
+    rows are then echelon rows, good only for counting.
     """
+    pivrows, leftovers = _echelon(row_dicts, pivot_limit, field, reduced)
+    if reduced and not field.characteristic:
+        pivrows = [(pc, {c: Fraction(x, r[pc]) for c, x in r.items()})
+                   for pc, r in pivrows]
+    return pivrows, leftovers
+
+
+def _echelon(row_dicts, pivot_limit, field, reduced=True):
+    """The elimination behind _rref_core, with the pivot rows left unscaled
+    over Q: there each is an integer row whose pivot entry is any nonzero
+    int (over F_p the pivot entry is one)."""
     p = field.characteristic
     rows = {i: r if p else _integral(r) for i, r in enumerate(row_dicts) if r}
     colrows = {}
@@ -192,9 +214,6 @@ def _rref_core(row_dicts, pivot_limit, field, reduced=True):
     for pc, r in reversed(pivrows):
         for c in [c for c in r if c in pivcols and c != pc]:
             _eliminate(r, pivcols[c], c, p, {}, None)
-    if not p:
-        pivrows = [(pc, {c: Fraction(x, r[pc]) for c, x in r.items()})
-                   for pc, r in pivrows]
     return pivrows, list(rows.values())
 
 
@@ -540,6 +559,9 @@ class LinearSolver:
     Each pivot row's identity tail t_p satisfies t_p M = (unit row at p plus
     free columns), so x[p] = t_p . b is a particular solution with free
     variables at zero; leftover rows certify consistency: l . b must vanish.
+    The tails are kept in integers, fraction-free: each transform row is
+    (pcol, den, {i: int}) with t_pcol = row / den (den is 1 over F_p), and
+    each check row is an integer multiple of l.
     """
 
     def __init__(self, mat: SparseMat):
@@ -549,29 +571,50 @@ class LinearSolver:
         rows = mat.row_dicts()
         for i in range(mat.rows):
             rows[i][mat.cols + i] = F.one
-        pivrows, leftovers = _rref_core(rows, mat.cols, F)
+        pivrows, leftovers = _echelon(rows, mat.cols, F)
 
         def tail(row):
             return {c - mat.cols: v for c, v in row.items() if c >= mat.cols}
-        self.transform = [(pcol, tail(row)) for pcol, row in pivrows]
+
+        def transform_row(pcol, row):
+            t = tail(row)
+            den = row[pcol]
+            g = gcd(den, *t.values())
+            if den < 0:
+                g = -g
+            return pcol, den // g, {i: v // g for i, v in t.items()}
+        self.transform = [transform_row(pcol, row) for pcol, row in pivrows]
         self.checks = [tail(row) for row in leftovers]
 
-    def _dot(self, row, b):
-        F = self.field
-        if len(row) > len(b):
-            row, b = b, row
-        s = F.zero
-        for i, v in row.items():
-            if i in b:
-                s = F.add(s, F.mul(v, b[i]))
-        return s
-
     def solve(self, rhs):
-        """Particular solution of M x = rhs (dict row->scalar), or None."""
+        """Particular solution of M x = rhs (dict row->scalar), or None.
+
+        b is scaled to integers by the common denominator e of its entries,
+        so each coordinate is one integer dot product, made a scalar once:
+        x[p] = (t . e b) / (den e) over Q, (t . b) mod p over F_p.
+        """
         F = self.field
-        b = {i: F.of(v) for i, v in rhs.items() if F.of(v) != F.zero}
+        p = F.characteristic
+        b = [F.of(v) for v in rhs.values()]
+        e = lcm(*(v.denominator for v in b))
+        b = {i: v.numerator * (e // v.denominator)
+             for i, v in zip(rhs, b) if v}
         for row in self.checks:
-            if self._dot(row, b) != F.zero:
+            v = _int_dot(row, b)
+            if v % p if p else v:
                 return None
-        sol = ((pcol, self._dot(trow, b)) for pcol, trow in self.transform)
-        return {pcol: v for pcol, v in sol if v != F.zero}
+        sol = {}
+        for pcol, den, row in self.transform:
+            v = _int_dot(row, b)
+            if p:
+                v %= p
+            if v:
+                sol[pcol] = v if p else Fraction(v, den * e)
+        return sol
+
+
+def _int_dot(row, b):
+    """Dot product of two sparse integer vectors (dicts index->int)."""
+    if len(row) > len(b):
+        row, b = b, row
+    return sum(v * b[i] for i, v in row.items() if i in b)

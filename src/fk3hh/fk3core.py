@@ -19,6 +19,7 @@ degreewise dimensions are 1, 3, 5, 6, 6, ...
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from . import ncgroebner
@@ -229,10 +230,12 @@ def _comb(*pairs):
     return out
 
 
+@cache
 def dual_left_action(letter: str, f: DualGen) -> dict:
     """Left action of a dual letter (A, B or C given as 'a'/'b'/'c') on a basis tag.
 
-    Returns {DualGen: int}; degree drops by one.
+    Returns {DualGen: int}; degree drops by one.  Results are memoised: the
+    returned dict is shared between calls and must be treated as read-only.
     """
     n, tag = f.n, f.tag
     if n < 1:
@@ -274,8 +277,10 @@ def dual_left_action(letter: str, f: DualGen) -> dict:
     raise ValueError(f"unknown letter {letter!r}")
 
 
+@cache
 def dual_right_action(f: DualGen, letter: str) -> dict:
-    """Right action mirror of dual_left_action."""
+    """Right action mirror of dual_left_action (memoised the same way: the
+    returned dict is shared and read-only)."""
     n, tag = f.n, f.tag
     if n < 1:
         raise ValueError("right action needs degree >= 1")

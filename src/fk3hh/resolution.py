@@ -31,6 +31,8 @@ whose generator images `gen_image` gives.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .exactmath import QQ, SparseMat
 from .fk3core import (
     BASIS_WORDS,
@@ -509,12 +511,17 @@ class BimoduleResolution:
     def comp_vector(self, n: int, d: int, elem: dict, field=None):
         """Coordinates of an element supported in internal degree d."""
         F = field or self.field
-        pos_of = {self.pb_basis(n)[p]: r for r, p in enumerate(self.pb_comp(n, d))}
+        self.pb_basis(n)  # fills self._index[n]
+        index, comp = self._index[n], self.pb_comp(n, d)  # comp is sorted
         out = {}
         for key, c in elem.items():
             c = F.of(c)
             if c != F.zero:
-                out[pos_of[key]] = c
+                pos = index[key]
+                r = bisect_left(comp, pos)
+                if r == len(comp) or comp[r] != pos:
+                    raise KeyError(f"{key} is not in internal degree {d}")
+                out[r] = c
         return out
 
     def comp_element(self, n: int, d: int, vec: dict):

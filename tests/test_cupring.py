@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
-from fk3hh.exactmath import QQ
+from fk3hh import cli
+from fk3hh.exactmath import QQ, PrimeField
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis, mul_words
 from fk3hh.cupring import (
     ChainLift,
@@ -214,3 +217,73 @@ def test_lift_of_non_cocycle_rejected(ring):
     assert ring.cox.diff_elem(1, bad)
     with pytest.raises(ValueError):
         ring.lift(("bad",), bad, horizon=0)
+
+
+def test_generator_stage_applied_to_a_generator_is_its_stored_value(ring):
+    one = W[""]
+    for idx in ring.generators:
+        lift = ring.generator_lift(idx, horizon=3)
+        for k, stage in enumerate(lift.stages):
+            for i, g in ring.res.pb_gens(k + lift.m):
+                assert lift.apply(k, {(i, one, g, one): 1}) == \
+                    stage.get((i, g), {}), (idx, k, i, g)
+
+
+def compose_reference(ring, cochain, lift, stage):
+    """The composition by definition, one field operation at a time: apply
+    the stage to each generator 1|g|1, then scan the whole cochain for
+    every term of the image."""
+    F = ring.field
+    out = {}
+    for i, g in ring.res.pb_gens(stage + lift.m):
+        img = lift.apply(stage, {(i, W[""], g, W[""]): 1})
+        for (j, x, g2, y), c in img.items():
+            for (j2, g3, w), cc in cochain.items():
+                if (j2, g3) != (j, g2):
+                    continue
+                for w2, c2 in mul_words(x, w).items():
+                    for w3, c3 in mul_words(w2, y).items():
+                        key = (i, g, w3)
+                        out[key] = F.add(out.get(key, F.zero),
+                                         F.mul(F.of(c), F.of(cc * c2 * c3)))
+    return {key: v for key, v in out.items() if v != F.zero}
+
+
+@pytest.fixture(scope="module")
+def ring_mod_p():
+    return CupRing(PrimeField(10007), max_n=8)
+
+
+@pytest.mark.parametrize("which", ["ring", "ring_mod_p"])
+def test_compose_with_lift_equals_reference(request, which):
+    ring = request.getfixturevalue(which)
+    F = ring.field
+    # generators and products of two, whose entries are no longer 0 / +-1
+    cochains = [ring.generators[i] for i in ring.generators]
+    cochains += [ring.evaluate_word(w) for w in ((9, 12), (13, 8), (4, 12))]
+    for f in cochains:
+        if not f:
+            continue
+        nf, _ = cochain_degrees(f)
+        for j, (dj, _) in GENERATOR_BIDEGREES.items():
+            if nf + dj > 6:
+                continue
+            lift = ring.generator_lift(j, horizon=nf)
+            got = ring.compose_with_lift(f, lift, nf)
+            assert got == compose_reference(ring, f, lift, nf), (j, nf)
+            assert all(v != F.zero and F.of(v) == v for v in got.values())
+
+
+def test_cli_cup_over_prime_field_reduces_the_rational_table(
+        ring, tmp_path, capsys):
+    F = PrimeField(10007)
+    out = tmp_path / "o"
+    rc = cli.main(["cup", "--field", "prime:10007", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert sum(line.startswith("[pass]") for line in lines) == 5
+    assert not any(line.startswith("[FAIL]") for line in lines)
+    got = json.loads((out / "cup-table.json").read_text())["products"]
+    want = {f"{i},{j}": {str(k): str(F.of(v)) for k, v in cls.items()}
+            for (i, j), cls in ring.multiplication_table().items()}
+    assert got == want

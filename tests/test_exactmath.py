@@ -309,6 +309,16 @@ def test_kernel_and_image_membership(fm):
         assert img.contains({i: F.one}) == (len(more) == len(tpivots))
 
 
+def raw_scalar(v, form):
+    """v as F.of's input: the scalar itself, an int when v is integral, or
+    a string such as '-3/4'."""
+    if form == "int" and Fraction(v).denominator == 1:
+        return int(v)
+    if form == "str":
+        return str(v)
+    return v
+
+
 @given(st.data())
 def test_solve_many_and_solver_equal_dense_oracle(data):
     F, m = data.draw(matrices())
@@ -329,10 +339,15 @@ def test_solve_many_and_solver_equal_dense_oracle(data):
         else:
             want.append({p: row[t] for row, p in zip(rows, pivots)
                          if row[t] != F.zero})
-    assert m.solve_many(rhs) == want
+    # right-hand sides may also carry raw ints and strings, as F.of accepts
+    forms = data.draw(st.lists(st.sampled_from(["scalar", "int", "str"]),
+                               min_size=len(rhs), max_size=len(rhs)))
+    given_rhs = [{i: raw_scalar(v, form) for i, v in b.items()}
+                 for b, form in zip(rhs, forms)]
+    assert m.solve_many(given_rhs) == want
     solver = m.solver()
-    for b, sol in zip(rhs, want):
-        assert solver.solve(b) == m.solve(b) == sol
+    for b, given_b, sol in zip(rhs, given_rhs, want):
+        assert solver.solve(given_b) == m.solve(given_b) == sol
         if sol is not None:
             assert m.apply(sol) == {i: v for i, v in b.items() if v != F.zero}
 

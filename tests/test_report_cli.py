@@ -75,6 +75,35 @@ def test_cli_config_file(tmp_path, capsys):
     assert (tmp_path / "flag_wins" / "hh-dims.json").exists()
 
 
+@pytest.mark.parametrize("line", ["bogus = 1", "lift-horizon = 99",
+                                  "lift_horizon = 99", "help = 1"])
+def test_cli_config_rejects_unknown_keys(tmp_path, capsys, line):
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text("max-n = 5\n" + line + "\n")
+    out = tmp_path / "o"
+    rc = cli.main(["--config", str(cfgfile), "homology", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "unknown config key" in captured.err
+    assert "[pass]" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_config_knows_every_subcommand_option(tmp_path, capsys):
+    # keys of any subcommand are accepted, also by another subcommand,
+    # and underscores stand for dashes
+    keys = cli._config_keys(cli._parser())
+    assert {"field", "max-n", "out", "formats", "gen-degree",
+            "commutativity-degree", "gb-bound", "verify-printed",
+            "verify-representatives"} == keys
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text("max_n = 4\ngb-bound = 6\nverify_representatives = 1"
+                       "\nout = " + str(tmp_path / "o") + "\n")
+    assert cli.main(["--config", str(cfgfile), "homology"]) == 0
+    assert "[pass] published homology representatives verify" in \
+        capsys.readouterr().out
+
+
 def test_cli_outputs_deterministic(tmp_path):
     rc1 = cli.main(["homology", "--max-n", "5", "--out", str(tmp_path / "a")])
     rc2 = cli.main(["homology", "--max-n", "5", "--out", str(tmp_path / "b")])
