@@ -10,9 +10,15 @@ The codifferential is derived from the resolution: a cochain g*|x pulls back
 along the strata f^(0) = d and f^(1) = f to sum l x r over the terms l|g|r
 of each source generator's image (`coreduce`); the higher strata vanish
 under this reduction.  The transcribed image tables live in `fk3hh.tables`
-as a verification oracle only.  Cohomology dimensions come from ranks;
-`cocycle_basis` returns canonical coset representatives (kernel vectors
-reduced against the RREF of the coboundaries).
+as a verification oracle only.  The codifferential of omega*_i g*|x at
+degree n is that of omega*_0 g*|x at degree n - 4i moved up i layers, so
+`columns` pulls back once per relative degree n - 4i, with the layers taken
+out; `diff_key`, `diff_elem` and `matrix` read those columns, shifted by i.
+Matrices are assembled on request and not kept.
+
+Cohomology dimensions come from ranks; `cocycle_basis` returns canonical
+coset representatives (kernel vectors reduced against the RREF of the
+coboundaries).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 from .exactmath import QQ, SparseMat, Subspace, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
+    DIM,
     WORD_DEGREE,
     chi,
     dual_basis,
@@ -39,12 +46,11 @@ def transpose_images(images: dict) -> dict:
     return out
 
 
-def coreduce(terms, x: int, i: int = 0, out=None) -> dict:
+def coreduce(terms, x: int) -> dict:
     """The cohomology reduction: pulling the cochain v*|x back along the
     terms (u, l, r, c) of transpose_images gives sum c u*|(l x r), as
-    {(i, DualGen, word_idx): int} added into `out`."""
-    if out is None:
-        out = {}
+    {(DualGen, word_idx): int}."""
+    out = {}
     table = mul_table()
     room = 4 - WORD_DEGREE[x]  # A vanishes above degree 4
     for u, lw, rw, c in terms:
@@ -52,7 +58,7 @@ def coreduce(terms, x: int, i: int = 0, out=None) -> dict:
             continue
         for m1, c1 in table[(lw, x)].items():
             for m2, c2 in table[(m1, rw)].items():
-                key = (i, u, m2)
+                key = (u, m2)
                 nv = out.get(key, 0) + c * c1 * c2
                 if nv:
                     out[key] = nv
@@ -72,12 +78,11 @@ class CohomologyComplex:
         self.field = field
         self.max_n = max_n
         self._basis = {}
-        self._mat = {}
         self._rank = {}
+        self._columns = {}
         self._images = {}
         self._classes = {}
         self._class_solvers = {}
-        self._dual = {}
 
     def min_m(self, n: int) -> int:
         return -2 * (n // 4)
@@ -101,21 +106,33 @@ class CohomologyComplex:
     def dim(self, n: int, m: int) -> int:
         return len(self.basis(n, m))
 
-    def _dual_terms(self, k: int, n: int) -> dict:
-        """transpose_images of f^(k)_n over the degree-n generators,
-        computed once per (k, n)."""
-        if (k, n) not in self._dual:
-            self._dual[(k, n)] = transpose_images(
-                {u: gen_image(k, n, u) for u in dual_basis(n)})
-        return self._dual[(k, n)]
+    def columns(self, deg: int) -> dict:
+        """{(DualGen, word_idx): [(layer offset, DualGen, word_idx, int)]}:
+        the codifferential of omega*_i g*|x at degree deg + 4i with the
+        layer i taken out, built once per relative degree deg = n - 4i.
+        The part pulled back along d_{deg+1} has offset 0, the part pulled
+        back along f_{deg-3} offset +1."""
+        if deg not in self._columns:
+            d = transpose_images({u: gen_image(0, deg + 1, u)
+                                  for u in dual_basis(deg + 1)})
+            f = transpose_images({u: gen_image(1, deg - 3, u)
+                                  for u in dual_basis(deg - 3)})
+            cols = {}
+            for g in dual_basis(deg):
+                for x in range(DIM):
+                    col = [(0, u, y, c) for (u, y), c in
+                           coreduce(d.get(g, ()), x).items()]
+                    col += [(1, u, y, c) for (u, y), c in
+                            coreduce(f.get(g, ()), x).items()]
+                    cols[(g, x)] = col
+            self._columns[deg] = cols
+        return self._columns[deg]
 
     def diff_key(self, n: int, key) -> dict:
-        """Codifferential of a single basis element of degree n: the
-        omega_i part pulls back along d_{n+1}, the omega_{i+1} part along f."""
+        """Codifferential of a single basis element of degree n."""
         i, g, x = key
-        deg = n - 4 * i
-        out = coreduce(self._dual_terms(0, deg + 1).get(g, ()), x, i)
-        return coreduce(self._dual_terms(1, deg - 3).get(g, ()), x, i + 1, out)
+        return {(i + o, u, y): c
+                for o, u, y, c in self.columns(n - 4 * i)[(g, x)]}
 
     def diff_elem(self, n: int, elem: dict) -> dict:
         """Codifferential of a cochain, as field scalars without zeros."""
@@ -126,20 +143,16 @@ class CohomologyComplex:
         return scalars(out, self.field)
 
     def matrix(self, n: int, m: int) -> SparseMat:
-        """Matrix of Q^n_m -> Q^{n+1}_{m+1}."""
-        if (n, m) in self._mat:
-            return self._mat[(n, m)]
-        F = self.field
+        """Matrix of Q^n_m -> Q^{n+1}_{m+1}, assembled from the layer-free
+        columns; not retained (ranks and the images and kernels that the
+        cocycle bases need are memoised)."""
         src = self.basis(n, m)
-        tgt = self.basis(n + 1, m + 1)
-        pos = {k: r for r, k in enumerate(tgt)}
+        pos = {k: r for r, k in enumerate(self.basis(n + 1, m + 1))}
         ent = {}
         for col, key in enumerate(src):
             for key2, c in self.diff_key(n, key).items():
-                ent[(pos[key2], col)] = F.of(c)
-        mat = SparseMat(len(tgt), len(src), ent, F)
-        self._mat[(n, m)] = mat
-        return mat
+                ent[(pos[key2], col)] = c
+        return SparseMat(len(pos), len(src), ent, self.field)
 
     def rank(self, n: int, m: int) -> int:
         if n < 0 or not self.basis(n, m):
@@ -323,18 +336,3 @@ def hilbert_series_formula(n: int) -> dict:
     for e, c in pn.items():
         put(-2 * q + e, c)
     return out
-
-
-def format_laurent(poly: dict, var="t") -> str:
-    if not poly:
-        return "0"
-    bits = []
-    for e in sorted(poly, reverse=True):
-        c = poly[e]
-        if e == 0:
-            bits.append(str(c))
-        else:
-            head = "" if c == 1 else str(c) + "*"
-            exp = var if e == 1 else f"{var}^{e}" if e > 0 else f"{var}^({e})"
-            bits.append(head + exp)
-    return " + ".join(bits)

@@ -152,10 +152,6 @@ class AlgElem:
     def is_zero(self):
         return not self.coeffs
 
-    def homogeneous_part(self, m: int):
-        return AlgElem({i: c for i, c in self.coeffs.items() if WORD_DEGREE[i] == m},
-                       self.field)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"

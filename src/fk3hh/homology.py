@@ -8,6 +8,12 @@ x (x) l|v|r -> (r x l)|v (`reduce_image`); the higher strata vanish under
 this reduction.  The transcribed image tables live in `fk3hh.tables` as a
 verification oracle only.
 
+The differential of omega_i x|g at degree n is that of omega_0 x|g at
+degree n - 4i moved up i layers, so `columns` reduces the images once per
+relative degree n - 4i, with the layers taken out; `diff_key`, `diff_elem`
+and every matrix read those columns, shifted by i.  Matrices are assembled
+on request and not kept: only their ranks are memoised.
+
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 hand-picked representative bases; those enter only through
 `verify_representatives`, which checks the listed families are valid and
@@ -19,6 +25,7 @@ from __future__ import annotations
 from .exactmath import QQ, SparseMat, Subspace
 from .fk3core import (
     BASIS_BY_DEGREE,
+    DIM,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
@@ -42,14 +49,13 @@ def _add(out, key, c):
         out[key] = nv
 
 
-def reduce_image(image: dict, x: int, i: int = 0, out=None) -> dict:
-    """The homology reduction of omega_i x (x)_{A^e} image.
+def reduce_image(image: dict, x: int) -> dict:
+    """The homology reduction of x (x)_{A^e} image.
 
     x (x) c l|v|r goes to c (r x l)|v, so a bimodule image
-    {(_, l, v, r): c} becomes {(i, word_idx, v): int}, added into `out`.
+    {(_, l, v, r): c} becomes {(word_idx, v): int}.
     """
-    if out is None:
-        out = {}
+    out = {}
     table = mul_table()
     room = 4 - WORD_DEGREE[x]  # A vanishes above degree 4
     for (_, lw, v, rw), c in image.items():
@@ -57,7 +63,7 @@ def reduce_image(image: dict, x: int, i: int = 0, out=None) -> dict:
             continue
         for m1, c1 in table[(rw, x)].items():
             for m2, c2 in table[(m1, lw)].items():
-                key = (i, m2, v)
+                key = (m2, v)
                 nv = out.get(key, 0) + c * c1 * c2
                 if nv:
                     out[key] = nv
@@ -77,9 +83,8 @@ class HomologyComplex:
         self.field = field
         self.max_n = max_n
         self._basis = {}
-        self._mat = {}
         self._rank = {}
-        self._images = {}
+        self._columns = {}
 
     def max_m(self, n=None) -> int:
         n = self.max_n if n is None else n
@@ -104,20 +109,29 @@ class HomologyComplex:
     def dim(self, n: int, m: int) -> int:
         return len(self.basis(n, m))
 
-    def _image(self, k: int, n: int, g: DualGen) -> dict:
-        """f^(k)_n(1|g|1), computed once per (k, n, g)."""
-        if (k, n, g) not in self._images:
-            self._images[(k, n, g)] = gen_image(k, n, g)
-        return self._images[(k, n, g)]
+    def columns(self, deg: int) -> dict:
+        """{(word_idx, DualGen): [(layer offset, word_idx, DualGen, int)]}:
+        the differential of omega_i x|g at degree deg + 4i with the layer i
+        taken out, built once per relative degree deg = n - 4i.  The d part
+        has offset 0 and the f part offset -1 (it applies from i >= 1)."""
+        if deg not in self._columns:
+            cols = {}
+            for g in dual_basis(deg):
+                d, f = gen_image(0, deg, g), gen_image(1, deg, g)
+                for x in range(DIM):
+                    col = [(0, y, v, c)
+                           for (y, v), c in reduce_image(d, x).items()]
+                    col += [(-1, y, v, c)
+                            for (y, v), c in reduce_image(f, x).items()]
+                    cols[(x, g)] = col
+            self._columns[deg] = cols
+        return self._columns[deg]
 
     def diff_key(self, n: int, key) -> dict:
         """Differential of a single basis element of degree n."""
         i, x, g = key
-        deg = n - 4 * i
-        out = reduce_image(self._image(0, deg, g), x, i)
-        if i >= 1:
-            reduce_image(self._image(1, deg, g), x, i - 1, out)
-        return out
+        col = self.columns(n - 4 * i)[(x, g)]
+        return {(i + o, y, v): c for o, y, v, c in col if i + o >= 0}
 
     def diff_elem(self, n: int, elem: dict) -> dict:
         out = {}
@@ -126,33 +140,25 @@ class HomologyComplex:
                 _add(out, key2, c * c2)
         return out
 
-    def matrix(self, n: int, m: int) -> SparseMat:
-        """Matrix of the differential (n, m) -> (n-1, m+1)."""
-        if (n, m) in self._mat:
-            return self._mat[(n, m)]
-        F = self.field
-        src = self.basis(n, m)
-        tgt = self.basis(n - 1, m + 1)
+    def _assemble(self, n: int, src, tgt) -> SparseMat:
+        """The differential from the keys src of degree n into tgt."""
         pos = {k: r for r, k in enumerate(tgt)}
         ent = {}
         for col, key in enumerate(src):
             for key2, c in self.diff_key(n, key).items():
-                ent[(pos[key2], col)] = F.of(c)
-        mat = SparseMat(len(tgt), len(src), ent, F)
-        self._mat[(n, m)] = mat
-        return mat
+                ent[(pos[key2], col)] = c
+        return SparseMat(len(tgt), len(src), ent, self.field)
+
+    def matrix(self, n: int, m: int) -> SparseMat:
+        """Matrix of the differential (n, m) -> (n-1, m+1), assembled from
+        the layer-free columns; not retained (ranks are memoised)."""
+        return self._assemble(n, self.basis(n, m), self.basis(n - 1, m + 1))
 
     def kt_matrix(self, n: int, m: int) -> SparseMat:
         """Matrix of the one-stratum differential on the omega_0 block only."""
-        F = self.field
         src = [k for k in self.basis(n, m) if k[0] == 0]
         tgt = [k for k in self.basis(n - 1, m + 1) if k[0] == 0]
-        pos = {k: r for r, k in enumerate(tgt)}
-        ent = {}
-        for col, (_, x, g) in enumerate(src):
-            for key2, c in reduce_image(self._image(0, n, g), x).items():
-                ent[(pos[key2], col)] = F.of(c)
-        return SparseMat(len(tgt), len(src), ent, F)
+        return self._assemble(n, src, tgt)
 
     def dim_one_stratum_homology(self, n: int, m: int) -> int:
         """Homology dimension of the omega_0 (one-stratum) complex at (n, m)."""
@@ -318,21 +324,6 @@ def cyclic_series_formula(n: int) -> dict:
     for e, c in qpoly.items():
         put(2 * q + e, c)
     return out
-
-
-def format_series(poly: dict, var="t") -> str:
-    if not poly:
-        return "0"
-    bits = []
-    for e in sorted(poly):
-        c = poly[e]
-        if e == 0:
-            bits.append(str(c))
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-            exp = var if e == 1 else f"{var}^{e}"
-            bits.append(head + exp)
-    return " + ".join(bits).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------

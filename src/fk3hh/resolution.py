@@ -32,6 +32,7 @@ whose generator images `gen_image` gives.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 
 from .exactmath import QQ, SparseMat
 from .fk3core import (
@@ -252,8 +253,11 @@ def _fb_terms(n: int, tag: str):
     raise ValueError(f"f^b has no value on tag {tag!r}")
 
 
+@cache
 def fb_on_gen(n: int, gen: DualGen) -> dict:
-    """f^b_n(1|gen|1) as a sparse K^b_{n+3} element with integer coefficients."""
+    """f^b_n(1|gen|1) as a sparse K^b_{n+3} element with integer coefficients.
+
+    Memoised: every caller shares the returned dict, which is read-only."""
     out = {}
     for coeff, lw, ttag, rw in _fb_terms(n, gen.tag):
         tgen = dgen(ttag, n + 3) if ttag != "eps" else dgen("eps", 0)
@@ -469,21 +473,19 @@ class BimoduleResolution:
     def koszul_block(self, n: int, d: int) -> SparseMat:
         """Matrix of the Koszul differential d^b_n on the internal-degree-d
         component of K^b_n (columns) into K^b_{n-1} (rows)."""
-        F = self.field
         src = kb_comp_basis(n, d)
         tgt = kb_comp_basis(n - 1, d)
         pos = {key: r for r, key in enumerate(tgt)}
         entries = {}
         for col, key in enumerate(src):
             for key2, c in koszul_diff_elem(n, {key: 1}).items():
-                entries[(pos[key2], col)] = F.of(c)
-        return SparseMat(len(tgt), len(src), entries, F)
+                entries[(pos[key2], col)] = c
+        return SparseMat(len(tgt), len(src), entries, self.field)
 
     def delta_block(self, n: int, d: int) -> SparseMat:
         """Matrix of delta^b_n on the internal-degree-d component."""
         if (n, d) in self._delta_blocks:
             return self._delta_blocks[(n, d)]
-        F = self.field
         src = self.pb_comp(n, d)
         tgt = self.pb_comp(n - 1, d)
         tgt_pos = {self.pb_basis(n - 1)[p]: r for r, p in enumerate(tgt)}
@@ -492,8 +494,8 @@ class BimoduleResolution:
         for col, pos in enumerate(src):
             img = self.delta_elem(n, {basis[pos]: 1})
             for key, c in img.items():
-                entries[(tgt_pos[key], col)] = F.of(c)
-        mat = SparseMat(len(tgt), len(src), entries, F)
+                entries[(tgt_pos[key], col)] = c
+        mat = SparseMat(len(tgt), len(src), entries, self.field)
         self._delta_blocks[(n, d)] = mat
         return mat
 

@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
-from fk3hh.exactmath import QQ, PrimeField
+from fk3hh.cohomology import CohomologyComplex, coreduce, transpose_images
+from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
 from fk3hh.homology import (
     HomologyComplex,
@@ -8,10 +11,11 @@ from fk3hh.homology import (
     cyclic_series_formula,
     hilbert_series_formula,
     homology_representatives,
+    reduce_image,
     total_dim_formula,
     verify_representatives,
 )
-from fk3hh.resolution import fb_on_gen
+from fk3hh.resolution import fb_on_gen, gen_image
 from fk3hh.tables import tables_agree_with_maps
 from fk3hh.fk3core import mul_words
 
@@ -284,3 +288,62 @@ def test_rank_kernel_image_spec_values(cx):
         cols.append(col)
     mat = SparseMat.from_cols(cols, max(len(eps_basis), 1))
     assert mat.rank() == 5
+
+
+@functools.cache
+def _gen_image(k, n, g):
+    return gen_image(k, n, g)
+
+
+@functools.cache
+def _transposed(k, n):
+    return transpose_images({u: _gen_image(k, n, u) for u in dual_basis(n)})
+
+
+def _direct_homology_column(n, key):
+    """omega_i x|g at degree n, reduced from the generator images of degree
+    n - 4i: d stays in layer i, f goes to layer i - 1 when i >= 1."""
+    i, x, g = key
+    deg = n - 4 * i
+    out = {(i, y, v): c for (y, v), c in
+           reduce_image(_gen_image(0, deg, g), x).items()}
+    if i >= 1:
+        out.update({(i - 1, y, v): c for (y, v), c in
+                    reduce_image(_gen_image(1, deg, g), x).items()})
+    return out
+
+
+def _direct_cohomology_column(n, key):
+    """omega*_i g*|x at degree n, pulled back along d_{deg+1} into layer i
+    and along f_{deg-3} into layer i + 1, with deg = n - 4i."""
+    i, g, x = key
+    deg = n - 4 * i
+    out = {}
+    for k, src_deg, layer in ((0, deg + 1, i), (1, deg - 3, i + 1)):
+        terms = _transposed(k, src_deg).get(g, ())
+        out.update({(layer, u, y): c
+                    for (u, y), c in coreduce(terms, x).items()})
+    return out
+
+
+def _direct_matrix(src, tgt, column, field):
+    pos = {k: r for r, k in enumerate(tgt)}
+    ent = {(pos[k2], col): c for col, key in enumerate(src)
+           for k2, c in column(key).items()}
+    return SparseMat(len(tgt), len(src), ent, field)
+
+
+def test_layer_assembled_matrices_equal_direct_reduction():
+    for field in (QQ, PrimeField(7)):
+        hom, co = HomologyComplex(field, 40), CohomologyComplex(field, 40)
+        for n in range(41):
+            for m in range(hom.max_m(n) + 1):
+                ref = _direct_matrix(
+                    hom.basis(n, m), hom.basis(n - 1, m + 1),
+                    lambda key: _direct_homology_column(n, key), field)
+                assert hom.matrix(n, m) == ref, (field, "homology", n, m)
+            for m in range(co.min_m(n), 5):
+                ref = _direct_matrix(
+                    co.basis(n, m), co.basis(n + 1, m + 1),
+                    lambda key: _direct_cohomology_column(n, key), field)
+                assert co.matrix(n, m) == ref, (field, "cohomology", n, m)
