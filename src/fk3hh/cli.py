@@ -85,7 +85,8 @@ def _parser():
     common(sp)
     sp.add_argument("--gb-bound", type=int, default=None)
     sp.add_argument("--verify-printed", action="store_true")
-    sp = sub.add_parser("resolution", help="resolution validity checks")
+    sp = sub.add_parser("resolution", help="resolution validity checks "
+                        "(default --max-n 24)")
     common(sp)
     sp = sub.add_parser("verify-all", help="run every verification")
     common(sp)
@@ -306,7 +307,7 @@ def cmd_gb(args, cfg):
 
 def cmd_resolution(args, cfg):
     r = Runner(args, cfg)
-    max_n = _max_n(args, cfg, 12, least=1)
+    max_n = _max_n(args, cfg, 24, least=1)
     res = BimoduleResolution(r.field, max_n=max_n + 1)
     for n in range(1, max_n + 1):
         ok = res.exactness_defect(n) == 0

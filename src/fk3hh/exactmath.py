@@ -1,7 +1,8 @@
 """Exact scalar arithmetic and sparse linear algebra.
 
 Every rank, kernel, image and solve in the project runs through this module,
-and all of them through one sparse elimination kernel, _rref_core: pivot
+and all of them through one sparse elimination kernel (_echelon, wrapped by
+_rref_core, and by rank_of_rows, which also ranks raw integer rows): pivot
 columns in increasing order (so the reduced row echelon form is canonical),
 each taken from the shortest row holding it, with a column -> rows index kept
 up to date as entries fill in and cancel.  Over Q the kernel works on integer
@@ -153,11 +154,30 @@ def scalars(acc, field):
 
 
 def _integral(row):
-    """A rational row scaled to coprime integers (a nonzero multiple of it)."""
+    """A rational row scaled to coprime integers (a nonzero multiple of it);
+    an int row with coprime entries is returned as it is."""
+    if all(type(x) is int for x in row.values()):
+        g = gcd(*row.values())
+        return row if g == 1 else {c: x // g for c, x in row.items()}
     den = lcm(*(x.denominator for x in row.values()))
     row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
     g = gcd(*row.values())
     return {c: x // g for c, x in row.items()}
+
+
+def rank_of_rows(row_dicts, ncols, field, in_field=False):
+    """Rank of rows given as dicts col -> scalar (consumed): the number of
+    pivots of the kernel's forward sweep.  The entries may be raw ints or
+    Fractions: over Q the integer elimination takes them as they are, over
+    F_p they are reduced mod p first, dropping those that vanish, unless
+    in_field says they are residues already (as in a SparseMat)."""
+    p = field.characteristic
+    if p and not in_field:
+        row_dicts = [{c: v for c, x in r.items()
+                      if (v := x % p if type(x) is int else field.of(x))}
+                     for r in row_dicts]
+    pivrows, _ = _echelon(row_dicts, ncols, field, reduced=False)
+    return len(pivrows)
 
 
 def _rref_core(row_dicts, pivot_limit, field, reduced=True):
@@ -491,9 +511,8 @@ class SparseMat:
 
     def rank(self) -> int:
         """Rank: the number of pivots of the elimination kernel."""
-        pivrows, _ = _rref_core(self.row_dicts(), self.cols, self.field,
-                                reduced=False)
-        return len(pivrows)
+        return rank_of_rows(self.row_dicts(), self.cols, self.field,
+                            in_field=True)
 
     def rref(self):
         """Canonical RREF: (list of rows as dicts, sorted pivot columns)."""
@@ -559,9 +578,11 @@ class LinearSolver:
     Each pivot row's identity tail t_p satisfies t_p M = (unit row at p plus
     free columns), so x[p] = t_p . b is a particular solution with free
     variables at zero; leftover rows certify consistency: l . b must vanish.
-    The tails are kept in integers, fraction-free: each transform row is
-    (pcol, den, {i: int}) with t_pcol = row / den (den is 1 over F_p), and
-    each check row is an integer multiple of l.
+    The tails are kept in integers, fraction-free: the t-th transform row,
+    divided by _dens[t] (1 over F_p), is the tail of pivot column _pcols[t],
+    and each check row is an integer multiple of l.  Both sets of rows are
+    stored transposed, indexed by the right-hand-side row, so that a solve
+    touches only the rows meeting b's support.
     """
 
     def __init__(self, mat: SparseMat):
@@ -576,15 +597,18 @@ class LinearSolver:
         def tail(row):
             return {c - mat.cols: v for c, v in row.items() if c >= mat.cols}
 
-        def transform_row(pcol, row):
+        self._pcols, self._dens, transform = [], [], []
+        for pcol, row in pivrows:
             t = tail(row)
             den = row[pcol]
             g = gcd(den, *t.values())
             if den < 0:
                 g = -g
-            return pcol, den // g, {i: v // g for i, v in t.items()}
-        self.transform = [transform_row(pcol, row) for pcol, row in pivrows]
-        self.checks = [tail(row) for row in leftovers]
+            self._pcols.append(pcol)
+            self._dens.append(den // g)
+            transform.append({i: v // g for i, v in t.items()})
+        self._transform = _by_entry(transform)
+        self._checks = _by_entry([tail(row) for row in leftovers])
 
     def solve(self, rhs):
         """Particular solution of M x = rhs (dict row->scalar), or None.
@@ -599,22 +623,32 @@ class LinearSolver:
         e = lcm(*(v.denominator for v in b))
         b = {i: v.numerator * (e // v.denominator)
              for i, v in zip(rhs, b) if v}
-        for row in self.checks:
-            v = _int_dot(row, b)
-            if v % p if p else v:
-                return None
+        if any(v % p if p else v for v in _dots(self._checks, b).values()):
+            return None
         sol = {}
-        for pcol, den, row in self.transform:
-            v = _int_dot(row, b)
-            if p:
-                v %= p
+        dots = _dots(self._transform, b)
+        for t in sorted(dots):
+            v = dots[t] % p if p else dots[t]
             if v:
-                sol[pcol] = v if p else Fraction(v, den * e)
+                sol[self._pcols[t]] = (v if p else
+                                       Fraction(v, self._dens[t] * e))
         return sol
 
 
-def _int_dot(row, b):
-    """Dot product of two sparse integer vectors (dicts index->int)."""
-    if len(row) > len(b):
-        row, b = b, row
-    return sum(v * b[i] for i, v in row.items() if i in b)
+def _by_entry(rows):
+    """Sparse integer rows transposed: {i: [(row number, value at i)]}."""
+    out = {}
+    for t, row in enumerate(rows):
+        for i, v in row.items():
+            out.setdefault(i, []).append((t, v))
+    return out
+
+
+def _dots(by_entry, b):
+    """{t: row_t . b} over the rows meeting b's support (b: dict i -> int),
+    from the rows' transposed index _by_entry; other dots are zero."""
+    out = {}
+    for i, bi in b.items():
+        for t, v in by_entry.get(i, ()):
+            out[t] = out.get(t, 0) + v * bi
+    return out

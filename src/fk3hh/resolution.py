@@ -7,7 +7,14 @@ u is a dual-basis tag of degree n - 4i, and omega_i carries internal degree 6i
 canonical ordering is (omega, dual tag order, left word, right word).
 
 All differentials preserve the internal degree, so matrices are built and
-ranked blockwise per internal degree.
+ranked blockwise per internal degree.  The block of delta_n from omega_i to
+omega_{i-k} at internal degree d is stratum k on K_{n-4i} at internal degree
+d - 6i, whatever i is: each such layer-free piece (k, n - 4i, d - 6i) is
+built once per resolution, by the one bimodule extension (extend_into) that
+every stratum uses, as integer triplets in kb_comp_basis coordinates, and
+the blocks are assembled from the pieces by offsetting rows and columns by
+layer.  Ranks are taken from the assembled integer rows directly; blocks
+are not kept.
 
 The differential of the glued resolution is a homotopy tower
 
@@ -34,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 
-from .exactmath import QQ, SparseMat
+from .exactmath import QQ, SparseMat, rank_of_rows
 from .fk3core import (
     BASIS_WORDS,
     WORD_DEGREE,
@@ -46,6 +53,7 @@ from .fk3core import (
     dual_dim,
     dual_left_action,
     dual_right_action,
+    mul_table,
     mul_words,
 )
 
@@ -267,20 +275,21 @@ def fb_on_gen(n: int, gen: DualGen) -> dict:
     return out
 
 
-def fb_elem(n: int, elem: dict) -> dict:
-    """Bimodule extension of f^b_n to sparse K^b_n elements."""
-    out = {}
-    gen_values = {}
-    for (i, x, u, y), c in elem.items():
-        if u not in gen_values:
-            gen_values[u] = fb_on_gen(n, u)
-        for (_, l, v, r), s in gen_values[u].items():
-            xl = mul_words(x, l)
-            ry = mul_words(r, y)
-            for x2, cx in xl.items():
-                for y2, cy in ry.items():
-                    _add_term(out, (i, x2, v, y2), c * s * cx * cy)
-    return out
+def extend_into(out: dict, i: int, x: int, image: dict, y: int, c=1):
+    """Add c * x.image.y, in layer i, to out: the bimodule extension of a
+    map whose value on the generator 1|u|1 is image, applied to x|u|y."""
+    table = mul_table()
+    for (_, l, v, r), s in image.items():
+        cs = c * s
+        right = table[(r, y)].items()
+        for x2, cx in table[(x, l)].items():
+            for y2, cy in right:
+                key = (i, x2, v, y2)
+                nv = out.get(key, 0) + cs * cx * cy
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
 
 
 def gen_image(k: int, n: int, gen: DualGen) -> dict:
@@ -310,15 +319,16 @@ def f_reduced_on_gen(n: int, gen: DualGen) -> dict:
 # the resolution P^b with its bigraded matrices
 # ---------------------------------------------------------------------------
 
-def kb_comp_basis(deg: int, intdeg: int):
-    """Basis keys of the internal-degree component of K^b_deg."""
+@cache
+def kb_comp_basis(deg: int, intdeg: int) -> tuple:
+    """Basis keys of the internal-degree component of K^b_deg (memoised)."""
     out = []
     for g in dual_basis(deg):
         for x in range(len(BASIS_WORDS)):
             for y in range(len(BASIS_WORDS)):
                 if WORD_DEGREE[x] + g.n + WORD_DEGREE[y] == intdeg:
                     out.append((0, x, g, y))
-    return out
+    return tuple(out)
 
 
 class BimoduleResolution:
@@ -330,35 +340,57 @@ class BimoduleResolution:
         self._basis = {}
         self._index = {}
         self._comp = {}
-        self._delta_blocks = {}
+        self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
         self._delta_ranks = {}
         self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}
 
     # ----- the homotopy tower f^(k) -----
 
     def stratum_on_gen(self, k: int, n: int, gen: DualGen) -> dict:
-        """f^(k)_n(1|gen|1) as a sparse K^b_{n+4k-1} element."""
+        """f^(k)_n(1|gen|1) as a sparse K^b_{n+4k-1} element.
+
+        For k >= 1 the returned dict is shared and read-only."""
         if k <= 1:
             return gen_image(k, n, gen)
         if (k, n) not in self._homotopy:
             self._solve_homotopy(k, n)
-        return {key: c for key, c in
-                self._homotopy[(k, n)].get(gen.tag, {}).items()}
+        return self._homotopy[(k, n)].get(gen.tag, {})
 
     def stratum_elem(self, k: int, n: int, elem: dict) -> dict:
         """Bimodule extension of f^(k)_n to sparse K^b_n elements."""
-        if k == 0:
-            return koszul_diff_elem(n, elem)
         out = {}
         vals = {}
         for (i, x, u, y), c in elem.items():
             if u not in vals:
                 vals[u] = self.stratum_on_gen(k, n, u)
-            for (_, l, v, r), s in vals[u].items():
-                for x2, cx in mul_words(x, l).items():
-                    for y2, cy in mul_words(r, y).items():
-                        _add_term(out, (i, x2, v, y2), c * s * cx * cy)
+            extend_into(out, i, x, vals[u], y, c)
         return out
+
+    def _piece(self, k: int, m: int, e: int):
+        """f^(k)_m on the internal-degree-e component of K^b_m, as integer
+        (or, for solved strata over Q, rational) triplets (row, col, coeff)
+        in the coordinates kb_comp_basis(m, e) -> kb_comp_basis(m+4k-1, e+6k).
+
+        This is the block of delta from omega_i to omega_{i-k} at degree
+        m + 4i and internal degree e + 6i, for every layer i >= k; pieces
+        with m <= max_n + 1 (all that delta_rank may ask for) are kept."""
+        key = (k, m, e)
+        trips = self._pieces.get(key)
+        if trips is not None:
+            return trips
+        row_of = {t: r for r, t in
+                  enumerate(kb_comp_basis(m + 4 * k - 1, e + 6 * k))}
+        trips = []
+        images = {}
+        for col, (_, x, u, y) in enumerate(kb_comp_basis(m, e)):
+            if u not in images:
+                images[u] = self.stratum_on_gen(k, m, u)
+            img = {}
+            extend_into(img, 0, x, images[u], y)
+            trips.extend((row_of[t], col, c) for t, c in img.items())
+        if m <= self.max_n + 1:
+            self._pieces[key] = trips
+        return trips
 
     def _solve_homotopy(self, k: int, n: int):
         """Solve d f^(k)_n = - sum_{a+b=k, a<k} f^(a) f^(b) - f^(k)_{n-1} d."""
@@ -473,41 +505,48 @@ class BimoduleResolution:
     def koszul_block(self, n: int, d: int) -> SparseMat:
         """Matrix of the Koszul differential d^b_n on the internal-degree-d
         component of K^b_n (columns) into K^b_{n-1} (rows)."""
-        src = kb_comp_basis(n, d)
-        tgt = kb_comp_basis(n - 1, d)
-        pos = {key: r for r, key in enumerate(tgt)}
-        entries = {}
-        for col, key in enumerate(src):
-            for key2, c in koszul_diff_elem(n, {key: 1}).items():
-                entries[(pos[key2], col)] = c
-        return SparseMat(len(tgt), len(src), entries, self.field)
+        rows, cols = len(kb_comp_basis(n - 1, d)), len(kb_comp_basis(n, d))
+        return SparseMat(rows, cols, self._piece(0, n, d), self.field)
+
+    def _block_rows(self, n: int, d: int):
+        """Rows (dicts col -> raw coeff) and column count of delta^b_n on the
+        internal-degree-d component, assembled from the pieces by layer
+        offsets: the columns of pb_comp(n, d) are kb_comp_basis(n - 4i,
+        d - 6i) for i = 0, 1, ... in turn, and the rows likewise for n - 1."""
+        def offsets(deg):
+            offs, total = [], 0
+            for i in range(deg // 4 + 1):
+                offs.append(total)
+                total += len(kb_comp_basis(deg - 4 * i, d - 6 * i))
+            return offs, total
+        col_off, cols = offsets(n)
+        row_off, nrows = offsets(n - 1)
+        rows = [{} for _ in range(nrows)]
+        for i, c0 in enumerate(col_off):
+            for k in range(i + 1):
+                piece = self._piece(k, n - 4 * i, d - 6 * i)
+                if piece:
+                    r0 = row_off[i - k]
+                    for r, c, v in piece:
+                        rows[r0 + r][c0 + c] = v
+        return rows, cols
 
     def delta_block(self, n: int, d: int) -> SparseMat:
         """Matrix of delta^b_n on the internal-degree-d component."""
-        if (n, d) in self._delta_blocks:
-            return self._delta_blocks[(n, d)]
-        src = self.pb_comp(n, d)
-        tgt = self.pb_comp(n - 1, d)
-        tgt_pos = {self.pb_basis(n - 1)[p]: r for r, p in enumerate(tgt)}
-        entries = {}
-        basis = self.pb_basis(n)
-        for col, pos in enumerate(src):
-            img = self.delta_elem(n, {basis[pos]: 1})
-            for key, c in img.items():
-                entries[(tgt_pos[key], col)] = c
-        mat = SparseMat(len(tgt), len(src), entries, self.field)
-        self._delta_blocks[(n, d)] = mat
-        return mat
+        rows, cols = self._block_rows(n, d)
+        return SparseMat.from_rows(rows, cols, self.field)
 
     def delta_rank(self, n: int) -> int:
+        """Rank of delta^b_n, from the assembled integer rows of its blocks."""
         if n > self.max_n + 1:
             raise ValueError(f"delta_{n} lies beyond the resolution's "
                              f"degree range (max_n = {self.max_n})")
         if n <= 0:
             return 0
         if n not in self._delta_ranks:
-            self._delta_ranks[n] = sum(self.delta_block(n, d).rank()
-                                       for d in self.intdegs(n))
+            self._delta_ranks[n] = sum(
+                rank_of_rows(*self._block_rows(n, d), self.field)
+                for d in self.intdegs(n))
         return self._delta_ranks[n]
 
     def comp_vector(self, n: int, d: int, elem: dict, field=None):

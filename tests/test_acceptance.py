@@ -32,7 +32,6 @@ from fk3hh.fk3core import (
 from fk3hh.homology import HomologyComplex
 from fk3hh.resolution import (
     BimoduleResolution,
-    fb_elem,
     koszul_diff_elem,
 )
 from fk3hh.tables import tables_agree_with_maps
@@ -116,8 +115,8 @@ def test_criterion_5_resolution_validity(res_q):
     for n in range(0, 9):
         for g in dual_basis(n + 1):
             e = {(0, ONE, g, ONE): 1}
-            lhs = koszul_diff_elem(n + 4, fb_elem(n + 1, e))
-            rhs = fb_elem(n, koszul_diff_elem(n + 1, e))
+            lhs = koszul_diff_elem(n + 4, res_q.stratum_elem(1, n + 1, e))
+            rhs = res_q.stratum_elem(1, n, koszul_diff_elem(n + 1, e))
             tot = dict(lhs)
             for k, c in rhs.items():
                 tot[k] = tot.get(k, 0) + c

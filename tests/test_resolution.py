@@ -1,13 +1,12 @@
 import pytest
 
 from fk3hh.cohomology import coreduce, transpose_images
-from fk3hh.exactmath import QQ, PrimeField
+from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
 from fk3hh.homology import reduce_image
 from fk3hh.resolution import (
     BimoduleResolution,
     f_reduced_on_gen,
-    fb_elem,
     fb_on_gen,
     i_left,
     i_right,
@@ -101,13 +100,13 @@ def test_fb_internal_degree_six():
                 assert BimoduleResolution.intdeg(key) == g.n + 6
 
 
-def test_fb_anticommutation():
+def test_fb_anticommutation(res):
     # d^b_{n+4} f^b_{n+1} + f^b_n d^b_{n+1} = 0 for n <= 8
     for n in range(0, 9):
         for g in dual_basis(n + 1):
             e = {(0, ONE, g, ONE): 1}
-            lhs = koszul_diff_elem(n + 4, fb_elem(n + 1, e))
-            rhs = fb_elem(n, koszul_diff_elem(n + 1, e))
+            lhs = koszul_diff_elem(n + 4, res.stratum_elem(1, n + 1, e))
+            rhs = res.stratum_elem(1, n, koszul_diff_elem(n + 1, e))
             total = dict(lhs)
             for k, c in rhs.items():
                 total[k] = total.get(k, 0) + c
@@ -115,7 +114,8 @@ def test_fb_anticommutation():
                     del total[k]
             assert total == {}, (n, g)
     # and d^b_3 f^b_0 = 0
-    assert koszul_diff_elem(3, fb_elem(0, {(0, ONE, EPS, ONE): 1})) == {}
+    f0 = res.stratum_elem(1, 0, {(0, ONE, EPS, ONE): 1})
+    assert koszul_diff_elem(3, f0) == {}
 
 
 def test_f_reduced_matches_trivial_module_values():
@@ -201,7 +201,7 @@ def test_higher_strata_vanish_under_both_reductions():
     # the induced complexes use only f^(0) = d and f^(1) = f; every higher
     # stratum of the tower must reduce to zero on both sides
     resq = BimoduleResolution(QQ, max_n=21)
-    for k, top in ((2, 17), (3, 13), (4, 9)):
+    for k, top in ((2, 40), (3, 36), (4, 25)):
         for n in range(top + 1):
             images = {g: resq.stratum_on_gen(k, n, g) for g in dual_basis(n)}
             for g, image in images.items():
@@ -216,3 +216,25 @@ def test_delta_blocks_prime_field_ranks_match(res):
     resp = BimoduleResolution(PrimeField(10007), max_n=6)
     for n in range(1, 6):
         assert resp.delta_rank(n) == res.delta_rank(n), n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_layer_assembled_delta_blocks_equal_column_images(field):
+    # delta_block shifts layer-free pieces into place by layer offsets;
+    # here each block is built column by column from delta_elem instead
+    resf = BimoduleResolution(field, max_n=16)
+    for n in range(1, 17):
+        basis = resf.pb_basis(n)
+        tgt_basis = resf.pb_basis(n - 1)
+        ranks = 0
+        for d in resf.intdegs(n):
+            src, tgt = resf.pb_comp(n, d), resf.pb_comp(n - 1, d)
+            row_of = {tgt_basis[pos]: r for r, pos in enumerate(tgt)}
+            entries = {}
+            for col, pos in enumerate(src):
+                for key, c in resf.delta_elem(n, {basis[pos]: 1}).items():
+                    entries[(row_of[key], col)] = c
+            expect = SparseMat(len(tgt), len(src), entries, field)
+            assert resf.delta_block(n, d) == expect, (n, d)
+            ranks += expect.rank()
+        assert resf.delta_rank(n) == ranks, n
