@@ -147,7 +147,7 @@ class Runner:
 
 def cmd_homology(args, cfg):
     r = Runner(args, cfg)
-    max_n = _max_n(args, cfg, 19)
+    max_n = _max_n(args, cfg, 60)
     cx = HomologyComplex(r.field, max_n=max_n)
     grid, totals = cx.homology_dims(max_n)
     ok = all(totals[n] == homod.total_dim_formula(n) for n in range(max_n + 1))
@@ -176,7 +176,7 @@ def cmd_homology(args, cfg):
 
 def cmd_cohomology(args, cfg):
     r = Runner(args, cfg)
-    max_n = _max_n(args, cfg, 20)
+    max_n = _max_n(args, cfg, 60)
     cx = CohomologyComplex(r.field, max_n=max_n)
     grid, totals = cx.cohomology_dims(max_n)
     ok = all(totals[n] == cohomod.total_dim_formula(n)

@@ -14,7 +14,11 @@ as a verification oracle only.  The codifferential of omega*_i g*|x at
 degree n is that of omega*_0 g*|x at degree n - 4i moved up i layers, so
 `columns` pulls back once per relative degree n - 4i, with the layers taken
 out; `diff_key`, `diff_elem` and `matrix` read those columns, shifted by i.
-Matrices are assembled on request and not kept.
+Matrices are assembled on request and not kept; ranks are memoised once per
+omega-layer class.  Below m = 0 the component Q^n_m has no omega*_0 layer
+and is Q^{n-4}_{m+2} one layer up, codifferential included, so `rank` ranks
+only matrices with m >= 0.  `dim` counts the keys layer by layer without
+building a basis, and `fk3core.dual_basis` is memoised and read-only.
 
 Cohomology dimensions come from ranks; `cocycle_basis` returns canonical
 coset representatives (kernel vectors reduced against the RREF of the
@@ -27,9 +31,11 @@ from .exactmath import QQ, SparseMat, Subspace, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
+    DIM_BY_DEGREE,
     WORD_DEGREE,
     chi,
     dual_basis,
+    dual_dim,
     mul_table,
 )
 from .homology import _add
@@ -104,7 +110,11 @@ class CohomologyComplex:
         return self._basis[(n, m)]
 
     def dim(self, n: int, m: int) -> int:
-        return len(self.basis(n, m))
+        """len(basis(n, m)), counted without building the basis: a sum
+        over the layers 0 <= i <= n/4 with 0 <= m + 2i <= 4."""
+        return sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[m + 2 * i]
+                   for i in range(max(0, (1 - m) // 2),
+                                  min(n // 4, (4 - m) // 2) + 1))
 
     def columns(self, deg: int) -> dict:
         """{(DualGen, word_idx): [(layer offset, DualGen, word_idx, int)]}:
@@ -155,7 +165,12 @@ class CohomologyComplex:
         return SparseMat(len(pos), len(src), ent, self.field)
 
     def rank(self, n: int, m: int) -> int:
-        if n < 0 or not self.basis(n, m):
+        # Below m = 0 the component Q^n_m has no omega*_0 layer: it is
+        # Q^{n-4}_{m+2} moved up one layer, and so is its codifferential
+        # (the target's extra layer-0 rows are reached from no source).
+        while m < 0:
+            n, m = n - 4, m + 2
+        if n < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
             self._rank[(n, m)] = self.matrix(n, m).rank()

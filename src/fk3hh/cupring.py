@@ -409,24 +409,32 @@ class CupRing:
         return report
 
     def _words_of_bidegree(self, letters, hom, intd, max_len=5):
+        """The nonempty words of at most max_len letters with bidegree
+        (hom, intd), in depth-first order.  A branch is cut once its
+        homological degree passes hom or its internal degree can no longer
+        come down to intd: letters of homological degree 0 only raise the
+        internal degree, and the others lower it by at most num/den per
+        unit of homological degree."""
+        bidegrees = [GENERATOR_BIDEGREES[j] for j in letters]
+        assert all(ij >= 0 for dj, ij in bidegrees if dj == 0)
+        num, den = max(((-ij, dj) for dj, ij in bidegrees if dj),
+                       key=lambda s: s[0] / s[1], default=(0, 1))
         out = []
 
         def rec(word, h, d):
             if h == hom and d == intd and word:
                 out.append(tuple(word))
-            if len(word) >= max_len or h > hom:
+            if len(word) >= max_len:
                 return
-            for j in letters:
-                dj, ij = GENERATOR_BIDEGREES[j]
-                if h + dj <= hom:
+            for j, (dj, ij) in zip(letters, bidegrees):
+                h2, d2 = h + dj, d + ij
+                if h2 <= hom and den * (d2 - intd) <= num * (hom - h2):
                     word.append(j)
-                    rec(word, h + dj, d + ij)
+                    rec(word, h2, d2)
                     word.pop()
 
         rec([], 0, 0)
-        return [w for w in out
-                if sum(GENERATOR_BIDEGREES[j][0] for j in w) == hom
-                and sum(GENERATOR_BIDEGREES[j][1] for j in w) == intd]
+        return out
 
     def multiplication_table(self):
         """Classes of all pairwise products X_i cup X_j."""

@@ -197,8 +197,11 @@ def dgen(tag: str, n: int):
     return DualGen(n, tag) if n >= _MIN_N[tag] else None
 
 
+@cache
 def dual_basis(n: int):
-    """Ordered basis tags of (A^!_{-n})^*; dims 1, 3, 5, 6, 6, ..."""
+    """Ordered basis tags of (A^!_{-n})^*; dims 1, 3, 5, 6, 6, ...
+
+    Memoised; the tuple is shared between calls."""
     if n < 0:
         return ()
     if n == 0:

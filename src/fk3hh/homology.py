@@ -12,7 +12,12 @@ The differential of omega_i x|g at degree n is that of omega_0 x|g at
 degree n - 4i moved up i layers, so `columns` reduces the images once per
 relative degree n - 4i, with the layers taken out; `diff_key`, `diff_elem`
 and every matrix read those columns, shifted by i.  Matrices are assembled
-on request and not kept: only their ranks are memoised.
+on request and not kept: only their ranks are memoised, once per omega-layer
+class.  Above m = 4 the (n, m) component has no omega_0 layer and is the
+(n - 4, m - 2) component one layer up, differential included, so `rank`
+ranks only matrices with m <= 4.  `dim` counts the keys layer by layer
+without building a basis, so bases are built only for the matrices that
+are assembled; `fk3core.dual_basis` is memoised and read-only.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 hand-picked representative bases; those enter only through
@@ -26,12 +31,14 @@ from .exactmath import QQ, SparseMat, Subspace
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
+    DIM_BY_DEGREE,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
     chi,
     dgen,
     dual_basis,
+    dual_dim,
     mul_table,
 )
 from .resolution import gen_image
@@ -107,7 +114,11 @@ class HomologyComplex:
         return self._basis[(n, m)]
 
     def dim(self, n: int, m: int) -> int:
-        return len(self.basis(n, m))
+        """len(basis(n, m)), counted without building the basis: a sum
+        over the layers 0 <= i <= n/4 with 0 <= m - 2i <= 4."""
+        return sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[m - 2 * i]
+                   for i in range(max(0, (m - 3) // 2),
+                                  min(n // 4, m // 2) + 1))
 
     def columns(self, deg: int) -> dict:
         """{(word_idx, DualGen): [(layer offset, word_idx, DualGen, int)]}:
@@ -170,7 +181,12 @@ class HomologyComplex:
         return dim - r_out - r_in
 
     def rank(self, n: int, m: int) -> int:
-        if n < 1 or m < 0 or not self.basis(n, m):
+        # Above m = 4 the (n, m) component has no omega_0 layer: it is the
+        # (n - 4, m - 2) component moved up one layer, and so is its
+        # differential (the f part leaving layer 1 would land in A_{m+1} = 0).
+        while m > 4:
+            n, m = n - 4, m - 2
+        if n < 1 or m < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
             self._rank[(n, m)] = self.matrix(n, m).rank()

@@ -279,15 +279,23 @@ def normal_form(p, basis: GBasis, strategy=None, skip=None):
     The default strategy always rewrites the largest reducible monomial at its
     leftmost divisor, which is deterministic; `strategy(reducibles)` may pick
     any (word, pos, idx) triple instead — the result is the same once the
-    basis is confluent.  The element at index `skip` is not used.
+    basis is confluent.  The element at index `skip` is not used.  The
+    default strategy looks each word up once: a word it found irreducible
+    stays so for the rest of the call.
     """
     F = basis.algebra.field
     p = dict(p)
+    irreducible = set()
     while True:
         reducibles = []
         for w in sorted(p, key=word_key, reverse=True):
+            if w in irreducible:
+                continue
             hit = basis.find_divisor(w, skip)
-            if hit is not None:
+            if hit is None:
+                if strategy is None:
+                    irreducible.add(w)
+            else:
                 reducibles.append((w, hit[0], hit[1]))
                 if strategy is None:
                     break

@@ -347,3 +347,21 @@ def test_layer_assembled_matrices_equal_direct_reduction():
                     co.basis(n, m), co.basis(n + 1, m + 1),
                     lambda key: _direct_cohomology_column(n, key), field)
                 assert co.matrix(n, m) == ref, (field, "cohomology", n, m)
+
+
+@pytest.mark.parametrize("field, top", [(PrimeField(7), 60), (QQ, 32)],
+                         ids=["f7", "q"])
+def test_layer_class_ranks_equal_direct_ranks(field, top):
+    """rank() ranks one matrix per omega-layer class and dim() counts without
+    building a basis: both agree with each component's own matrix and basis,
+    from one below to one above the support in m."""
+    hom, co = HomologyComplex(field, top), CohomologyComplex(field, top)
+    for n in range(top + 1):
+        for m in range(-1, hom.max_m(n) + 2):
+            assert hom.dim(n, m) == len(hom.basis(n, m)), ("homology", n, m)
+            assert hom.rank(n, m) == hom.matrix(n, m).rank(), \
+                ("homology", n, m)
+        for m in range(co.min_m(n) - 1, 6):
+            assert co.dim(n, m) == len(co.basis(n, m)), ("cohomology", n, m)
+            assert co.rank(n, m) == co.matrix(n, m).rank(), \
+                ("cohomology", n, m)
