@@ -11,6 +11,7 @@ any work or output; 3 on an internal error of the engine).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -88,7 +89,9 @@ def _parser():
     sp = sub.add_parser("resolution", help="resolution validity checks "
                         "(default --max-n 24)")
     common(sp)
-    sp = sub.add_parser("verify-all", help="run every verification")
+    sp = sub.add_parser("verify-all", help="run every verification (the cup "
+                        "checks with --max-n 16, span to degree 12 and "
+                        "commutativity to 9)")
     common(sp)
     sp.add_argument("--gb-bound", type=int, default=None)
     return p
@@ -223,11 +226,17 @@ def _check_cup_degrees(max_n, requested):
                              f"{top}, beyond --max-n {max_n}")
 
 
-def cmd_cup(args, cfg):
+# hh cup's default bounds, and the wider ones hh verify-all checks
+CUP_DEFAULTS = {"gen-degree": 8, "commutativity-degree": 7, "max-n": 12}
+VERIFY_ALL_CUP = {"gen-degree": 12, "commutativity-degree": 9, "max-n": 16}
+
+
+def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
     r = Runner(args, cfg)
-    gen_degree = _merge(args, cfg, "gen-degree", 8)
-    comm_degree = _merge(args, cfg, "commutativity-degree", 7)
-    max_n = _merge(args, cfg, "max-n", 12)
+    gen_degree = _merge(args, cfg, "gen-degree", defaults["gen-degree"])
+    comm_degree = _merge(args, cfg, "commutativity-degree",
+                         defaults["commutativity-degree"])
+    max_n = _merge(args, cfg, "max-n", defaults["max-n"])
     alg = ncg.ring_algebra(r.field)
     comm_rels = ncg.load_commutation_relations(alg)
     ideal_rels = ncg.load_ideal_relations(alg)
@@ -319,7 +328,8 @@ def cmd_resolution(args, cfg):
 
 def cmd_verify_all(args, cfg):
     rc = 0
-    for fn in (cmd_homology, cmd_cohomology, cmd_cup, cmd_gb, cmd_resolution):
+    wide_cup = functools.partial(cmd_cup, defaults=VERIFY_ALL_CUP)
+    for fn in (cmd_homology, cmd_cohomology, wide_cup, cmd_gb, cmd_resolution):
         rc = max(rc, fn(args, cfg))
     if rc == 0 and field_from_name(
             _merge(args, cfg, "field", "q")).characteristic == 0:

@@ -4,8 +4,11 @@ A degree-m cochain is a dict over the Q-basis keys (i, DualGen, word_idx):
 the bimodule map sending the free generator omega_i 1|gen|1 of the resolution
 to the stored element of A.  Lifting such a cocycle to a chain self-map of
 the resolution solves one small linear system per generator and internal
-degree, against cached factorizations of the differential blocks; existence
-is guaranteed by exactness, so an unsolvable stage signals a real bug.
+degree, against cached factorizations of the differential blocks (factored
+from their raw integer rows); existence is guaranteed by exactness, so an
+unsolvable stage signals a real bug.  Each stage is held in integers over one
+denominator (LiftStage), and every product is summed in integers and made a
+field scalar once.
 
 cup(f, g) composes f with stage deg(f) of g's lift and reduces the resulting
 cochain to canonical class coordinates.  Longer products evaluate words
@@ -14,14 +17,24 @@ x_{i_1} ... x_{i_r} as f = X_{i_1} composed with successive lift stages.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .cohomology import CohomologyComplex
-from .exactmath import QQ, EchelonBasis, SparseMat, scalars
+from .exactmath import (
+    QQ,
+    EchelonBasis,
+    LinearSolver,
+    SparseMat,
+    scalars,
+    to_integers,
+)
 from .fk3core import (
     BASIS_BY_DEGREE,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
     dgen,
+    mul_table,
     mul_words,
 )
 from .resolution import BimoduleResolution
@@ -77,6 +90,50 @@ class LiftError(RuntimeError):
     """A lift stage was unsolvable: resolution or cocycle data is broken."""
 
 
+class LiftStage:
+    """Stage k of a chain lift, held in integers: the image of the free
+    generator omega_i 1|g|1 of P^b_{k+m} is images[(i, g)] / den, where
+    images[(i, g)] is an element of P^b_k with integer coefficients and den
+    is one integer for the whole stage (1 over F_p)."""
+
+    __slots__ = ("images", "den", "_by_target")
+
+    def __init__(self, images: dict, den: int = 1):
+        self.images = images
+        self.den = den
+        self._by_target = None
+
+    @classmethod
+    def of_scalars(cls, values: dict, field):
+        """The stage with the generator images values: {(i, g): element with
+        field-scalar (or int) coefficients}."""
+        if field.characteristic:
+            return cls(values)
+        den = lcm(*(c.denominator for elem in values.values()
+                    for c in elem.values()))
+        return cls({gen: {key: c.numerator * (den // c.denominator)
+                          for key, c in elem.items()}
+                    for gen, elem in values.items()}, den)
+
+    def value(self, gen, field) -> dict:
+        """The image of gen = (i, g) as field scalars."""
+        return scalars(self.images.get(gen, {}), field, self.den)
+
+    def by_target(self) -> dict:
+        """The image terms listed by the generator they land on: (j, g2) ->
+        [gen, key, c, gen, key, c, ...] for each term c key, key = (j, x,
+        g2, y), of images[gen]; flat, so that no tuple is held per term.
+        Built on first use."""
+        if self._by_target is None:
+            index = {}
+            for gen, img in self.images.items():
+                for key, c in img.items():
+                    terms = index.setdefault((key[0], key[2]), [])
+                    terms.extend((gen, key, c))
+            self._by_target = index
+        return self._by_target
+
+
 class ChainLift:
     """Chain self-map of the resolution lifting a degree-m cocycle."""
 
@@ -84,13 +141,17 @@ class ChainLift:
         self.ring = ring
         self.cochain = dict(cochain)
         self.m, self.intdeg = cochain_degrees(cochain)
-        self.stages = []  # stage k: {(i, gen): element of P^b_k}
+        self.stages = []  # stage k: a LiftStage on the generators of P^b_{k+m}
 
     def ensure(self, horizon: int):
         while len(self.stages) <= horizon:
             self._solve_stage(len(self.stages))
 
     def _solve_stage(self, k: int):
+        """Solve stage k generator by generator.  For k >= 1 the right-hand
+        side is stage k - 1 on delta(1|g|1), an integer vector over a
+        denominator d; it is solved as it is and the solution divided by d
+        (the solver is linear)."""
         ring = self.ring
         res = ring.res
         F = ring.field
@@ -99,59 +160,62 @@ class ChainLift:
             raise LiftError(
                 f"lift horizon {k} needs the resolution to degree {k + m}, "
                 f"built only to {res.max_n}")
-        stage = {}
-        gens = res.pb_gens(k + m)
+        values = {}
         # group by the internal degree of the solved component
         by_deg = {}
-        for i, g in gens:
-            src_int = g.n + 6 * i
-            tgt_int = src_int + self.intdeg
+        for i, g in res.pb_gens(k + m):
+            tgt_int = g.n + 6 * i + self.intdeg
             by_deg.setdefault(tgt_int, []).append((i, g))
         for tgt_int, batch in by_deg.items():
-            rhs_list = []
-            for i, g in batch:
-                gen_elem = {(i, W[""], g, W[""]): 1}
-                if k == 0:
-                    val = ring.evaluate_cochain(self.cochain, gen_elem)
-                    rhs_list.append(val)
-                else:
-                    img = res.delta_elem(k + m, gen_elem)
-                    prev = self.apply(k - 1, img)
-                    rhs_list.append(res.comp_vector(k - 1, tgt_int, prev, F))
             if k == 0:
                 solver = ring.augmentation_solver(tgt_int)
             else:
                 solver = ring.delta_solver(k, tgt_int)
-            for (i, g), rhs in zip(batch, rhs_list):
+            for i, g in batch:
+                if k == 0:
+                    rhs = ring.evaluate_cochain(
+                        self.cochain, {(i, W[""], g, W[""]): 1})
+                    d = 1
+                else:
+                    acc, d = self._image(k - 1, ring.gen_delta(k + m, i, g))
+                    rhs = res.comp_vector(k - 1, tgt_int, acc)
                 sol = solver.solve(rhs)
                 if sol is None:
                     raise LiftError(
                         f"stage {k} unsolvable on generator omega_{i} {g}")
-                if k == 0:
-                    elem = ring.pb0_comp_element(tgt_int, sol)
-                else:
-                    elem = res.comp_element(k, tgt_int, sol)
-                stage[(i, g)] = elem
-        self.stages.append(stage)
+                if d != 1:
+                    sol = scalars(sol, F, d)
+                values[(i, g)] = res.comp_element(k, tgt_int, sol)
+        self.stages.append(LiftStage.of_scalars(values, F))
 
-    def apply(self, k: int, elem: dict) -> dict:
-        """Bimodule extension of stage k to an element of P^b_{k+m}.
-
-        elem's coefficients must be ints or field scalars; products are
-        summed raw and each output coefficient is made a scalar once."""
+    def _image(self, k: int, elem: dict):
+        """Stage k on elem, as (integer sums, their denominator)."""
         stage = self.stages[k]
+        images = stage.images
+        table = mul_table()
+        elem, e = to_integers(elem, self.ring.field)
         acc = {}
         for (i, x, g, y), c in elem.items():
-            val = stage.get((i, g))
+            val = images.get((i, g))
             if not val:
                 continue
             for (j, x2, g2, y2), s in val.items():
                 cs = c * s
-                for x3, cx in mul_words(x, x2).items():
-                    for y3, cy in mul_words(y2, y).items():
+                right = table[(y2, y)].items()
+                for x3, cx in table[(x, x2)].items():
+                    for y3, cy in right:
                         key = (j, x3, g2, y3)
-                        acc[key] = acc.get(key, 0) + cs * (cx * cy)
-        return scalars(acc, self.ring.field)
+                        acc[key] = acc.get(key, 0) + cs * cx * cy
+        return acc, stage.den * e
+
+    def apply(self, k: int, elem: dict) -> dict:
+        """Bimodule extension of stage k to an element of P^b_{k+m}.
+
+        elem's coefficients must be ints or field scalars; it is scaled to
+        integers over a common denominator, the products are summed in
+        integers and each output coefficient is made a scalar once."""
+        acc, den = self._image(k, elem)
+        return scalars(acc, self.ring.field, den)
 
     def perturb_stage(self, k: int, seed: int = 0):
         """Replace stage k by another valid solution (adds a kernel vector).
@@ -163,7 +227,8 @@ class ChainLift:
         res = ring.res
         F = ring.field
         self.ensure(k)
-        stage = dict(self.stages[k])
+        stage = {gen: self.stages[k].value(gen, F)
+                 for gen in self.stages[k].images}
         changed = False
         for idx, ((i, g), elem) in enumerate(sorted(stage.items(), key=str)):
             tgt_int = g.n + 6 * i + self.intdeg
@@ -180,7 +245,7 @@ class ChainLift:
             stage[(i, g)] = scalars(new, F)
             changed = True
         if changed:
-            self.stages = self.stages[:k] + [stage]
+            self.stages = self.stages[:k] + [LiftStage.of_scalars(stage, F)]
         return changed
 
 
@@ -192,6 +257,7 @@ class CupRing:
         self.res = BimoduleResolution(field, max_n=max_n)
         self.cox = CohomologyComplex(field, max_n=max_n)
         self._lifts = {}
+        self._gen_deltas = {}
         self._delta_solvers = {}
         self._aug_solvers = {}
         self._product_cache = {}
@@ -200,16 +266,23 @@ class CupRing:
     # ----- solver plumbing -----
 
     def delta_solver(self, k: int, intdeg: int):
+        """Solver of delta^b_k on the internal-degree component, factorised
+        from the block's raw integer rows."""
         if (k, intdeg) not in self._delta_solvers:
-            self._delta_solvers[(k, intdeg)] = \
-                self.res.delta_block(k, intdeg).solver()
+            self._delta_solvers[(k, intdeg)] = LinearSolver.from_rows(
+                *self.res.block_rows(k, intdeg), self.field)
         return self._delta_solvers[(k, intdeg)]
+
+    def gen_delta(self, n: int, i: int, g) -> dict:
+        """delta^b_n(omega_i 1|g|1), memoised (it depends on no lift)."""
+        key = (n, i, g)
+        if key not in self._gen_deltas:
+            self._gen_deltas[key] = self.res.delta_elem(
+                n, {(i, W[""], g, W[""]): 1})
+        return self._gen_deltas[key]
 
     def pb0_comp(self, intdeg: int):
         return self.res.pb_comp(0, intdeg)
-
-    def pb0_comp_element(self, intdeg: int, vec: dict) -> dict:
-        return self.res.comp_element(0, intdeg, vec)
 
     def augmentation_solver(self, intdeg: int):
         """Solver for eps^b restricted to the internal-degree component."""
@@ -233,17 +306,17 @@ class CupRing:
         """Apply a cochain to a resolution element; value in A as {word: c},
         encoded on the augmentation row positions of the right component.
         Coefficients must be ints or field scalars, as in ChainLift.apply."""
-        by_gen = {}
-        for (j, g, w), cc in cochain.items():
-            by_gen.setdefault((j, g), []).append((w, cc))
+        by_gen, e = _by_generator(cochain, self.field)
+        elem, e2 = to_integers(elem, self.field)
+        table = mul_table()
         acc = {}
         for (i, x, g, y), c in elem.items():
             for w, cc in by_gen.get((i, g), ()):
                 ccc = c * cc
-                for w2, c2 in mul_words(x, w).items():
-                    for w3, c3 in mul_words(w2, y).items():
-                        acc[w3] = acc.get(w3, 0) + ccc * (c2 * c3)
-        return scalars(acc, self.field)
+                for w2, c2 in table[(x, w)].items():
+                    for w3, c3 in table[(w2, y)].items():
+                        acc[w3] = acc.get(w3, 0) + ccc * c2 * c3
+        return scalars(acc, self.field, e * e2)
 
     # ----- lifts and products -----
 
@@ -266,16 +339,26 @@ class CupRing:
         """The cochain f . g_stage as a cochain on degree stage + deg(g).
 
         On a generator 1|g|1 the bimodule extension of the stage is the
-        stage's stored value, so that value is read, not applied."""
+        stage's stored value, so that value is read, not applied: a term
+        c x|g2|y of it, in layer j, adds c x.f(1|g2|1).y at (i, g).  Only the
+        terms on the generators where f is nonzero are visited (through
+        the stage's by_target index), and the sums are kept in integers."""
         lift.ensure(stage)
-        values = lift.stages[stage]
-        out = {}
-        for i, g in self.res.pb_gens(stage + lift.m):
-            img = values.get((i, g))
-            if img:
-                for w, c in self.evaluate_cochain(cochain, img).items():
-                    out[(i, g, w)] = c
-        return out
+        st = lift.stages[stage]
+        by_gen, e = _by_generator(cochain, self.field)
+        index = st.by_target()
+        table = mul_table()
+        acc = {}
+        for jg, terms in by_gen.items():
+            flat = iter(index.get(jg, ()))
+            for (i, g), (_, x, _, y), c in zip(flat, flat, flat):
+                for w, cc in terms:
+                    ccc = c * cc
+                    for w2, c2 in table[(x, w)].items():
+                        for w3, c3 in table[(w2, y)].items():
+                            key = (i, g, w3)
+                            acc[key] = acc.get(key, 0) + ccc * c2 * c3
+        return scalars(acc, self.field, st.den * e)
 
     def cup_cochain(self, f: dict, g_key, g: dict) -> dict:
         """Cochain-level product f . (lift of g) at stage deg(f)."""
@@ -484,6 +567,16 @@ class CupRing:
                         if c1 != want:
                             failures.append((n1, i1, n2, i2))
         return {"checked": checked, "failures": failures, "ok": not failures}
+
+
+def _by_generator(cochain: dict, field):
+    """(by_gen, e): the cochain scaled to integers over its common
+    denominator e, grouped as (j, g) -> [(word, int)]."""
+    ints, e = to_integers(cochain, field)
+    by_gen = {}
+    for (j, g, w), c in ints.items():
+        by_gen.setdefault((j, g), []).append((w, c))
+    return by_gen, e
 
 
 class _AugSolverView:

@@ -2,7 +2,8 @@
 
 Every rank, kernel, image and solve in the project runs through this module,
 and all of them through one sparse elimination kernel (_echelon, wrapped by
-_rref_core, and by rank_of_rows, which also ranks raw integer rows): pivot
+_rref_core, by rank_of_rows, which also ranks raw integer rows, and by
+LinearSolver, which factorises a SparseMat or raw integer rows): pivot
 columns in increasing order (so the reduced row echelon form is canonical),
 each taken from the shortest row holding it, with a column -> rows index kept
 up to date as entries fill in and cancel.  Over Q the kernel works on integer
@@ -142,15 +143,46 @@ def field_from_name(name: str):
     raise FieldError(f"unknown field {name!r}")
 
 
-def scalars(acc, field):
-    """Sums accumulated in raw ints or Fractions, made field scalars once,
-    with the zeros dropped (over F_p a sum may be a nonzero multiple of p)."""
+def scalars(acc, field, den=1):
+    """Sums accumulated in raw ints or Fractions, divided by the integer den
+    and made field scalars once, with the zeros dropped (over F_p a sum may
+    be a nonzero multiple of p)."""
+    if den != 1:
+        if not field.characteristic:
+            return {key: Fraction(v, den) for key, v in acc.items() if v}
+        inv = field.inv(den)
+        acc = {key: v * inv for key, v in acc.items()}
     out = {}
     for key, v in acc.items():
         v = field.of(v)
         if v:
             out[key] = v
     return out
+
+
+def to_integers(vec, field):
+    """(ints, e): a vector of raw ints or anything field.of accepts, scaled
+    to integers by the common denominator e of its entries, zeros dropped;
+    vec = ints / e.  Over F_p the entries are reduced to residues, e = 1."""
+    if field.characteristic:
+        return {i: v for i, x in vec.items() if (v := field.of(x))}, 1
+    vec = {i: x if type(x) is int else field.of(x) for i, x in vec.items()}
+    e = lcm(*(v.denominator for v in vec.values()))
+    if e == 1:
+        return {i: v.numerator for i, v in vec.items() if v}, 1
+    return {i: v.numerator * (e // v.denominator)
+            for i, v in vec.items() if v}, e
+
+
+def _field_rows(row_dicts, field):
+    """Raw rows (dicts col -> int or Fraction) as elimination input: as they
+    are over Q, reduced mod p over F_p, dropping the entries that vanish."""
+    p = field.characteristic
+    if not p:
+        return row_dicts
+    return [{c: v for c, x in r.items()
+             if (v := x % p if type(x) is int else field.of(x))}
+            for r in row_dicts]
 
 
 def _integral(row):
@@ -171,11 +203,8 @@ def rank_of_rows(row_dicts, ncols, field, in_field=False):
     Fractions: over Q the integer elimination takes them as they are, over
     F_p they are reduced mod p first, dropping those that vanish, unless
     in_field says they are residues already (as in a SparseMat)."""
-    p = field.characteristic
-    if p and not in_field:
-        row_dicts = [{c: v for c, x in r.items()
-                      if (v := x % p if type(x) is int else field.of(x))}
-                     for r in row_dicts]
+    if not in_field:
+        row_dicts = _field_rows(row_dicts, field)
     pivrows, _ = _echelon(row_dicts, ncols, field, reduced=False)
     return len(pivrows)
 
@@ -586,16 +615,26 @@ class LinearSolver:
     """
 
     def __init__(self, mat: SparseMat):
-        F = mat.field
+        self._factor(mat.row_dicts(), mat.cols, mat.field)
+
+    @classmethod
+    def from_rows(cls, row_dicts, cols, field):
+        """The solver of the matrix with these raw rows (dicts col -> int or
+        Fraction, consumed), factorised without building a SparseMat: over
+        F_p the entries are reduced mod p first, as rank_of_rows does."""
+        solver = cls.__new__(cls)
+        solver._factor(_field_rows(row_dicts, field), cols, field)
+        return solver
+
+    def _factor(self, rows, cols, F):
         self.field = F
-        self.cols = mat.cols
-        rows = mat.row_dicts()
-        for i in range(mat.rows):
-            rows[i][mat.cols + i] = F.one
-        pivrows, leftovers = _echelon(rows, mat.cols, F)
+        self.cols = cols
+        for i, row in enumerate(rows):
+            row[cols + i] = 1
+        pivrows, leftovers = _echelon(rows, cols, F)
 
         def tail(row):
-            return {c - mat.cols: v for c, v in row.items() if c >= mat.cols}
+            return {c - cols: v for c, v in row.items() if c >= cols}
 
         self._pcols, self._dens, transform = [], [], []
         for pcol, row in pivrows:
@@ -617,12 +656,8 @@ class LinearSolver:
         so each coordinate is one integer dot product, made a scalar once:
         x[p] = (t . e b) / (den e) over Q, (t . b) mod p over F_p.
         """
-        F = self.field
-        p = F.characteristic
-        b = [F.of(v) for v in rhs.values()]
-        e = lcm(*(v.denominator for v in b))
-        b = {i: v.numerator * (e // v.denominator)
-             for i, v in zip(rhs, b) if v}
+        p = self.field.characteristic
+        b, e = to_integers(rhs, self.field)
         if any(v % p if p else v for v in _dots(self._checks, b).values()):
             return None
         sol = {}

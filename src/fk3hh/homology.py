@@ -14,10 +14,12 @@ relative degree n - 4i, with the layers taken out; `diff_key`, `diff_elem`
 and every matrix read those columns, shifted by i.  Matrices are assembled
 on request and not kept: only their ranks are memoised, once per omega-layer
 class.  Above m = 4 the (n, m) component has no omega_0 layer and is the
-(n - 4, m - 2) component one layer up, differential included, so `rank`
-ranks only matrices with m <= 4.  `dim` counts the keys layer by layer
-without building a basis, so bases are built only for the matrices that
-are assembled; `fk3core.dual_basis` is memoised and read-only.
+(n - 4, m - 2) component one layer up, differential included; at m = 4 its
+omega_0 columns map into A_5 = 0, so the rank is still that of (n - 4, 2),
+and `rank` ranks only matrices with m <= 3.  `dim` counts the keys layer
+by layer without building a basis, so bases are built only for the
+matrices that are assembled; `fk3core.dual_basis` is memoised and
+read-only.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 hand-picked representative bases; those enter only through
@@ -181,10 +183,11 @@ class HomologyComplex:
         return dim - r_out - r_in
 
     def rank(self, n: int, m: int) -> int:
-        # Above m = 4 the (n, m) component has no omega_0 layer: it is the
-        # (n - 4, m - 2) component moved up one layer, and so is its
-        # differential (the f part leaving layer 1 would land in A_{m+1} = 0).
-        while m > 4:
+        # From m = 4 on, the (n, m) matrix is the (n - 4, m - 2) matrix moved
+        # up one layer: above m = 4 there is no omega_0 layer (the f part
+        # leaving layer 1 would land in A_{m+1} = 0), and at m = 4 the
+        # omega_0 columns land in A_5 = 0 and add only zero columns.
+        while m >= 4:
             n, m = n - 4, m - 2
         if n < 1 or m < 0 or not self.dim(n, m):
             return 0

@@ -38,7 +38,6 @@ whose generator images `gen_image` gives.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache
 
 from .exactmath import QQ, SparseMat, rank_of_rows
@@ -338,8 +337,8 @@ class BimoduleResolution:
         self.field = field
         self.max_n = max_n
         self._basis = {}
-        self._index = {}
         self._comp = {}
+        self._comp_pos = {}  # (n, d) -> {basis key: position in pb_comp}
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
         self._delta_ranks = {}
         self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}
@@ -462,7 +461,6 @@ class BimoduleResolution:
                         for y in range(len(BASIS_WORDS)):
                             basis.append((i, x, g, y))
             self._basis[n] = basis
-            self._index[n] = {key: pos for pos, key in enumerate(basis)}
         return self._basis[n]
 
     def pb_dim(self, n: int) -> int:
@@ -508,7 +506,7 @@ class BimoduleResolution:
         rows, cols = len(kb_comp_basis(n - 1, d)), len(kb_comp_basis(n, d))
         return SparseMat(rows, cols, self._piece(0, n, d), self.field)
 
-    def _block_rows(self, n: int, d: int):
+    def block_rows(self, n: int, d: int):
         """Rows (dicts col -> raw coeff) and column count of delta^b_n on the
         internal-degree-d component, assembled from the pieces by layer
         offsets: the columns of pb_comp(n, d) are kb_comp_basis(n - 4i,
@@ -533,7 +531,7 @@ class BimoduleResolution:
 
     def delta_block(self, n: int, d: int) -> SparseMat:
         """Matrix of delta^b_n on the internal-degree-d component."""
-        rows, cols = self._block_rows(n, d)
+        rows, cols = self.block_rows(n, d)
         return SparseMat.from_rows(rows, cols, self.field)
 
     def delta_rank(self, n: int) -> int:
@@ -545,24 +543,24 @@ class BimoduleResolution:
             return 0
         if n not in self._delta_ranks:
             self._delta_ranks[n] = sum(
-                rank_of_rows(*self._block_rows(n, d), self.field)
+                rank_of_rows(*self.block_rows(n, d), self.field)
                 for d in self.intdegs(n))
         return self._delta_ranks[n]
 
-    def comp_vector(self, n: int, d: int, elem: dict, field=None):
-        """Coordinates of an element supported in internal degree d."""
-        F = field or self.field
-        self.pb_basis(n)  # fills self._index[n]
-        index, comp = self._index[n], self.pb_comp(n, d)  # comp is sorted
+    def comp_vector(self, n: int, d: int, elem: dict):
+        """Coordinates of an element supported in internal degree d; the
+        coefficients are kept as they are, zeros dropped."""
+        if (n, d) not in self._comp_pos:
+            basis = self.pb_basis(n)
+            self._comp_pos[(n, d)] = {
+                basis[pos]: r for r, pos in enumerate(self.pb_comp(n, d))}
+        where = self._comp_pos[(n, d)]
         out = {}
         for key, c in elem.items():
-            c = F.of(c)
-            if c != F.zero:
-                pos = index[key]
-                r = bisect_left(comp, pos)
-                if r == len(comp) or comp[r] != pos:
+            if c:
+                if key not in where:
                     raise KeyError(f"{key} is not in internal degree {d}")
-                out[r] = c
+                out[where[key]] = c
         return out
 
     def comp_element(self, n: int, d: int, vec: dict):

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from fk3hh.cupring import (
     ChainLift,
     CupRing,
     GENERATOR_BIDEGREES,
+    LiftStage,
     cochain_degrees,
     ring_generators,
 )
@@ -72,7 +75,7 @@ def test_multiplication_lift_of_abac(ring):
     for i, g in res.pb_gens(2):
         m_abac[(i, g)] = {(i, z, g, W[""]): 1}
     lift = ChainLift(ring, ring.generators[3])
-    lift.stages = [None, None, m_abac]  # only stage 2 is used
+    lift.stages = [None, None, LiftStage(m_abac)]  # only stage 2 is used
     prod = ring.compose_with_lift(f, lift, 2)
     cls = ring.cox.class_coordinates(2, prod)
     assert cls == ring.word_class((9, 3))
@@ -226,7 +229,7 @@ def test_generator_stage_applied_to_a_generator_is_its_stored_value(ring):
         for k, stage in enumerate(lift.stages):
             for i, g in ring.res.pb_gens(k + lift.m):
                 assert lift.apply(k, {(i, one, g, one): 1}) == \
-                    stage.get((i, g), {}), (idx, k, i, g)
+                    stage.value((i, g), ring.field), (idx, k, i, g)
 
 
 def compose_reference(ring, cochain, lift, stage):
@@ -247,6 +250,66 @@ def compose_reference(ring, cochain, lift, stage):
                         out[key] = F.add(out.get(key, F.zero),
                                          F.mul(F.of(c), F.of(cc * c2 * c3)))
     return {key: v for key, v in out.items() if v != F.zero}
+
+
+def test_lifts_and_cochains_with_denominators(ring):
+    # The cup-q inputs never leave denominator 1; scaled cocycles do.  Their
+    # lift stages hold integers over den > 1 and the scaled cochains are
+    # composed over a common denominator e > 1; both must agree with the
+    # field-scalar reference, and the class is bilinear.
+    third, two_fifths = Fraction(1, 3), Fraction(2, 5)
+    for i, j in ((9, 12), (13, 8), (8, 9)):
+        f, g = ring.generators[i], ring.generators[j]
+        nf = GENERATOR_BIDEGREES[i][0]
+        f3 = {key: third * c for key, c in f.items()}
+        g25 = {key: two_fifths * c for key, c in g.items()}
+        lift = ring.lift(("2/5", j), g25, horizon=nf)
+        assert lift.stages[0].den % 5 == 0
+        for cochain in (f, f3):
+            got = ring.compose_with_lift(cochain, lift, nf)
+            assert got == compose_reference(ring, cochain, lift, nf), (i, j)
+        got = ring.compose_with_lift(f3, ring.generator_lift(j, nf), nf)
+        assert got == compose_reference(
+            ring, f3, ring.generator_lift(j, nf), nf), (i, j)
+        fg = ring.cup(f, g, g_key=("X", j))
+        assert fg, (i, j)
+        assert ring.cup(f3, g, g_key=("X", j)) == \
+            {k: third * v for k, v in fg.items()}
+        assert ring.cup(f, g25, g_key=("2/5", j)) == \
+            {k: two_fifths * v for k, v in fg.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_delta_solver_from_raw_rows_equals_block_solver(field):
+    # CupRing.delta_solver factorises the raw integer rows of a delta-block;
+    # it must solve exactly as the solver of the assembled SparseMat does.
+    # Over F_7 the block (13, 15) holds raw entries that are nonzero
+    # multiples of 7, which the raw-row solver must reduce to zero.
+    ring = CupRing(field, max_n=8)
+    res = ring.res
+    rng = random.Random(8)
+    blocks = [(k, d) for k in range(1, 9) for d in res.intdegs(k)]
+    if field.characteristic:
+        rows, _ = res.block_rows(13, 15)
+        assert any(v and v % 7 == 0 for r in rows for v in r.values())
+        blocks.append((13, 15))
+    inconsistent = 0
+    for k, d in blocks:
+        block = res.delta_block(k, d)
+        want, got = block.solver(), ring.delta_solver(k, d)
+        for _ in range(4):
+            x = {c: field.of(rng.randint(-4, 4))
+                 for c in rng.sample(range(block.cols), min(block.cols, 3))}
+            b = block.apply(x)
+            sol = got.solve(b)
+            assert sol is not None and sol == want.solve(b), (k, d)
+            assert block.apply(sol) == b
+            b = {r: field.of(rng.randint(1, 4))
+                 for r in rng.sample(range(block.rows), min(block.rows, 2))}
+            sol = got.solve(b)
+            assert sol == want.solve(b), (k, d)
+            inconsistent += sol is None
+    assert inconsistent
 
 
 @pytest.fixture(scope="module")
@@ -274,11 +337,11 @@ def test_compose_with_lift_equals_reference(request, which):
             assert all(v != F.zero and F.of(v) == v for v in got.values())
 
 
-def test_cli_cup_over_prime_field_reduces_the_rational_table(
-        ring, tmp_path, capsys):
+def run_cup_over_prime_field(ring, argv, out, capsys):
+    """Run hh with argv over F_10007; check that every cup check passed and
+    that the table is the rational one reduced mod p.  Returns the lines."""
     F = PrimeField(10007)
-    out = tmp_path / "o"
-    rc = cli.main(["cup", "--field", "prime:10007", "--out", str(out)])
+    rc = cli.main([*argv, "--field", "prime:10007", "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert sum(line.startswith("[pass]") for line in lines) == 5
@@ -287,3 +350,23 @@ def test_cli_cup_over_prime_field_reduces_the_rational_table(
     want = {f"{i},{j}": {str(k): str(F.of(v)) for k, v in cls.items()}
             for (i, j), cls in ring.multiplication_table().items()}
     assert got == want
+    return lines
+
+
+def test_cli_cup_over_prime_field_reduces_the_rational_table(
+        ring, tmp_path, capsys):
+    run_cup_over_prime_field(ring, ["cup"], tmp_path / "o", capsys)
+
+
+def test_verify_all_checks_the_cup_products_wider(
+        ring, tmp_path, capsys, monkeypatch):
+    # hh verify-all runs the cup checks with --max-n 16, the span to degree
+    # 12 and commutativity to 9 (hh cup's own defaults are 12, 8 and 7);
+    # the other commands are stubbed out here
+    for name in ("cmd_homology", "cmd_cohomology", "cmd_gb",
+                 "cmd_resolution"):
+        monkeypatch.setattr(cli, name, lambda args, cfg: 0)
+    lines = run_cup_over_prime_field(ring, ["verify-all"], tmp_path / "o",
+                                     capsys)
+    assert "[pass] graded commutativity to total degree 9" in lines
+    assert "[pass] generator span to degree 12" in lines
