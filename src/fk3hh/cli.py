@@ -323,6 +323,9 @@ def cmd_resolution(args, cfg):
         r.check(f"exactness by rank at degree {n}", ok)
     ok = all(not res.minimality_violations(n) for n in range(1, max_n + 1))
     r.check("minimality (differential entries in the augmentation ideal)", ok)
+    bad = res.square_zero_defects()
+    r.check(f"delta^2 = 0 (d^2 = 0 and d f + f d = 0 on every generator to "
+            f"degree {res.max_n})", not bad, f"fails at degrees {bad}")
     return r.finish()
 
 

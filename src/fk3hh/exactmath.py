@@ -188,8 +188,11 @@ def _field_rows(row_dicts, field):
 def _integral(row):
     """A rational row scaled to coprime integers (a nonzero multiple of it);
     an int row with coprime entries is returned as it is."""
-    if all(type(x) is int for x in row.values()):
+    try:
         g = gcd(*row.values())
+    except TypeError:  # a Fraction among the entries
+        pass
+    else:
         return row if g == 1 else {c: x // g for c, x in row.items()}
     den = lcm(*(x.denominator for x in row.values()))
     row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
@@ -271,14 +274,18 @@ def _eliminate(r, prow, pc, p, colrows, i):
 
     Over F_p, prow[pc] is one and r <- r - r[pc] prow.  Over Q (p == 0) the
     rows hold ints and r <- a r - b prow with a / b = prow[pc] / r[pc] in
-    lowest terms, then r is divided by its content.  Entries that fill in
-    or cancel are recorded for row i in the column index colrows.
+    lowest terms and a > 0 (the sign goes into b: no caller needs r's sign),
+    then r is divided by its content unless a is 1 or the content is.
+    Entries that fill in or cancel are recorded for row i in the column
+    index colrows.
     """
     if p:
         a, b = 1, r[pc]
     else:
         g = gcd(prow[pc], r[pc])
         a, b = prow[pc] // g, r[pc] // g
+        if a < 0:
+            a, b = -a, -b
         if a != 1:
             for c in r:
                 r[c] *= a
@@ -294,8 +301,9 @@ def _eliminate(r, prow, pc, p, colrows, i):
             r[c] = nv
     if a != 1:
         g = gcd(*r.values())
-        for c in r:
-            r[c] //= g
+        if g != 1:
+            for c in r:
+                r[c] //= g
     return r
 
 

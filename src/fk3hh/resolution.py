@@ -274,21 +274,47 @@ def fb_on_gen(n: int, gen: DualGen) -> dict:
     return out
 
 
-def extend_into(out: dict, i: int, x: int, image: dict, y: int, c=1):
-    """Add c * x.image.y, in layer i, to out: the bimodule extension of a
-    map whose value on the generator 1|u|1 is image, applied to x|u|y."""
+@cache
+def _partners():
+    """The nonzero products of the multiplication table, read off it once:
+    (left, right), where left[l] maps each word x with x.l != 0 to the
+    terms of x.l and right[r] each word y with r.y != 0 to those of r.y.
+    Shared and read-only."""
     table = mul_table()
+    words = range(len(BASIS_WORDS))
+    left = [{x: tuple(table[(x, w)].items()) for x in words if table[(x, w)]}
+            for w in words]
+    right = [{y: tuple(table[(w, y)].items()) for y in words if table[(w, y)]}
+             for w in words]
+    return left, right
+
+
+def extend_into(out, image, outer):
+    """Add c * x.image.y to out, for every entry x -> {y: (t, c)} of outer,
+    keying each term x2|v|y2 of the product (t, x2, v, y2): the bimodule
+    extension of a map whose value on the generator 1|u|1 is image, applied
+    to elements x|u|y of that one generator u.  Each term l|v|r of image
+    meets only the words x with x.l != 0 and the words y with r.y != 0."""
+    left, right = _partners()
     for (_, l, v, r), s in image.items():
-        cs = c * s
-        right = table[(r, y)].items()
-        for x2, cx in table[(x, l)].items():
-            for y2, cy in right:
-                key = (i, x2, v, y2)
-                nv = out.get(key, 0) + cs * cx * cy
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
+        rp = right[r]
+        for x, xl in left[l].items():
+            ys = outer.get(x)
+            if ys is None:
+                continue
+            for y, (t, c) in ys.items():
+                ry = rp.get(y)
+                if ry is None:
+                    continue
+                cs = c * s
+                for x2, cx in xl:
+                    for y2, cy in ry:
+                        key = (t, x2, v, y2)
+                        nv = out.get(key, 0) + cs * cx * cy
+                        if nv:
+                            out[key] = nv
+                        else:
+                            del out[key]
 
 
 def gen_image(k: int, n: int, gen: DualGen) -> dict:
@@ -341,28 +367,33 @@ class BimoduleResolution:
         self._comp_pos = {}  # (n, d) -> {basis key: position in pb_comp}
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
         self._delta_ranks = {}
-        self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}
+        self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}, k != 1
 
     # ----- the homotopy tower f^(k) -----
 
     def stratum_on_gen(self, k: int, n: int, gen: DualGen) -> dict:
         """f^(k)_n(1|gen|1) as a sparse K^b_{n+4k-1} element.
 
-        For k >= 1 the returned dict is shared and read-only."""
-        if k <= 1:
-            return gen_image(k, n, gen)
+        The returned dict is shared and read-only: the Koszul stratum k = 0
+        is kept per resolution, like the solved strata k >= 2."""
+        if k == 1:
+            return fb_on_gen(n, gen)
         if (k, n) not in self._homotopy:
-            self._solve_homotopy(k, n)
+            if k == 0:
+                self._homotopy[(0, n)] = {
+                    g.tag: gen_image(0, n, g) for g in dual_basis(n)}
+            else:
+                self._solve_homotopy(k, n)
         return self._homotopy[(k, n)].get(gen.tag, {})
 
     def stratum_elem(self, k: int, n: int, elem: dict) -> dict:
         """Bimodule extension of f^(k)_n to sparse K^b_n elements."""
-        out = {}
-        vals = {}
+        by_gen = {}  # (u, layer) -> {x: {y: (layer, c)}}
         for (i, x, u, y), c in elem.items():
-            if u not in vals:
-                vals[u] = self.stratum_on_gen(k, n, u)
-            extend_into(out, i, x, vals[u], y, c)
+            by_gen.setdefault((u, i), {}).setdefault(x, {})[y] = (i, c)
+        out = {}
+        for (u, _), outer in by_gen.items():
+            extend_into(out, self.stratum_on_gen(k, n, u), outer)
         return out
 
     def _piece(self, k: int, m: int, e: int):
@@ -372,21 +403,22 @@ class BimoduleResolution:
 
         This is the block of delta from omega_i to omega_{i-k} at degree
         m + 4i and internal degree e + 6i, for every layer i >= k; pieces
-        with m <= max_n + 1 (all that delta_rank may ask for) are kept."""
+        with m <= max_n + 1 (all that delta_rank may ask for) are kept.
+        It is built one generator u at a time: the columns x|u|y of u are
+        one extension of the image of 1|u|1, keyed by column."""
         key = (k, m, e)
         trips = self._pieces.get(key)
         if trips is not None:
             return trips
-        row_of = {t: r for r, t in
-                  enumerate(kb_comp_basis(m + 4 * k - 1, e + 6 * k))}
-        trips = []
-        images = {}
+        by_gen = {}
         for col, (_, x, u, y) in enumerate(kb_comp_basis(m, e)):
-            if u not in images:
-                images[u] = self.stratum_on_gen(k, m, u)
-            img = {}
-            extend_into(img, 0, x, images[u], y)
-            trips.extend((row_of[t], col, c) for t, c in img.items())
+            by_gen.setdefault(u, {}).setdefault(x, {})[y] = (col, 1)
+        img = {}
+        for u, outer in by_gen.items():
+            extend_into(img, self.stratum_on_gen(k, m, u), outer)
+        row_of = {t[1:]: r for r, t in
+                  enumerate(kb_comp_basis(m + 4 * k - 1, e + 6 * k))}
+        trips = [(row_of[t[1:]], t[0], c) for t, c in img.items()]
         if m <= self.max_n + 1:
             self._pieces[key] = trips
         return trips
@@ -577,6 +609,26 @@ class BimoduleResolution:
             for (j, x, v, y), c in img.items():
                 if x == one and y == one:
                     bad.append(((i, g), (j, v), c))
+        return bad
+
+    def square_zero_defects(self) -> list:
+        """Degrees n <= max_n at which d_{n-1} d_n or d_{n+3} f_n + f_{n-1} d_n
+        is nonzero on a generator 1|u|1 of K^b_n (none may be).
+
+        These are the tower equations of strata 0 and 1; those of the
+        higher strata hold wherever a stratum is solved (the solve raises
+        otherwise), so together they give delta^2 = 0."""
+        bad = []
+        one = W[""]
+        for n in range(self.max_n + 1):
+            for g in dual_basis(n):
+                de = koszul_diff_elem(n, {(0, one, g, one): 1})
+                anti = koszul_diff_elem(n + 3, fb_on_gen(n, g))
+                for key, c in self.stratum_elem(1, n - 1, de).items():
+                    _add_term(anti, key, c)
+                if koszul_diff_elem(n - 1, de) or anti:
+                    bad.append(n)
+                    break
         return bad
 
     def exactness_defect(self, n: int) -> int:

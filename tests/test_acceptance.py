@@ -145,10 +145,13 @@ def test_criterion_7_cup_relations(ring_q):
     rep2 = ring_q.verify_relations(ncg.load_ideal_relations(alg))
     ok = rep1["ok"] and rep1["checked"] == 97
     ok = ok and rep2["ok"] and rep2["checked"] == 63
-    comm = ring_q.verify_graded_commutativity(max_total=7)
+    comm = ring_q.verify_graded_commutativity(max_total=9)
     ok = ok and comm["ok"]
+    span = ring_q.verify_generating_set(max_degree=8)
+    ok = ok and span["ok"]
     _verdict(7, "all 160 relations vanish under cup products; graded "
-                f"commutativity for {comm['checked']} pairs to degree 7", ok)
+                f"commutativity for {comm['checked']} pairs to degree 9; "
+                "the 14 generators span to degree 8", ok)
 
 
 def _complete(field):

@@ -150,3 +150,16 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     cfgfile.write_text("max-n = two\n")  # a bad value stays a usage error
     assert cli.main(["--config", str(cfgfile), "homology"]) == 2
     assert cli.main(["homology", "--field", "prime:abc"]) == 2
+
+
+def test_cli_resolution_certificate_to_degree_40(tmp_path, capsys):
+    rc = cli.main(["resolution", "--max-n", "40", "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [line for line in lines if "exactness by rank" in line] == \
+        [f"[pass] exactness by rank at degree {n}" for n in range(1, 41)]
+    assert "[pass] minimality (differential entries in the augmentation " \
+        "ideal)" in lines
+    assert "[pass] delta^2 = 0 (d^2 = 0 and d f + f d = 0 on every " \
+        "generator to degree 41)" in lines
+    assert not any(line.startswith("[FAIL]") for line in lines)

@@ -1,8 +1,11 @@
 import pytest
 
+import random
+
+from fk3hh import resolution
 from fk3hh.cohomology import coreduce, transpose_images
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
-from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
+from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis, mul_table
 from fk3hh.homology import reduce_image
 from fk3hh.resolution import (
     BimoduleResolution,
@@ -10,6 +13,7 @@ from fk3hh.resolution import (
     fb_on_gen,
     i_left,
     i_right,
+    kb_comp_basis,
     koszul_diff_elem,
 )
 
@@ -27,6 +31,42 @@ def kb(word_l, tag, n, word_r, coeff=1):
 @pytest.fixture(scope="module")
 def res():
     return BimoduleResolution(QQ, max_n=12)
+
+
+def reference_extend(out, i, x, image, y, c=1):
+    """Add c * x.image.y, in layer i, to out, one column x|u|y at a time and
+    term by term over the plain multiplication table: the reference for
+    resolution.extend_into, which works one generator u at a time."""
+    table = mul_table()
+    for (_, l, v, r), s in image.items():
+        for x2, cx in table[(x, l)].items():
+            for y2, cy in table[(r, y)].items():
+                key = (i, x2, v, y2)
+                out[key] = out.get(key, 0) + c * s * cx * cy
+                if not out[key]:
+                    del out[key]
+
+
+def reference_piece(resf, k, m, e):
+    """Piece (k, m, e) as sorted triplets, built column by column."""
+    row_of = {t: r for r, t in
+              enumerate(kb_comp_basis(m + 4 * k - 1, e + 6 * k))}
+    trips = []
+    for col, (_, x, u, y) in enumerate(kb_comp_basis(m, e)):
+        img = {}
+        reference_extend(img, 0, x, resf.stratum_on_gen(k, m, u), y)
+        trips.extend((row_of[t], col, c) for t, c in img.items())
+    return sorted(trips)
+
+
+def reference_delta(resf, n, elem):
+    """delta_n by the reference extension, stratum by stratum."""
+    out = {}
+    for (i, x, u, y), c in elem.items():
+        for k in range(i + 1):
+            reference_extend(out, i - k, x,
+                             resf.stratum_on_gen(k, n - 4 * i, u), y, c)
+    return out
 
 
 def test_i_left_basics():
@@ -221,7 +261,8 @@ def test_delta_blocks_prime_field_ranks_match(res):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
 def test_layer_assembled_delta_blocks_equal_column_images(field):
     # delta_block shifts layer-free pieces into place by layer offsets;
-    # here each block is built column by column from delta_elem instead
+    # here each block is built column by column from delta_elem instead,
+    # and each column also by the reference extension
     resf = BimoduleResolution(field, max_n=16)
     for n in range(1, 17):
         basis = resf.pb_basis(n)
@@ -232,9 +273,73 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
             row_of = {tgt_basis[pos]: r for r, pos in enumerate(tgt)}
             entries = {}
             for col, pos in enumerate(src):
-                for key, c in resf.delta_elem(n, {basis[pos]: 1}).items():
+                column = resf.delta_elem(n, {basis[pos]: 1})
+                assert column == reference_delta(
+                    resf, n, {basis[pos]: 1}), (n, basis[pos])
+                for key, c in column.items():
                     entries[(row_of[key], col)] = c
             expect = SparseMat(len(tgt), len(src), entries, field)
             assert resf.delta_block(n, d) == expect, (n, d)
             ranks += expect.rank()
         assert resf.delta_rank(n) == ranks, n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_pieces_equal_the_column_reference(field):
+    # each piece is built one generator at a time over the nonzero products
+    # only; the reference builds it one column at a time over the whole table
+    resf = BimoduleResolution(field, max_n=12)
+    built = 0
+    for k in range(4):
+        for m in range(14):
+            for e in range(m, m + 9):
+                assert sorted(resf._piece(k, m, e)) == \
+                    reference_piece(resf, k, m, e), (k, m, e)
+                built += 1
+    assert built == 4 * 14 * 9
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_stratum_elem_equals_the_reference_on_mixed_layers(field):
+    # elements spread over several layers, generators and outer words, with
+    # repeated (x, u, y) in different layers
+    resf = BimoduleResolution(field, max_n=12)
+    rng = random.Random(5)
+    for k in range(4):
+        for n in (0, 1, 2, 5, 8, 11):
+            gens = dual_basis(n)
+            for _ in range(6):
+                elem = {}
+                for _ in range(rng.randrange(1, 30)):
+                    key = (rng.randrange(3), rng.randrange(12),
+                           rng.choice(gens), rng.randrange(12))
+                    elem[key] = rng.choice((-3, -1, 1, 2, 5))
+                expect = {}
+                for (i, x, u, y), c in elem.items():
+                    reference_extend(expect, i, x,
+                                     resf.stratum_on_gen(k, n, u), y, c)
+                assert resf.stratum_elem(k, n, elem) == expect, (k, n)
+
+
+def test_square_zero_defects_find_a_perturbed_coefficient(monkeypatch):
+    assert BimoduleResolution(QQ, max_n=13).square_zero_defects() == []
+    published = resolution._fb_terms
+
+    def perturbed(n, tag):
+        terms = list(published(n, tag))
+        if (n, tag) == (6, "g"):
+            c, *rest = terms[0]
+            terms[0] = (c + 1, *rest)
+        return terms
+
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(resolution, "_fb_terms", perturbed)
+            fb_on_gen.cache_clear()
+            # f_6 enters d f + f d = 0 at degrees 6 (d f_6) and 7 (f_6 d_7)
+            assert BimoduleResolution(QQ, max_n=13).square_zero_defects() \
+                == [6, 7]
+            assert BimoduleResolution(QQ, max_n=5).square_zero_defects() \
+                == []
+    finally:
+        fb_on_gen.cache_clear()
