@@ -10,11 +10,12 @@ All differentials preserve the internal degree, so matrices are built and
 ranked blockwise per internal degree.  The block of delta_n from omega_i to
 omega_{i-k} at internal degree d is stratum k on K_{n-4i} at internal degree
 d - 6i, whatever i is: each such layer-free piece (k, n - 4i, d - 6i) is
-built once per resolution, by the one bimodule extension (extend_into) that
-every stratum uses, as integer triplets in kb_comp_basis coordinates, and
-the blocks are assembled from the pieces by offsetting rows and columns by
-layer.  Ranks are taken from the assembled integer rows directly; blocks
-are not kept.
+built once per resolution, as integer triplets in kb_comp_basis coordinates,
+one generator u of K_{n-4i} at a time, by the one bimodule extension
+(extend_into) that every stratum uses: each term l|v|r of f^(k)(1|u|1) meets
+only the outer words x, y with x.l != 0 and r.y != 0.  The blocks are
+assembled from the pieces by offsetting rows and columns by layer.  Ranks
+are taken from the assembled integer rows directly; blocks are not kept.
 
 The differential of the glued resolution is a homotopy tower
 
@@ -30,10 +31,13 @@ f^(2), f^(3), ... are correcting homotopies solved degreewise from
     sum_{a+b=k} f^(a) f^(b) = 0,
 
 which is always consistent (the right-hand side is a cycle and the Koszul
-complex is exact in the relevant degrees).  Every f^(k) with k >= 2 has outer
-degree >= 5 on both reductions (tested through k = 4), so the induced homology
-and cohomology complexes are reductions of the strata k = 0, 1 alone,
-whose generator images `gen_image` gives.
+complex is exact in the relevant degrees; a solve that is not raises).
+The equations for k = 0 and k = 1, d d = 0 and d f + f d = 0, are checked
+on every generator by square_zero_defects; with the solves they give
+delta^2 = 0.  Every f^(k) with k >= 2 has outer degree >= 5 on both
+reductions (tested through k = 4), so the induced homology and cohomology
+complexes are reductions of the strata k = 0, 1 alone, whose generator
+images `gen_image` gives.
 """
 
 from __future__ import annotations
@@ -276,45 +280,58 @@ def fb_on_gen(n: int, gen: DualGen) -> dict:
 
 @cache
 def _partners():
-    """The nonzero products of the multiplication table, read off it once:
-    (left, right), where left[l] maps each word x with x.l != 0 to the
-    terms of x.l and right[r] each word y with r.y != 0 to those of r.y.
-    Shared and read-only."""
+    """The nonzero products of the multiplication table, read off it once,
+    per word and by degree: (left, right), where left[l][d] maps each word x
+    of degree d with x.l != 0 to the terms of x.l, and right[r][d] each word
+    y of degree d with r.y != 0 to those of r.y.  Shared and read-only."""
     table = mul_table()
     words = range(len(BASIS_WORDS))
-    left = [{x: tuple(table[(x, w)].items()) for x in words if table[(x, w)]}
-            for w in words]
-    right = [{y: tuple(table[(w, y)].items()) for y in words if table[(w, y)]}
-             for w in words]
+    left = [[{} for _ in range(5)] for _ in words]
+    right = [[{} for _ in range(5)] for _ in words]
+    for w in words:
+        for z in words:
+            if table[(z, w)]:
+                left[w][WORD_DEGREE[z]][z] = tuple(table[(z, w)].items())
+            if table[(w, z)]:
+                right[w][WORD_DEGREE[z]][z] = tuple(table[(w, z)].items())
     return left, right
 
 
 def extend_into(out, image, outer):
-    """Add c * x.image.y to out, for every entry x -> {y: (t, c)} of outer,
-    keying each term x2|v|y2 of the product (t, x2, v, y2): the bimodule
-    extension of a map whose value on the generator 1|u|1 is image, applied
-    to elements x|u|y of that one generator u.  Each term l|v|r of image
-    meets only the words x with x.l != 0 and the words y with r.y != 0."""
+    """Add c * x.image.y to out, for every x -> {y: (t, c)} in the entry
+    (deg x, deg y) of outer, keying each term x2|v|y2 of the product
+    (t, x2, v, y2): the bimodule extension of a map whose value on the
+    generator 1|u|1 is image, applied to elements x|u|y of that one
+    generator u.  Each term l|v|r of image visits only the words x with
+    x.l != 0 and y with r.y != 0 of the degrees outer holds."""
     left, right = _partners()
     for (_, l, v, r), s in image.items():
-        rp = right[r]
-        for x, xl in left[l].items():
-            ys = outer.get(x)
-            if ys is None:
-                continue
-            for y, (t, c) in ys.items():
-                ry = rp.get(y)
-                if ry is None:
+        for (dx, dy), block in outer.items():
+            rights = right[r][dy].items()
+            for x, xl in left[l][dx].items():
+                ys = block.get(x)
+                if ys is None:
                     continue
-                cs = c * s
-                for x2, cx in xl:
-                    for y2, cy in ry:
-                        key = (t, x2, v, y2)
-                        nv = out.get(key, 0) + cs * cx * cy
-                        if nv:
-                            out[key] = nv
-                        else:
-                            del out[key]
+                for y, ry in rights:
+                    tc = ys.get(y)
+                    if tc is None:
+                        continue
+                    t, c = tc
+                    cs = c * s
+                    for x2, cx in xl:
+                        for y2, cy in ry:
+                            key = (t, x2, v, y2)
+                            nv = out.get(key, 0) + cs * cx * cy
+                            if nv:
+                                out[key] = nv
+                            else:
+                                del out[key]
+
+
+def _put_outer(outer, x, y, tc):
+    """Set the entry x|y of an outer map of extend_into to tc = (t, c)."""
+    outer.setdefault((WORD_DEGREE[x], WORD_DEGREE[y]), {}).setdefault(
+        x, {})[y] = tc
 
 
 def gen_image(k: int, n: int, gen: DualGen) -> dict:
@@ -388,9 +405,9 @@ class BimoduleResolution:
 
     def stratum_elem(self, k: int, n: int, elem: dict) -> dict:
         """Bimodule extension of f^(k)_n to sparse K^b_n elements."""
-        by_gen = {}  # (u, layer) -> {x: {y: (layer, c)}}
+        by_gen = {}  # (u, layer) -> the outer map of extend_into
         for (i, x, u, y), c in elem.items():
-            by_gen.setdefault((u, i), {}).setdefault(x, {})[y] = (i, c)
+            _put_outer(by_gen.setdefault((u, i), {}), x, y, (i, c))
         out = {}
         for (u, _), outer in by_gen.items():
             extend_into(out, self.stratum_on_gen(k, n, u), outer)
@@ -412,7 +429,7 @@ class BimoduleResolution:
             return trips
         by_gen = {}
         for col, (_, x, u, y) in enumerate(kb_comp_basis(m, e)):
-            by_gen.setdefault(u, {}).setdefault(x, {})[y] = (col, 1)
+            _put_outer(by_gen.setdefault(u, {}), x, y, (col, 1))
         img = {}
         for u, outer in by_gen.items():
             extend_into(img, self.stratum_on_gen(k, m, u), outer)
