@@ -285,9 +285,9 @@ def _partners():
     of degree d with x.l != 0 to the terms of x.l, and right[r][d] each word
     y of degree d with r.y != 0 to those of r.y.  Shared and read-only."""
     table = mul_table()
-    words = range(len(BASIS_WORDS))
-    left = [[{} for _ in range(5)] for _ in words]
-    right = [[{} for _ in range(5)] for _ in words]
+    words, degrees = range(len(BASIS_WORDS)), range(max(WORD_DEGREE) + 1)
+    left = [[{} for _ in degrees] for _ in words]
+    right = [[{} for _ in degrees] for _ in words]
     for w in words:
         for z in words:
             if table[(z, w)]:

@@ -1,6 +1,6 @@
-import pytest
-
 import random
+
+import pytest
 
 from fk3hh import resolution
 from fk3hh.cohomology import coreduce, transpose_images
