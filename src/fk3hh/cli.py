@@ -4,8 +4,9 @@ Commands recompute their objects from scratch, verify them against the
 published closed formulas, write machine/human-readable tables under the
 output directory, and exit 0 only when every requested check passes
 (1 on a verification failure, 2 on usage errors, among them a --max-n that
-leaves an empty degree range or a cup degree beyond --max-n, rejected before
-any work or output; 3 on an internal error of the engine).
+leaves an empty degree range, a cup degree beyond --max-n or a --gb-bound
+below the longest relation word, rejected before any work or output; 3 on
+an internal error of the engine).
 """
 
 from __future__ import annotations
@@ -274,11 +275,27 @@ def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
     return r.finish()
 
 
+def _ring_relations(field):
+    """The ring algebra over field and the 160 relations presenting HH^*."""
+    alg = ncg.ring_algebra(field)
+    return alg, ncg.load_commutation_relations(alg) + ncg.load_ideal_relations(alg)
+
+
+def _gb_bound(args, cfg, rels):
+    """The completion's word-length bound; one below the longest relation
+    word would truncate the input itself, a usage error."""
+    bound = _merge(args, cfg, "gb-bound", 6)
+    least = max(len(w) for p in rels for w in p)
+    if bound < least:
+        raise UsageError(f"--gb-bound must be at least {least}, the longest "
+                         f"relation word, got {bound}")
+    return bound
+
+
 def cmd_gb(args, cfg):
     r = Runner(args, cfg)
-    bound = _merge(args, cfg, "gb-bound", 6)
-    alg = ncg.ring_algebra(r.field)
-    rels = ncg.load_commutation_relations(alg) + ncg.load_ideal_relations(alg)
+    alg, rels = _ring_relations(r.field)
+    bound = _gb_bound(args, cfg, rels)
     gb = ncg.buchberger_complete(alg, rels, degree_bound=bound)
     r.check("completion is untruncated", not gb.truncated)
     r.check("reduced basis has 184 elements", len(gb) == 184, len(gb))
@@ -330,12 +347,13 @@ def cmd_resolution(args, cfg):
 
 
 def cmd_verify_all(args, cfg):
+    field = field_from_name(_merge(args, cfg, "field", "q"))
+    _gb_bound(args, cfg, _ring_relations(field)[1])
     rc = 0
     wide_cup = functools.partial(cmd_cup, defaults=VERIFY_ALL_CUP)
     for fn in (cmd_homology, cmd_cohomology, wide_cup, cmd_gb, cmd_resolution):
         rc = max(rc, fn(args, cfg))
-    if rc == 0 and field_from_name(
-            _merge(args, cfg, "field", "q")).characteristic == 0:
+    if rc == 0 and field.characteristic == 0:
         rc = max(rc, cmd_cyclic(args, cfg))
     return rc
 

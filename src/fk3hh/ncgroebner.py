@@ -7,6 +7,9 @@ with concatenation on both sides), which is what Buchberger-style overlap
 completion needs.
 
 Polynomials are dicts word -> nonzero scalar over a Field from exactmath.
+Reduction runs in integers: a basis keeps an integer copy of each element,
+and normal_form scales its input to integers once and its remainder back to
+field scalars once.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ import bisect
 import heapq
 import re
 from itertools import product
+from math import gcd
+from operator import neg
 
-from .exactmath import QQ
+from .exactmath import QQ, scalars, to_integers
 
 
 Word = tuple  # tuple of int generator indices (1-based)
@@ -179,28 +184,6 @@ def lead_word(p) -> Word:
     return max(p, key=word_key)
 
 
-def poly_sub(F, p, q):
-    out = dict(p)
-    for w, c in q.items():
-        nc = F.sub(out.get(w, F.zero), c)
-        if nc == F.zero:
-            out.pop(w, None)
-        else:
-            out[w] = nc
-    return out
-
-
-def poly_scale(F, p, c):
-    if c == F.zero:
-        return {}
-    return {w: F.mul(c, v) for w, v in p.items()}
-
-
-def sandwich(F, left: Word, p, right: Word):
-    """prefix * p * suffix in the free algebra."""
-    return {left + w + right: c for w, c in p.items()}
-
-
 def make_monic(F, p):
     if not p:
         return p
@@ -214,12 +197,14 @@ def make_monic(F, p):
 class GBasis:
     """Monic polynomials with a lead-word index that `add` keeps up to date.
 
-    `polys[i]` has lead word `leads[i]`, computed once.  The constructor
-    sorts its input by lead word (stably); `add` appends, and `remove` takes
-    an element out of the index only.  The first-letter buckets hold
-    `(word_key(lead), i)` pairs in sorted order, so a lookup meets the leads
-    in canonical order, equal leads by index.  `reduced` marks full
-    interreduction.
+    `polys[i]` has lead word `leads[i]`, computed once, and the integer copy
+    `ints[i] = (lc, tail)`: the element times the lcm of its denominators
+    (over F_p, its residues), split into the integer lead coefficient lc and
+    the (word, int) pairs of the other terms.  The constructor sorts its
+    input by lead word (stably); `add` appends, and `remove` takes an element
+    out of the index only.  The first-letter buckets hold `(word_key(lead),
+    i)` pairs in sorted order, so a lookup meets the leads in canonical
+    order, equal leads by index.  `reduced` marks full interreduction.
     """
 
     def __init__(self, algebra: FreeAlgebra, polys, reduced=False, truncated=False):
@@ -228,6 +213,7 @@ class GBasis:
         self.truncated = truncated
         self.polys = []
         self.leads = []
+        self.ints = []
         self._by_first = {}
         for lw, p in sorted(((lead_word(p), p) for p in polys),
                             key=lambda t: word_key(t[0])):
@@ -247,6 +233,9 @@ class GBasis:
         idx = len(self.polys)
         self.polys.append(p)
         self.leads.append(lw)
+        ints, _ = to_integers(p, self.algebra.field)
+        lc = ints.pop(lw)
+        self.ints.append((lc, tuple(ints.items())))
         bisect.insort(self._by_first.setdefault(lw[0], []), (word_key(lw), idx))
         return idx
 
@@ -273,38 +262,58 @@ class GBasis:
         return None
 
 
-def normal_form(p, basis: GBasis, strategy=None, skip=None):
+def _descending(w: Word):
+    """Heap entry of w: heapq pops the largest word_key first."""
+    return -len(w), tuple(map(neg, w)), w
+
+
+def normal_form(p, basis: GBasis, skip=None):
     """Remainder of p on division by the basis (leading-word reduction).
 
-    The default strategy always rewrites the largest reducible monomial at its
-    leftmost divisor, which is deterministic; `strategy(reducibles)` may pick
-    any (word, pos, idx) triple instead — the result is the same once the
-    basis is confluent.  The element at index `skip` is not used.  The
-    default strategy looks each word up once: a word it found irreducible
-    stays so for the rest of the call.
+    p maps words to raw ints or to anything the field's `of` accepts; it is
+    not modified.  The largest reducible word is always rewritten, at its
+    leftmost divisor, by the least lead there; the element at index `skip`
+    is not used.  The words are visited from the largest down through a
+    heap, and once visited a word never comes back: a rewrite only adds
+    smaller words.  The arithmetic is in integers: p is scaled to integers
+    once, and rewriting its word w of coefficient c by the element g sets
+    p <- a p - b (u g v), where a/b = lc(g)/c in lowest terms and g is the
+    basis's integer copy.  The remainder becomes field scalars once.
     """
     F = basis.algebra.field
-    p = dict(p)
-    irreducible = set()
-    while True:
-        reducibles = []
-        for w in sorted(p, key=word_key, reverse=True):
-            if w in irreducible:
-                continue
-            hit = basis.find_divisor(w, skip)
-            if hit is None:
-                if strategy is None:
-                    irreducible.add(w)
+    P = F.characteristic
+    acc, den = to_integers(p, F)
+    heap = [_descending(w) for w in acc]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = acc.pop(w)
+        if P:
+            c %= P
+        if not c:
+            continue
+        hit = basis.find_divisor(w, skip)
+        if hit is None:
+            out[w] = c
+            continue
+        pos, idx = hit
+        lc, tail = basis.ints[idx]
+        g = gcd(lc, c)
+        a, b = lc // g, c // g
+        if a != 1:
+            den *= a
+            acc = {x: a * y for x, y in acc.items()}
+            out = {x: a * y for x, y in out.items()}
+        left, right = w[:pos], w[pos + len(basis.leads[idx]):]
+        for x, y in tail:
+            x = left + x + right
+            if x in acc:
+                acc[x] -= b * y
             else:
-                reducibles.append((w, hit[0], hit[1]))
-                if strategy is None:
-                    break
-        if not reducibles:
-            return p
-        w, pos, idx = reducibles[0] if strategy is None else strategy(reducibles)
-        repl = sandwich(F, w[:pos], basis.polys[idx],
-                        w[pos + len(basis.leads[idx]):])
-        p = poly_sub(F, p, poly_scale(F, repl, p[w]))
+                acc[x] = -b * y
+                heapq.heappush(heap, _descending(x))
+    return scalars(out, F, den)
 
 
 def _overlaps(w1: Word, w2: Word):
@@ -366,11 +375,18 @@ def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
     Obstructions whose overlap word is longer than degree_bound are skipped
     (the result is then flagged truncated=True only if any were skipped).
     One index serves the whole pair loop: each new element is added to it.
-    Returns a reduced GBasis.
+    An element's overlaps are sought only against the leads that end in a
+    letter of its lead but the last (pairs (t, new)) or start with a letter
+    of its lead but the first (pairs (new, t)); the heap of obstructions is
+    totally ordered, so it pops them in the same order as an all-pairs
+    enumeration would.  Each S-polynomial lc_j g_i v - lc_i u g_j is built
+    from the integer copies and reduced as raw ints.  Returns a reduced
+    GBasis.
     """
     F = algebra.field
     index = GBasis(algebra, interreduce(algebra, rels))
-    basis, leads = index.polys, index.leads
+    basis, leads, ints = index.polys, index.leads, index.ints
+    by_first, by_last = {}, {}  # letter -> the leads that start / end with it
     pending = []
     skipped = False
 
@@ -378,28 +394,36 @@ def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
         for u, o, v in _overlaps(leads[i], leads[j]):
             heapq.heappush(pending, (word_key(u + o + v), i, j, u, v))
 
-    n0 = len(basis)
-    for i in range(n0):
-        for j in range(n0):
-            enqueue(i, j)
+    def admit(new):
+        lw = leads[new]
+        by_first.setdefault(lw[0], []).append(new)
+        by_last.setdefault(lw[-1], []).append(new)
+        for t in {t for a in set(lw[:-1]) for t in by_last.get(a, ())}:
+            enqueue(t, new)
+        for t in {t for a in set(lw[1:]) for t in by_first.get(a, ())}:
+            if t != new:
+                enqueue(new, t)
+
+    for new in range(len(basis)):
+        admit(new)
 
     while pending:
         key, i, j, u, v = heapq.heappop(pending)
         if key[0] > degree_bound:
             skipped = True
             continue
-        gi, gj = basis[i], basis[j]
-        spoly = poly_sub(F, sandwich(F, (), gi, v), sandwich(F, u, gj, ()))
+        (lci, taili), (lcj, tailj) = ints[i], ints[j]
+        spoly = {x + v: lcj * y for x, y in taili}
+        for x, y in tailj:
+            x = u + x
+            spoly[x] = spoly.get(x, 0) - lci * y
         r = normal_form(spoly, index)
         if not r:
             continue
         new = index.add(make_monic(F, r))
         if len(basis) > element_ceiling:
             raise CompletionOverflow(f"completion exceeded {element_ceiling} elements")
-        for t in range(len(basis)):
-            enqueue(t, new)
-            if t != new:
-                enqueue(new, t)
+        admit(new)
 
     reduced = interreduce(algebra, basis)
     return GBasis(algebra, reduced, reduced=True, truncated=skipped)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fk3hh.exactmath import QQ
+from fk3hh import fk3core
+from fk3hh import ncgroebner as ncg
+from fk3hh.exactmath import QQ, PrimeField
 from fk3hh.ncgroebner import (
     FreeAlgebra,
     GBasis,
@@ -19,6 +21,7 @@ from fk3hh.ncgroebner import (
     standard_words,
     word_key,
 )
+from nc_reference import complete_all_pairs, reference_normal_form
 
 
 @pytest.fixture
@@ -128,7 +131,8 @@ def test_confluence_random_reduction_order():
             p[w] = QQ.of(rng.randint(-4, 4))
         p = {w: c for w, c in p.items() if c != 0}
         det = normal_form(p, gb)
-        rnd = normal_form(p, gb, strategy=lambda reds: rng.choice(reds))
+        rnd = reference_normal_form(p, gb,
+                                    strategy=lambda reds: rng.choice(reds))
         assert det == rnd
 
 
@@ -230,3 +234,64 @@ def test_interreduce_equals_restarting_reference(ps, data):
     index = GBasis(alg, got)
     for i, p in enumerate(index.polys):
         assert normal_form(p, index, skip=i) == p
+
+
+# ----- the integer reduction against the reference in field scalars -----
+
+FIELDS = [QQ, PrimeField(7), PrimeField(10007)]
+
+coefficients = st.one_of(
+    st.integers(-20, 20),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(1, 6)))
+
+
+@given(st.sampled_from(FIELDS), st.lists(polys(), max_size=6),
+       st.dictionaries(words(0, 5), coefficients, max_size=5), st.data())
+def test_normal_form_equals_reference(F, gens, p, data):
+    alg = FreeAlgebra(3, F)
+    basis = GBasis(alg, [make_monic(F, q) for q in map(alg.poly, gens) if q])
+    skip = data.draw(st.one_of(st.none(), st.integers(0, len(basis))))
+    before = dict(p)
+    got = normal_form(p, basis, skip=skip)
+    assert p == before
+    assert got == reference_normal_form(alg.poly(p), basis, skip=skip)
+    assert all(c and type(c) is type(F.one) for c in got.values())
+
+
+def fk3_relations():
+    alg = FreeAlgebra(3, QQ, bidegrees=[(1, 1)] * 3)
+    return alg, [alg.poly(r) for r in fk3core._REL_WORDS], 8
+
+
+def ring_relations():
+    from fk3hh.ncgroebner import (load_commutation_relations,
+                                  load_ideal_relations, ring_algebra)
+    alg = ring_algebra(QQ)
+    return alg, load_commutation_relations(alg) + load_ideal_relations(alg), 6
+
+
+@pytest.mark.parametrize("case", [fk3_relations, ring_relations])
+def test_obstruction_index_reduces_what_all_pairs_reduces(case, monkeypatch):
+    # the final basis alone does not show a missed obstruction, so every
+    # reduction is compared, in order, with those of the all-pairs loop
+    alg, rels, bound = case()
+    F = alg.field
+    calls = []
+
+    def recording(reduce):
+        def wrapped(p, basis, skip=None):
+            r = reduce(p, basis, skip=skip)
+            calls.append((make_monic(F, alg.poly(p)), make_monic(F, r)))
+            return r
+        return wrapped
+
+    monkeypatch.setattr(ncg, "normal_form", recording(normal_form))
+    gb = buchberger_complete(alg, rels, degree_bound=bound)
+    got, calls[:] = calls[:], []
+    ref = complete_all_pairs(alg, rels, bound, recording(reference_normal_form))
+    assert got == calls
+    assert gb.polys == ref.polys and gb.truncated == ref.truncated
+    if case is ring_relations:
+        assert len(got) == 2799
+        assert sum(not r for _, r in got) == 2402

@@ -137,6 +137,21 @@ def test_cli_cup_rejects_degrees_beyond_resolution(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,bound", [
+    ("gb", "-1"), ("gb", "2"), ("verify-all", "-1"), ("verify-all", "2")])
+def test_cli_rejects_gb_bound_below_relation_length(tmp_path, capsys,
+                                                     command, bound):
+    # the longest relation word has length 3; a lower bound is a bad request,
+    # refused before any check runs, not a failed verification
+    out = tmp_path / "o"
+    rc = cli.main([command, "--gb-bound", bound, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error" in captured.err and "--gb-bound" in captured.err
+    assert "[pass]" not in captured.out and "[FAIL]" not in captured.out
+    assert not out.exists()
+
+
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("cochain is not bihomogeneous")
