@@ -24,7 +24,7 @@ from .cohomology import CohomologyComplex
 from .cupring import GENERATOR_BIDEGREES, CupRing
 from .exactmath import FieldError, field_from_name
 from .homology import HomologyComplex, verify_representatives, NotTranscribed
-from .report import UsageError, write_outputs
+from .report import FORMATS, UsageError, write_outputs
 from .resolution import BimoduleResolution
 
 
@@ -127,6 +127,9 @@ class Runner:
         self.out = _merge(args, cfg, "out", "out")
         fmts = _merge(args, cfg, "formats", "json,csv,markdown")
         self.formats = tuple(f.strip() for f in fmts.split(","))
+        bad = [f for f in self.formats if f not in FORMATS]
+        if bad:
+            raise UsageError(f"unknown format(s) {bad}; choose from {FORMATS}")
         self.failures = []
 
     def check(self, label, ok, detail=""):
@@ -347,7 +350,7 @@ def cmd_resolution(args, cfg):
 
 
 def cmd_verify_all(args, cfg):
-    field = field_from_name(_merge(args, cfg, "field", "q"))
+    field = Runner(args, cfg).field  # a bad field or format fails first
     _gb_bound(args, cfg, _ring_relations(field)[1])
     rc = 0
     wide_cup = functools.partial(cmd_cup, defaults=VERIFY_ALL_CUP)

@@ -22,12 +22,14 @@ building a basis, and `fk3core.dual_basis` is memoised and read-only.
 
 Cohomology dimensions come from ranks; `cocycle_basis` returns canonical
 coset representatives (kernel vectors reduced against the RREF of the
-coboundaries).
+coboundaries).  `class_coordinates` and `is_zero_class` solve each
+component against one integer factorisation of its raw columns
+[coboundaries | classes] and read the class part of the solution.
 """
 
 from __future__ import annotations
 
-from .exactmath import QQ, SparseMat, Subspace, scalars
+from .exactmath import QQ, LinearSolver, SparseMat, Subspace, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
@@ -86,7 +88,6 @@ class CohomologyComplex:
         self._basis = {}
         self._rank = {}
         self._columns = {}
-        self._images = {}
         self._classes = {}
         self._class_solvers = {}
 
@@ -208,16 +209,6 @@ class CohomologyComplex:
                 out[m - n] = d
         return out
 
-    def coboundary_image(self, n: int, m: int) -> Subspace:
-        """RREF image of the incoming differential at (n, m), cached."""
-        if (n, m) not in self._images:
-            basis = self.basis(n, m)
-            if n >= 1 and self.basis(n - 1, m - 1):
-                self._images[(n, m)] = self.matrix(n - 1, m - 1).image()
-            else:
-                self._images[(n, m)] = Subspace(len(basis), [], self.field)
-        return self._images[(n, m)]
-
     def cocycle_basis(self, n: int):
         """Canonical cocycle representatives spanning degree-n cohomology.
 
@@ -233,12 +224,9 @@ class CohomologyComplex:
             if not basis:
                 continue
             ker = self.matrix(n, m).kernel()
-            img = self.coboundary_image(n, m)
-            reduced = []
-            for vec in ker.basis_dicts():
-                r = img.reduce(vec)
-                if r:
-                    reduced.append(r)
+            img = (self.matrix(n - 1, m - 1).image()
+                   if self.basis(n - 1, m - 1) else Subspace(len(basis), [], F))
+            reduced = [img.reduce(vec) for vec in ker.basis_dicts()]
             canon = Subspace.span(len(basis), reduced, F)
             for row in canon.basis_dicts():
                 out.append((m, {basis[p]: c for p, c in row.items()}))
@@ -249,19 +237,9 @@ class CohomologyComplex:
         return not self.diff_elem(n, elem)
 
     def is_zero_class(self, n: int, elem: dict) -> bool:
-        """True when a degree-n cocycle is a coboundary (per bidegree)."""
-        F = self.field
-        by_m = {}
-        for (i, g, x), c in elem.items():
-            m = WORD_DEGREE[x] - 2 * i
-            by_m.setdefault(m, {})[(i, g, x)] = c
-        for m, part in by_m.items():
-            basis = self.basis(n, m)
-            pos = {k: p for p, k in enumerate(basis)}
-            vec = {pos[k]: F.of(c) for k, c in part.items()}
-            if self.coboundary_image(n, m).reduce(vec):
-                return False
-        return True
+        """True when a degree-n cochain is a coboundary (per bidegree)."""
+        return all(sol is not None and all(c < ncob for c in sol)
+                   for sol, ncob, _ in self._class_solutions(n, elem))
 
     def class_coordinates(self, n: int, elem: dict):
         """Coordinates of a cocycle's class in the canonical cocycle basis.
@@ -269,38 +247,47 @@ class CohomologyComplex:
         elem maps basis keys of Q^n (any m) to scalars.  Returns
         {(m, index within that m's classes): scalar}.
         """
-        F = self.field
-        by_m = {}
-        for (i, g, x), c in elem.items():
-            m = WORD_DEGREE[x] - 2 * i
-            by_m.setdefault(m, {})[(i, g, x)] = c
         coords = {}
-        for m, part in by_m.items():
-            basis = self.basis(n, m)
-            pos = {k: p for p, k in enumerate(basis)}
-            vec = {pos[k]: F.of(c) for k, c in part.items()}
-            resid = self.coboundary_image(n, m).reduce(vec)
-            solver, idxs = self._class_solver(n, m)
-            sol = solver.solve(resid)
+        for sol, ncob, idxs in self._class_solutions(n, elem):
             if sol is None:
                 raise ValueError("element is not a cocycle modulo coboundaries")
             for j, idx in enumerate(idxs):
-                v = sol.get(j, F.zero)
-                if v != F.zero:
+                v = sol.get(ncob + j)
+                if v:
                     coords[idx] = v
         return coords
 
+    def _class_solutions(self, n: int, elem: dict):
+        """(sol, ncob, idxs) for each m of elem's support: sol solves elem's
+        part at m by _class_solver(n, m), None outside the solver's span."""
+        by_m = {}
+        for (i, g, x), c in elem.items():
+            by_m.setdefault(WORD_DEGREE[x] - 2 * i, {})[(i, g, x)] = c
+        for m, part in by_m.items():
+            solver, pos, ncob, idxs = self._class_solver(n, m)
+            yield solver.solve({pos[k]: c for k, c in part.items()}), ncob, idxs
+
     def _class_solver(self, n: int, m: int):
-        """Cached factorized solver expressing residuals in class vectors."""
+        """(solver, pos, ncob, idxs), cached: one factorisation of the raw
+        columns [the ncob coboundaries diff_key(n - 1, .) | the classes at m,
+        idxs in cocycle_basis(n)] over the positions pos of Q^n_m's keys.
+        The classes are independent modulo the coboundaries, so the class
+        part of any solution is unique: it is the class coordinates."""
         if (n, m) not in self._class_solvers:
-            F = self.field
-            basis = self.basis(n, m)
-            pos = {k: p for p, k in enumerate(basis)}
-            cls = [(idx, cv) for idx, (mm, cv) in enumerate(self.cocycle_basis(n))
-                   if mm == m]
-            cols = [{pos[k]: F.of(c) for k, c in cv.items()} for _, cv in cls]
-            mat = SparseMat.from_cols(cols, len(basis), F)
-            self._class_solvers[(n, m)] = (mat.solver(), [idx for idx, _ in cls])
+            pos = {k: p for p, k in enumerate(self.basis(n, m))}
+            rows = [{} for _ in pos]
+            cob = self.basis(n - 1, m - 1)
+            for col, key in enumerate(cob):
+                for key2, c in self.diff_key(n - 1, key).items():
+                    rows[pos[key2]][col] = c
+            idxs = []
+            for idx, (mm, cv) in enumerate(self.cocycle_basis(n)):
+                if mm == m:
+                    for k, c in cv.items():
+                        rows[pos[k]][len(cob) + len(idxs)] = c
+                    idxs.append(idx)
+            self._class_solvers[(n, m)] = (LinearSolver.from_rows(
+                rows, len(cob) + len(idxs), self.field), pos, len(cob), idxs)
         return self._class_solvers[(n, m)]
 
 

@@ -4,11 +4,12 @@ A degree-m cochain is a dict over the Q-basis keys (i, DualGen, word_idx):
 the bimodule map sending the free generator omega_i 1|gen|1 of the resolution
 to the stored element of A.  Lifting such a cocycle to a chain self-map of
 the resolution solves one small linear system per generator and internal
-degree, against cached factorizations of the differential blocks (factored
-from their raw integer rows); existence is guaranteed by exactness, so an
-unsolvable stage signals a real bug.  Each stage is held in integers over one
-denominator (LiftStage), and every product is summed in integers and made a
-field scalar once.
+degree, against cached factorizations of the augmentation and differential
+blocks (factored from their raw integer rows, in the resolution's comp_basis
+coordinates); existence is guaranteed by exactness, so an unsolvable stage
+signals a real bug.  Each stage is held in integers over one denominator
+(LiftStage), and every product is summed in integers and made a field
+scalar once.
 
 cup(f, g) composes f with stage deg(f) of g's lift and reduces the resulting
 cochain to canonical class coordinates.  Longer products evaluate words
@@ -20,16 +21,9 @@ from __future__ import annotations
 from math import lcm
 
 from .cohomology import CohomologyComplex
-from .exactmath import (
-    QQ,
-    EchelonBasis,
-    LinearSolver,
-    SparseMat,
-    scalars,
-    to_integers,
-)
+from .exactmath import QQ, EchelonBasis, LinearSolver, scalars, to_integers
 from .fk3core import (
-    BASIS_BY_DEGREE,
+    DIM,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
@@ -37,7 +31,8 @@ from .fk3core import (
     mul_table,
     mul_words,
 )
-from .resolution import BimoduleResolution
+from .ncgroebner import RING_BIDEGREES
+from .resolution import BimoduleResolution, comp_basis
 
 W = WORD_INDEX
 
@@ -79,11 +74,7 @@ def ring_generators():
     return gens
 
 
-GENERATOR_BIDEGREES = {
-    1: (0, 2), 2: (0, 2), 3: (0, 4), 4: (1, 2), 5: (1, 2), 6: (1, 2),
-    7: (1, 2), 8: (1, 0), 9: (2, -2), 10: (2, -2), 11: (2, -2), 12: (2, -2),
-    13: (3, -2), 14: (4, -6),
-}
+GENERATOR_BIDEGREES = dict(enumerate(RING_BIDEGREES, start=1))
 
 
 class LiftError(RuntimeError):
@@ -281,31 +272,24 @@ class CupRing:
                 n, {(i, W[""], g, W[""]): 1})
         return self._gen_deltas[key]
 
-    def pb0_comp(self, intdeg: int):
-        return self.res.pb_comp(0, intdeg)
-
     def augmentation_solver(self, intdeg: int):
-        """Solver for eps^b restricted to the internal-degree component."""
+        """Solver of eps^b on the internal-degree component of P^b_0,
+        factorised from its raw integer rows: one row per basis word, keyed
+        by word index, so that a word of another degree is inconsistent."""
         if intdeg not in self._aug_solvers:
-            F = self.field
-            comp = self.pb0_comp(intdeg)
-            basis0 = self.res.pb_basis(0)
-            rows = BASIS_BY_DEGREE[intdeg] if 0 <= intdeg <= 4 else ()
-            rowpos = {w: r for r, w in enumerate(rows)}
-            ent = {}
-            for col, pos in enumerate(comp):
-                (_, x, _, y) = basis0[pos]
+            keys = comp_basis(0, intdeg)[0]
+            rows = [{} for _ in range(DIM)]
+            for col, (_, x, _, y) in enumerate(keys):
                 for w, c in mul_words(x, y).items():
-                    ent[(rowpos[w], col)] = F.add(
-                        ent.get((rowpos[w], col), F.zero), F.of(c))
-            mat = SparseMat(len(rows), len(comp), ent, F)
-            self._aug_solvers[intdeg] = (mat.solver(), rowpos)
-        return _AugSolverView(self._aug_solvers[intdeg])
+                    rows[w][col] = c
+            self._aug_solvers[intdeg] = LinearSolver.from_rows(
+                rows, len(keys), self.field)
+        return self._aug_solvers[intdeg]
 
     def evaluate_cochain(self, cochain: dict, elem: dict) -> dict:
         """Apply a cochain to a resolution element; value in A as {word: c},
-        encoded on the augmentation row positions of the right component.
-        Coefficients must be ints or field scalars, as in ChainLift.apply."""
+        a right-hand side of augmentation_solver as it stands.  Coefficients
+        must be ints or field scalars, as in ChainLift.apply."""
         by_gen, e = _by_generator(cochain, self.field)
         elem, e2 = to_integers(elem, self.field)
         table = mul_table()
@@ -577,13 +561,3 @@ def _by_generator(cochain: dict, field):
     for (j, g, w), c in ints.items():
         by_gen.setdefault((j, g), []).append((w, c))
     return by_gen, e
-
-
-class _AugSolverView:
-    """Adapter presenting the augmentation solver with word-keyed right sides."""
-
-    def __init__(self, pair):
-        self.solver, self.rowpos = pair
-
-    def solve(self, rhs):
-        return self.solver.solve({self.rowpos[w]: c for w, c in rhs.items()})

@@ -604,10 +604,6 @@ class SparseMat:
                             if rcol in row})
         return out
 
-    def solver(self) -> "LinearSolver":
-        """Factorize once, then solve many right-hand sides cheaply."""
-        return LinearSolver(self)
-
 
 class LinearSolver:
     """Reusable particular-solution solver built from one elimination of [M|I].

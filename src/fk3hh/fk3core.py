@@ -47,7 +47,8 @@ _REL_WORDS = [
 
 
 def _build_mul_table():
-    """12x12 structure constants from the completed rewriting system."""
+    """12x12 structure constants from the completed rewriting system, each
+    entry {basis index: int} in ascending index order."""
     alg = ncgroebner.FreeAlgebra(3, QQ, gen_names=list(GENS),
                                  bidegrees=[(1, 1)] * 3)
     gb = ncgroebner.buchberger_complete(alg, [alg.poly(r) for r in _REL_WORDS],
@@ -72,7 +73,7 @@ def _build_mul_table():
                 if c.denominator != 1:
                     raise RuntimeError("non-integer structure constant")
                 out[idx_of_tuple[w]] = int(c)
-            table[(i, j)] = out
+            table[(i, j)] = dict(sorted(out.items()))
     return table
 
 

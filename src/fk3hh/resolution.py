@@ -3,8 +3,11 @@
 Basis bookkeeping: an element of the degree-n resolution module is a sparse
 combination of symbols  omega_i (x | u | y)  where x, y are FK(3) basis words,
 u is a dual-basis tag of degree n - 4i, and omega_i carries internal degree 6i
-(and homological degree 4i).  Keys are tuples (i, x_idx, DualGen, y_idx); the
-canonical ordering is (omega, dual tag order, left word, right word).
+(and homological degree 4i).  Keys are tuples (i, x_idx, DualGen, y_idx).
+A vector of the internal-degree-d component of P^b_n has one coordinate
+system, comp_basis(n, d): layer by layer, kb_comp_basis(n - 4i, d - 6i)
+moved to layer i, each ordered (dual tag, left word, right word).  The
+delta-blocks, their solvers and comp_vector / comp_element all use it.
 
 All differentials preserve the internal degree, so matrices are built and
 ranked blockwise per internal degree.  The block of delta_n from omega_i to
@@ -15,7 +18,8 @@ one generator u of K_{n-4i} at a time, by the one bimodule extension
 (extend_into) that every stratum uses: each term l|v|r of f^(k)(1|u|1) meets
 only the outer words x, y with x.l != 0 and r.y != 0.  The blocks are
 assembled from the pieces by offsetting rows and columns by layer.  Ranks
-are taken from the assembled integer rows directly; blocks are not kept.
+are taken from the assembled integer rows directly; blocks are not kept,
+and neither is a full basis of P^b_n (pb_dim counts it).
 
 The differential of the glued resolution is a homotopy tower
 
@@ -43,10 +47,12 @@ images `gen_image` gives.
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
 
 from .exactmath import QQ, SparseMat, rank_of_rows
 from .fk3core import (
     BASIS_WORDS,
+    DIM,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
@@ -373,15 +379,30 @@ def kb_comp_basis(deg: int, intdeg: int) -> tuple:
     return tuple(out)
 
 
+@cache
+def comp_basis(n: int, d: int):
+    """(keys, pos) of the internal-degree-d component of P^b_n: its basis
+    keys, kb_comp_basis(n - 4i, d - 6i) moved to layer i for i = 0, 1, ...
+    in turn (the one order of every component vector), and each key's
+    position.  Memoised: callers share the result, which is read-only."""
+    keys = tuple((i, x, g, y) for i in range(n // 4 + 1)
+                 for _, x, g, y in kb_comp_basis(n - 4 * i, d - 6 * i))
+    return keys, {key: r for r, key in enumerate(keys)}
+
+
+def layer_starts(n: int, d: int) -> list:
+    """The position in comp_basis(n, d) where each layer i starts, and last
+    the component's dimension, counted without building the keys."""
+    return [0, *accumulate(len(kb_comp_basis(n - 4 * i, d - 6 * i))
+                           for i in range(n // 4 + 1))]
+
+
 class BimoduleResolution:
     """P^b_n = sum_i omega_i K^b_{n-4i}, with blockwise differential matrices."""
 
     def __init__(self, field=QQ, max_n=12):
         self.field = field
         self.max_n = max_n
-        self._basis = {}
-        self._comp = {}
-        self._comp_pos = {}  # (n, d) -> {basis key: position in pb_comp}
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
         self._delta_ranks = {}
         self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}, k != 1
@@ -499,40 +520,13 @@ class BimoduleResolution:
             return []
         return [(i, g) for i in range(n // 4 + 1) for g in dual_basis(n - 4 * i)]
 
-    def pb_basis(self, n: int):
-        if n < 0:
-            return []
-        if n not in self._basis:
-            basis = []
-            for i in range(n // 4 + 1):
-                for g in dual_basis(n - 4 * i):
-                    for x in range(len(BASIS_WORDS)):
-                        for y in range(len(BASIS_WORDS)):
-                            basis.append((i, x, g, y))
-            self._basis[n] = basis
-        return self._basis[n]
-
     def pb_dim(self, n: int) -> int:
-        return len(self.pb_basis(n))
-
-    @staticmethod
-    def intdeg(key) -> int:
-        i, x, g, y = key
-        return WORD_DEGREE[x] + g.n + WORD_DEGREE[y] + 6 * i
-
-    def pb_comp(self, n: int, d: int):
-        """Positions of the internal-degree-d part of P^b_n."""
-        if (n, d) not in self._comp:
-            bydeg = {}
-            for pos, key in enumerate(self.pb_basis(n)):
-                bydeg.setdefault(self.intdeg(key), []).append(pos)
-            for dd, lst in bydeg.items():
-                self._comp[(n, dd)] = lst
-            self._comp.setdefault((n, d), [])
-        return self._comp[(n, d)]
+        return DIM * DIM * sum(dual_dim(n - 4 * i) for i in range(n // 4 + 1))
 
     def intdegs(self, n: int):
-        return sorted({self.intdeg(k) for k in self.pb_basis(n)})
+        """The internal degrees of P^b_n (n >= 0): layer i spans n + 2i
+        to n + 2i + 8."""
+        return range(n, n + 2 * (n // 4) + 9)
 
     def delta_elem(self, n: int, elem: dict) -> dict:
         """delta^b_n of a sparse P^b_n element: the full homotopy tower."""
@@ -557,26 +551,18 @@ class BimoduleResolution:
 
     def block_rows(self, n: int, d: int):
         """Rows (dicts col -> raw coeff) and column count of delta^b_n on the
-        internal-degree-d component, assembled from the pieces by layer
-        offsets: the columns of pb_comp(n, d) are kb_comp_basis(n - 4i,
-        d - 6i) for i = 0, 1, ... in turn, and the rows likewise for n - 1."""
-        def offsets(deg):
-            offs, total = [], 0
-            for i in range(deg // 4 + 1):
-                offs.append(total)
-                total += len(kb_comp_basis(deg - 4 * i, d - 6 * i))
-            return offs, total
-        col_off, cols = offsets(n)
-        row_off, nrows = offsets(n - 1)
-        rows = [{} for _ in range(nrows)]
-        for i, c0 in enumerate(col_off):
+        internal-degree-d component, in comp_basis coordinates, assembled
+        from the pieces by the layers' start positions."""
+        col_off, row_off = layer_starts(n, d), layer_starts(n - 1, d)
+        rows = [{} for _ in range(row_off[-1])]
+        for i, c0 in enumerate(col_off[:-1]):
             for k in range(i + 1):
                 piece = self._piece(k, n - 4 * i, d - 6 * i)
                 if piece:
                     r0 = row_off[i - k]
                     for r, c, v in piece:
                         rows[r0 + r][c0 + c] = v
-        return rows, cols
+        return rows, col_off[-1]
 
     def delta_block(self, n: int, d: int) -> SparseMat:
         """Matrix of delta^b_n on the internal-degree-d component."""
@@ -597,13 +583,9 @@ class BimoduleResolution:
         return self._delta_ranks[n]
 
     def comp_vector(self, n: int, d: int, elem: dict):
-        """Coordinates of an element supported in internal degree d; the
-        coefficients are kept as they are, zeros dropped."""
-        if (n, d) not in self._comp_pos:
-            basis = self.pb_basis(n)
-            self._comp_pos[(n, d)] = {
-                basis[pos]: r for r, pos in enumerate(self.pb_comp(n, d))}
-        where = self._comp_pos[(n, d)]
+        """comp_basis coordinates of an element supported in internal degree
+        d; the coefficients are kept as they are, zeros dropped."""
+        where = comp_basis(n, d)[1]
         out = {}
         for key, c in elem.items():
             if c:
@@ -613,9 +595,9 @@ class BimoduleResolution:
         return out
 
     def comp_element(self, n: int, d: int, vec: dict):
-        basis = self.pb_basis(n)
-        comp = self.pb_comp(n, d)
-        return {basis[comp[r]]: c for r, c in vec.items()}
+        """The element with the comp_basis coordinates vec."""
+        keys = comp_basis(n, d)[0]
+        return {keys[r]: c for r, c in vec.items()}
 
     def minimality_violations(self, n: int):
         """Generator-image terms with both outer words trivial (must be none)."""

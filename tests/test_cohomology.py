@@ -1,7 +1,16 @@
+import random
+
 import pytest
 
-from fk3hh.exactmath import QQ, PrimeField
-from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis, mul_words
+from fk3hh.exactmath import QQ, PrimeField, SparseMat, Subspace
+from fk3hh.fk3core import (
+    WORD_DEGREE,
+    WORD_INDEX,
+    DualGen,
+    dgen,
+    dual_basis,
+    mul_words,
+)
 from fk3hh.cohomology import (
     CohomologyComplex,
     hilbert_series_formula,
@@ -250,6 +259,92 @@ def test_class_coordinates_of_coboundary_vanish(cx):
     db = cx.diff_elem(1, src)
     assert db  # nonzero coboundary
     assert cx.class_coordinates(2, db) == {}
+
+
+def reference_class_coordinates(cx, n, elem):
+    """Class coordinates in two steps: reduce each m-part of elem by the
+    RREF of the coboundaries at (n, m), then solve the residual against the
+    class vectors at m."""
+    F = cx.field
+    by_m = {}
+    for (i, g, x), c in elem.items():
+        by_m.setdefault(WORD_DEGREE[x] - 2 * i, {})[(i, g, x)] = c
+    coords = {}
+    for m, part in by_m.items():
+        basis = cx.basis(n, m)
+        pos = {k: p for p, k in enumerate(basis)}
+        img = (cx.matrix(n - 1, m - 1).image() if cx.basis(n - 1, m - 1)
+               else Subspace(len(basis), [], F))
+        resid = img.reduce({pos[k]: F.of(c) for k, c in part.items()})
+        cls = [(idx, cv) for idx, (mm, cv) in enumerate(cx.cocycle_basis(n))
+               if mm == m]
+        mat = SparseMat.from_cols([{pos[k]: c for k, c in cv.items()}
+                                   for _, cv in cls], len(basis), F)
+        sol = mat.solve(resid)
+        if sol is None:
+            raise ValueError("element is not a cocycle modulo coboundaries")
+        for j, (idx, _) in enumerate(cls):
+            if sol.get(j, F.zero) != F.zero:
+                coords[idx] = sol[j]
+    return coords
+
+
+def random_cochain(rng, cx, n, m, terms=3):
+    basis = cx.basis(n, m)
+    return {k: cx.field.of(rng.randint(-3, 3))
+            for k in rng.sample(basis, min(terms, len(basis)))}
+
+
+def add_into(out, elem, F):
+    for k, c in elem.items():
+        out[k] = F.add(out.get(k, F.zero), F.of(c))
+    return {k: c for k, c in out.items() if c != F.zero}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_class_solver_equals_reduce_then_solve(field):
+    # class_coordinates solves [coboundaries | classes] once and reads the
+    # class part; the reference reduces by the coboundaries first
+    cxf = CohomologyComplex(field, max_n=8)
+    F = field
+    rng = random.Random(12)
+    seen = {"classes": 0, "coboundaries": 0, "non-cocycles": 0}
+    for n in range(9):
+        classes = cxf.cocycle_basis(n)
+        seen["classes"] += len(classes)
+        for idx, (_, cv) in enumerate(classes):
+            assert cxf.class_coordinates(n, cv) == {idx: F.one}
+            assert reference_class_coordinates(cxf, n, cv) == {idx: F.one}
+            assert not cxf.is_zero_class(n, cv)
+        ms = range(cxf.min_m(n), 5)
+        for _ in range(6):
+            combo = {}
+            for idx in rng.sample(range(len(classes)),
+                                  min(3, len(classes))):
+                c = F.of(rng.randint(1, 5))
+                combo = add_into(combo, {k: F.mul(c, v) for k, v in
+                                         classes[idx][1].items()}, F)
+            want = reference_class_coordinates(cxf, n, combo)
+            assert cxf.class_coordinates(n, combo) == want, n
+            cob = {}
+            for m in ms:
+                cob = add_into(cob, cxf.diff_elem(
+                    n - 1, random_cochain(rng, cxf, n - 1, m - 1)), F)
+            seen["coboundaries"] += bool(cob)
+            assert cxf.is_zero_class(n, cob), n
+            assert cxf.class_coordinates(n, cob) == {}
+            both = add_into(dict(combo), cob, F)
+            assert cxf.class_coordinates(n, both) == want, n
+            assert reference_class_coordinates(cxf, n, both) == want
+            assert cxf.is_zero_class(n, both) == (not want)
+        for m in ms:
+            y = random_cochain(rng, cxf, n, m)
+            if cxf.diff_elem(n, y):
+                seen["non-cocycles"] += 1
+                assert not cxf.is_zero_class(n, y)
+                with pytest.raises(ValueError):
+                    cxf.class_coordinates(n, y)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_prime_field_dims_agree(cx):

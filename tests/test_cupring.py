@@ -5,8 +5,16 @@ from fractions import Fraction
 import pytest
 
 from fk3hh import cli
-from fk3hh.exactmath import QQ, PrimeField
-from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis, mul_words
+from fk3hh.exactmath import QQ, LinearSolver, PrimeField
+from fk3hh.fk3core import (
+    BASIS_WORDS,
+    WORD_DEGREE,
+    WORD_INDEX,
+    DualGen,
+    dgen,
+    dual_basis,
+    mul_words,
+)
 from fk3hh.cupring import (
     ChainLift,
     CupRing,
@@ -296,7 +304,7 @@ def test_delta_solver_from_raw_rows_equals_block_solver(field):
     inconsistent = 0
     for k, d in blocks:
         block = res.delta_block(k, d)
-        want, got = block.solver(), ring.delta_solver(k, d)
+        want, got = LinearSolver(block), ring.delta_solver(k, d)
         for _ in range(4):
             x = {c: field.of(rng.randint(-4, 4))
                  for c in rng.sample(range(block.cols), min(block.cols, 3))}
@@ -310,6 +318,28 @@ def test_delta_solver_from_raw_rows_equals_block_solver(field):
             assert sol == want.solve(b), (k, d)
             inconsistent += sol is None
     assert inconsistent
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_augmentation_solver_solves_exactly_the_words_of_its_degree(field):
+    # the solver of eps^b at internal degree d has one row per basis word,
+    # so every word of degree d is solved and any other word is inconsistent
+    ring = CupRing(field, max_n=4)
+    solved = 0
+    for d in range(9):
+        solver = ring.augmentation_solver(d)
+        for w in range(len(BASIS_WORDS)):
+            sol = solver.solve({w: field.one})
+            if WORD_DEGREE[w] != d:
+                assert sol is None, (d, w)
+                continue
+            assert sol is not None, (d, w)
+            elem = ring.res.comp_element(0, d, sol)
+            value = ring.evaluate_cochain(
+                {(0, EPS, W[""]): 1}, elem)  # eps^b(x|eps|y) = xy
+            assert value == {w: field.one}, (d, w)
+            solved += 1
+    assert solved == len(BASIS_WORDS)
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from fk3hh.exactmath import (
     QQ,
     EchelonBasis,
     FieldError,
+    LinearSolver,
     PrimeField,
     SparseMat,
     Subspace,
@@ -198,7 +199,7 @@ def test_factorized_solver_matches_solve():
     rng = random.Random(17)
     for _ in range(15):
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12), 0.3)
-        solver = m.solver()
+        solver = LinearSolver(m)
         for _ in range(4):
             if rng.random() < 0.5:
                 x0 = {j: Fraction(rng.randint(-3, 3)) for j in range(m.cols)
@@ -345,7 +346,7 @@ def test_solve_many_and_solver_equal_dense_oracle(data):
     given_rhs = [{i: raw_scalar(v, form) for i, v in b.items()}
                  for b, form in zip(rhs, forms)]
     assert m.solve_many(given_rhs) == want
-    solver = m.solver()
+    solver = LinearSolver(m)
     for b, given_b, sol in zip(rhs, given_rhs, want):
         assert solver.solve(given_b) == m.solve(given_b) == sol
         if sol is not None:

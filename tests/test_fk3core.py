@@ -29,6 +29,7 @@ from fk3hh.fk3core import (
     dual_right_action_elem,
     dual_word_left_action,
     dual_word_right_action,
+    mul_table,
     mul_words,
 )
 
@@ -167,6 +168,15 @@ def test_frozen_products():
     assert mul_words(bc, ac) == {top: -1}
     assert mul_words(ac, ab) == {top: 1}
     assert mul_words(c, WORD_INDEX["aba"]) == {top: -1}
+
+
+def test_mul_table_entries_ascend():
+    # each entry is stored by basis index, whatever order the reducer
+    # visits the words of a normal form in
+    table = mul_table()
+    assert len(table) == DIM * DIM
+    for (i, j), entry in table.items():
+        assert list(entry) == sorted(entry), (i, j)
 
 
 def test_defining_relations_vanish():

@@ -152,6 +152,26 @@ def test_cli_rejects_gb_bound_below_relation_length(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("formats", ["json,xml", ""])
+@pytest.mark.parametrize("command", [
+    "homology", "cohomology", "cyclic", "cup", "gb", "resolution",
+    "verify-all"])
+def test_cli_rejects_unknown_formats(tmp_path, capsys, command, formats):
+    # an unknown table format is a bad request, refused before any check
+    # runs or any table is written, not an internal error
+    out = tmp_path / "o"
+    rc = cli.main([command, "--formats", formats, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error" in captured.err and "Traceback" not in captured.err
+    assert "[pass]" not in captured.out and "[FAIL]" not in captured.out
+    assert not out.exists()
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text(f"formats = {formats}\nout = {out}\n")
+    assert cli.main(["--config", str(cfgfile), command]) == 2
+    assert not out.exists()
+
+
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("cochain is not bihomogeneous")

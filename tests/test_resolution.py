@@ -5,16 +5,25 @@ import pytest
 from fk3hh import resolution
 from fk3hh.cohomology import coreduce, transpose_images
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
-from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis, mul_table
+from fk3hh.fk3core import (
+    WORD_DEGREE,
+    WORD_INDEX,
+    DualGen,
+    dgen,
+    dual_basis,
+    mul_table,
+)
 from fk3hh.homology import reduce_image
 from fk3hh.resolution import (
     BimoduleResolution,
+    comp_basis,
     f_reduced_on_gen,
     fb_on_gen,
     i_left,
     i_right,
     kb_comp_basis,
     koszul_diff_elem,
+    layer_starts,
 )
 
 W = WORD_INDEX
@@ -136,8 +145,9 @@ def test_fb0_on_eps_value():
 def test_fb_internal_degree_six():
     for n in range(0, 9):
         for g in dual_basis(n):
+            where = comp_basis(n + 3, g.n + 6)[1]
             for key, c in fb_on_gen(n, g).items():
-                assert BimoduleResolution.intdeg(key) == g.n + 6
+                assert key in where, (n, g, key)
 
 
 def test_fb_anticommutation(res):
@@ -195,6 +205,32 @@ def test_resolution_dims(res):
     assert res.pb_dim(2) == 5 * 144
     assert res.pb_dim(4) == (6 + 1) * 144
     assert res.pb_dim(8) == (6 + 6 + 1) * 144
+
+
+def test_comp_basis_is_the_full_basis_split_by_internal_degree(res):
+    # the full basis of P^b_n, ordered (layer, tag, left word, right word),
+    # split by internal degree in that order, is comp_basis component by
+    # component; intdegs lists exactly the degrees that occur
+    for n in range(10):
+        full = [(i, x, g, y) for i in range(n // 4 + 1)
+                for g in dual_basis(n - 4 * i)
+                for x in range(12) for y in range(12)]
+        by_deg = {}
+        for key in full:
+            i, x, g, y = key
+            d = WORD_DEGREE[x] + g.n + WORD_DEGREE[y] + 6 * i
+            by_deg.setdefault(d, []).append(key)
+        assert sorted(by_deg) == list(res.intdegs(n)), n
+        assert res.pb_dim(n) == len(full), n
+        for d, keys in by_deg.items():
+            got, pos = comp_basis(n, d)
+            assert got == tuple(keys), (n, d)
+            assert pos == {key: r for r, key in enumerate(keys)}
+            starts = layer_starts(n, d)
+            assert starts[-1] == len(keys)
+            for i in range(n // 4 + 1):
+                assert [k[0] for k in keys[starts[i]:starts[i + 1]]] == \
+                    [i] * (starts[i + 1] - starts[i]), (n, d, i)
 
 
 def test_delta_on_omega_block(res):
@@ -265,19 +301,15 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
     # and each column also by the reference extension
     resf = BimoduleResolution(field, max_n=16)
     for n in range(1, 17):
-        basis = resf.pb_basis(n)
-        tgt_basis = resf.pb_basis(n - 1)
         ranks = 0
         for d in resf.intdegs(n):
-            src, tgt = resf.pb_comp(n, d), resf.pb_comp(n - 1, d)
-            row_of = {tgt_basis[pos]: r for r, pos in enumerate(tgt)}
+            src, (tgt, row_of) = comp_basis(n, d)[0], comp_basis(n - 1, d)
             entries = {}
-            for col, pos in enumerate(src):
-                column = resf.delta_elem(n, {basis[pos]: 1})
-                assert column == reference_delta(
-                    resf, n, {basis[pos]: 1}), (n, basis[pos])
-                for key, c in column.items():
-                    entries[(row_of[key], col)] = c
+            for col, key in enumerate(src):
+                column = resf.delta_elem(n, {key: 1})
+                assert column == reference_delta(resf, n, {key: 1}), (n, key)
+                for key2, c in column.items():
+                    entries[(row_of[key2], col)] = c
             expect = SparseMat(len(tgt), len(src), entries, field)
             assert resf.delta_block(n, d) == expect, (n, d)
             ranks += expect.rank()
