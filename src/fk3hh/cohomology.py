@@ -8,17 +8,24 @@ with m in [-2 floor(n/4), 4].
 
 The codifferential is derived from the resolution: a cochain g*|x pulls back
 along the strata f^(0) = d and f^(1) = f to sum l x r over the terms l|g|r
-of each source generator's image (`coreduce`); the higher strata vanish
-under this reduction.  The transcribed image tables live in `fk3hh.tables`
-as a verification oracle only.  The codifferential of omega*_i g*|x at
-degree n is that of omega*_0 g*|x at degree n - 4i moved up i layers, so
-`columns` pulls back once per relative degree n - 4i, with the layers taken
-out; `diff_key`, `diff_elem` and `matrix` read those columns, shifted by i.
-Matrices are assembled on request and not kept; ranks are memoised once per
+of each source generator's image; the higher strata vanish under this
+reduction.  The transcribed image tables live in `fk3hh.tables` as a
+verification oracle only.  The codifferential of omega*_i g*|x at degree n
+is that of omega*_0 g*|x at degree n - 4i moved up i layers, so `columns`
+pulls back once per relative degree n - 4i, with the layers taken out.  It
+makes one pass per generator g over the terms (u, l, r) of the source
+images that pass through g (`transpose_images`) and, through the table
+`fk3core.triple_products` of the nonzero products l x r, fills the twelve
+columns (g, x) together.  `diff_key` and `diff_elem` read those columns,
+shifted by i, and `rows` assembles a component's codifferential from them
+as raw integer rows; `matrix` wraps those rows in a SparseMat, `rank` ranks
+them through `exactmath.rank_of_rows` without one, and the class solvers
+factor them.  Nothing assembled is kept; ranks are memoised once per
 omega-layer class.  Below m = 0 the component Q^n_m has no omega*_0 layer
 and is Q^{n-4}_{m+2} one layer up, codifferential included, so `rank` ranks
-only matrices with m >= 0.  `dim` counts the keys layer by layer without
-building a basis, and `fk3core.dual_basis` is memoised and read-only.
+only components with m >= 0.  `dim` counts the keys layer by layer without
+building a basis (memoised per n), and `fk3core.dual_basis` is memoised and
+read-only.
 
 Cohomology dimensions come from ranks; `cocycle_basis` returns canonical
 coset representatives (kernel vectors reduced against the RREF of the
@@ -29,7 +36,14 @@ component against one integer factorisation of its raw columns
 
 from __future__ import annotations
 
-from .exactmath import QQ, LinearSolver, SparseMat, Subspace, scalars
+from .exactmath import (
+    QQ,
+    LinearSolver,
+    SparseMat,
+    Subspace,
+    rank_of_rows,
+    scalars,
+)
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
@@ -38,7 +52,7 @@ from .fk3core import (
     chi,
     dual_basis,
     dual_dim,
-    mul_table,
+    triple_products,
 )
 from .homology import _add
 from .resolution import gen_image
@@ -54,27 +68,6 @@ def transpose_images(images: dict) -> dict:
     return out
 
 
-def coreduce(terms, x: int) -> dict:
-    """The cohomology reduction: pulling the cochain v*|x back along the
-    terms (u, l, r, c) of transpose_images gives sum c u*|(l x r), as
-    {(DualGen, word_idx): int}."""
-    out = {}
-    table = mul_table()
-    room = 4 - WORD_DEGREE[x]  # A vanishes above degree 4
-    for u, lw, rw, c in terms:
-        if WORD_DEGREE[lw] + WORD_DEGREE[rw] > room:
-            continue
-        for m1, c1 in table[(lw, x)].items():
-            for m2, c2 in table[(m1, rw)].items():
-                key = (u, m2)
-                nv = out.get(key, 0) + c * c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the bigraded cochain complex
 # ---------------------------------------------------------------------------
@@ -86,6 +79,7 @@ class CohomologyComplex:
         self.field = field
         self.max_n = max_n
         self._basis = {}
+        self._dim = {}
         self._rank = {}
         self._columns = {}
         self._classes = {}
@@ -112,30 +106,50 @@ class CohomologyComplex:
 
     def dim(self, n: int, m: int) -> int:
         """len(basis(n, m)), counted without building the basis: a sum
-        over the layers 0 <= i <= n/4 with 0 <= m + 2i <= 4."""
-        return sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[m + 2 * i]
-                   for i in range(max(0, (1 - m) // 2),
-                                  min(n // 4, (4 - m) // 2) + 1))
+        over the layers 0 <= i <= n/4 with 0 <= m + 2i <= 4, memoised per n
+        over the support min_m(n) <= m <= 4."""
+        if n < 0 or not self.min_m(n) <= m <= 4:
+            return 0
+        if n not in self._dim:
+            self._dim[n] = tuple(
+                sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[mm + 2 * i]
+                    for i in range(max(0, (1 - mm) // 2),
+                                   min(n // 4, (4 - mm) // 2) + 1))
+                for mm in range(self.min_m(n), 5))
+        return self._dim[n][m - self.min_m(n)]
 
     def columns(self, deg: int) -> dict:
         """{(DualGen, word_idx): [(layer offset, DualGen, word_idx, int)]}:
         the codifferential of omega*_i g*|x at degree deg + 4i with the
         layer i taken out, built once per relative degree deg = n - 4i.
         The part pulled back along d_{deg+1} has offset 0, the part pulled
-        back along f_{deg-3} offset +1."""
+        back along f_{deg-3} offset +1.
+
+        Pulling g*|x back along the terms (u, l, r, c) that pass through g
+        gives sum c u*|(l x r), so one pass over those terms, through the
+        nonzero products l x r of every x, fills the twelve columns (g, x)
+        together."""
         if deg not in self._columns:
             d = transpose_images({u: gen_image(0, deg + 1, u)
                                   for u in dual_basis(deg + 1)})
             f = transpose_images({u: gen_image(1, deg - 3, u)
                                   for u in dual_basis(deg - 3)})
+            triples = triple_products()
             cols = {}
             for g in dual_basis(deg):
-                for x in range(DIM):
-                    col = [(0, u, y, c) for (u, y), c in
-                           coreduce(d.get(g, ()), x).items()]
-                    col += [(1, u, y, c) for (u, y), c in
-                            coreduce(f.get(g, ()), x).items()]
-                    cols[(g, x)] = col
+                acc = [{} for _ in range(DIM)]
+                for o, terms in ((0, d.get(g, ())), (1, f.get(g, ()))):
+                    for u, lw, rw, c in terms:
+                        for x, y, c2 in triples[(lw, rw)]:
+                            col, key = acc[x], (o, u, y)
+                            nv = col.get(key, 0) + c * c2
+                            if nv:
+                                col[key] = nv
+                            else:
+                                del col[key]
+                for x, col in enumerate(acc):
+                    cols[(g, x)] = tuple((o, u, y, c)
+                                         for (o, u, y), c in col.items())
             self._columns[deg] = cols
         return self._columns[deg]
 
@@ -153,17 +167,23 @@ class CohomologyComplex:
                 _add(out, key2, c * c2)
         return scalars(out, self.field)
 
-    def matrix(self, n: int, m: int) -> SparseMat:
-        """Matrix of Q^n_m -> Q^{n+1}_{m+1}, assembled from the layer-free
-        columns; not retained (ranks and the images and kernels that the
-        cocycle bases need are memoised)."""
+    def rows(self, n: int, m: int):
+        """(rows, ncols): the codifferential Q^n_m -> Q^{n+1}_{m+1} as raw
+        integer rows {column: int}, one per key of basis(n + 1, m + 1),
+        read from the layer-free columns; not retained."""
         src = self.basis(n, m)
         pos = {k: r for r, k in enumerate(self.basis(n + 1, m + 1))}
-        ent = {}
-        for col, key in enumerate(src):
-            for key2, c in self.diff_key(n, key).items():
-                ent[(pos[key2], col)] = c
-        return SparseMat(len(pos), len(src), ent, self.field)
+        rows = [{} for _ in pos]
+        for j, (i, g, x) in enumerate(src):
+            for o, u, y, c in self.columns(n - 4 * i)[(g, x)]:
+                rows[pos[(i + o, u, y)]][j] = c
+        return rows, len(src)
+
+    def matrix(self, n: int, m: int) -> SparseMat:
+        """Matrix of Q^n_m -> Q^{n+1}_{m+1}, from rows(); not retained
+        (ranks and the images and kernels that the cocycle bases need are
+        memoised)."""
+        return SparseMat.from_rows(*self.rows(n, m), self.field)
 
     def rank(self, n: int, m: int) -> int:
         # Below m = 0 the component Q^n_m has no omega*_0 layer: it is
@@ -174,7 +194,7 @@ class CohomologyComplex:
         if n < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
-            self._rank[(n, m)] = self.matrix(n, m).rank()
+            self._rank[(n, m)] = rank_of_rows(*self.rows(n, m), self.field)
         return self._rank[(n, m)]
 
     def dim_coboundaries(self, n: int, m: int) -> int:
@@ -269,25 +289,21 @@ class CohomologyComplex:
 
     def _class_solver(self, n: int, m: int):
         """(solver, pos, ncob, idxs), cached: one factorisation of the raw
-        columns [the ncob coboundaries diff_key(n - 1, .) | the classes at m,
-        idxs in cocycle_basis(n)] over the positions pos of Q^n_m's keys.
-        The classes are independent modulo the coboundaries, so the class
-        part of any solution is unique: it is the class coordinates."""
+        columns [the ncob coboundaries of rows(n - 1, m - 1) | the classes
+        at m, idxs in cocycle_basis(n)] over the positions pos of Q^n_m's
+        keys.  The classes are independent modulo the coboundaries, so the
+        class part of any solution is unique: it is the class coordinates."""
         if (n, m) not in self._class_solvers:
             pos = {k: p for p, k in enumerate(self.basis(n, m))}
-            rows = [{} for _ in pos]
-            cob = self.basis(n - 1, m - 1)
-            for col, key in enumerate(cob):
-                for key2, c in self.diff_key(n - 1, key).items():
-                    rows[pos[key2]][col] = c
+            rows, ncob = self.rows(n - 1, m - 1)
             idxs = []
             for idx, (mm, cv) in enumerate(self.cocycle_basis(n)):
                 if mm == m:
                     for k, c in cv.items():
-                        rows[pos[k]][len(cob) + len(idxs)] = c
+                        rows[pos[k]][ncob + len(idxs)] = c
                     idxs.append(idx)
             self._class_solvers[(n, m)] = (LinearSolver.from_rows(
-                rows, len(cob) + len(idxs), self.field), pos, len(cob), idxs)
+                rows, ncob + len(idxs), self.field), pos, ncob, idxs)
         return self._class_solvers[(n, m)]
 
 

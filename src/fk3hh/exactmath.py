@@ -166,6 +166,8 @@ def to_integers(vec, field):
     vec = ints / e.  Over F_p the entries are reduced to residues, e = 1."""
     if field.characteristic:
         return {i: v for i, x in vec.items() if (v := field.of(x))}, 1
+    if all(type(x) is int for x in vec.values()):
+        return {i: x for i, x in vec.items() if x}, 1
     vec = {i: x if type(x) is int else field.of(x) for i, x in vec.items()}
     e = lcm(*(v.denominator for v in vec.values()))
     if e == 1:

@@ -87,6 +87,27 @@ def mul_table():
     return _MUL_TABLE
 
 
+@cache
+def triple_products() -> dict:
+    """{(a, b): ((x, y, c), ...)}: the nonzero coefficients c of the words y
+    in the products (a x) b over all twelve x, from mul_table() on first use
+    and read-only.  A pass over the terms l|v|r of one image reaches every x
+    at once through the products r x l (homology) or l x r (cohomology)."""
+    table = mul_table()
+    out = {}
+    for a in range(DIM):
+        for b in range(DIM):
+            prods = []
+            for x in range(DIM):
+                acc = {}
+                for m1, c1 in table[(a, x)].items():
+                    for y, c2 in table[(m1, b)].items():
+                        acc[y] = acc.get(y, 0) + c1 * c2
+                prods += [(x, y, c) for y, c in acc.items() if c]
+            out[(a, b)] = tuple(prods)
+    return out
+
+
 def mul_words(i: int, j: int) -> dict:
     """Product of two basis words as {basis index: integer coefficient}."""
     return mul_table()[(i, j)]

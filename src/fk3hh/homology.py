@@ -4,22 +4,27 @@ The complex A (x)_{A^e} P has components P~_{n,m} = sum_i omega_i K~_{n-4i,m-2i}
 with K~_{n,m} = A_m (x) (dual of degree n); basis keys are (i, word_idx,
 DualGen).  Its differential is derived from the resolution: the strata
 f^(0) = d and f^(1) = f of each generator's image are reduced by
-x (x) l|v|r -> (r x l)|v (`reduce_image`); the higher strata vanish under
-this reduction.  The transcribed image tables live in `fk3hh.tables` as a
-verification oracle only.
+x (x) l|v|r -> (r x l)|v; the higher strata vanish under this reduction.
+The transcribed image tables live in `fk3hh.tables` as a verification
+oracle only.
 
 The differential of omega_i x|g at degree n is that of omega_0 x|g at
 degree n - 4i moved up i layers, so `columns` reduces the images once per
-relative degree n - 4i, with the layers taken out; `diff_key`, `diff_elem`
-and every matrix read those columns, shifted by i.  Matrices are assembled
-on request and not kept: only their ranks are memoised, once per omega-layer
-class.  Above m = 4 the (n, m) component has no omega_0 layer and is the
-(n - 4, m - 2) component one layer up, differential included; at m = 4 its
-omega_0 columns map into A_5 = 0, so the rank is still that of (n - 4, 2),
-and `rank` ranks only matrices with m <= 3.  `dim` counts the keys layer
-by layer without building a basis, so bases are built only for the
-matrices that are assembled; `fk3core.dual_basis` is memoised and
-read-only.
+relative degree n - 4i, with the layers taken out.  It makes one pass per
+generator g over the terms of g's d and f images and, through the table
+`fk3core.triple_products` of the nonzero products r x l, fills the twelve
+columns (x, g) together.  `diff_key` and `diff_elem` read those columns,
+shifted by i, and `rows` assembles a component's differential from them as
+raw integer rows; `matrix` wraps those rows in a SparseMat, and `rank`
+ranks them through `exactmath.rank_of_rows` without one.  Nothing assembled
+is kept: only the ranks are memoised, once per omega-layer class.  Above
+m = 4 the (n, m) component has no omega_0 layer and is the (n - 4, m - 2)
+component one layer up, differential included; at m = 4 its omega_0
+columns map into A_5 = 0, so the rank is still that of (n - 4, 2), and
+`rank` ranks only components with m <= 3.  `dim` counts the keys layer by
+layer without building a basis (memoised per n), so bases are built only
+for the components that are assembled; `fk3core.dual_basis` is memoised
+and read-only.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 hand-picked representative bases; those enter only through
@@ -29,19 +34,18 @@ independent where transcribed.
 
 from __future__ import annotations
 
-from .exactmath import QQ, SparseMat, Subspace
+from .exactmath import QQ, SparseMat, Subspace, rank_of_rows, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
     DIM_BY_DEGREE,
-    WORD_DEGREE,
     WORD_INDEX,
     DualGen,
     chi,
     dgen,
     dual_basis,
     dual_dim,
-    mul_table,
+    triple_products,
 )
 from .resolution import gen_image
 
@@ -58,29 +62,6 @@ def _add(out, key, c):
         out[key] = nv
 
 
-def reduce_image(image: dict, x: int) -> dict:
-    """The homology reduction of x (x)_{A^e} image.
-
-    x (x) c l|v|r goes to c (r x l)|v, so a bimodule image
-    {(_, l, v, r): c} becomes {(word_idx, v): int}.
-    """
-    out = {}
-    table = mul_table()
-    room = 4 - WORD_DEGREE[x]  # A vanishes above degree 4
-    for (_, lw, v, rw), c in image.items():
-        if WORD_DEGREE[lw] + WORD_DEGREE[rw] > room:
-            continue
-        for m1, c1 in table[(rw, x)].items():
-            for m2, c2 in table[(m1, lw)].items():
-                key = (m2, v)
-                nv = out.get(key, 0) + c * c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the bigraded complex and its dimensions
 # ---------------------------------------------------------------------------
@@ -92,6 +73,7 @@ class HomologyComplex:
         self.field = field
         self.max_n = max_n
         self._basis = {}
+        self._dim = {}
         self._rank = {}
         self._columns = {}
 
@@ -117,26 +99,45 @@ class HomologyComplex:
 
     def dim(self, n: int, m: int) -> int:
         """len(basis(n, m)), counted without building the basis: a sum
-        over the layers 0 <= i <= n/4 with 0 <= m - 2i <= 4."""
-        return sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[m - 2 * i]
-                   for i in range(max(0, (m - 3) // 2),
-                                  min(n // 4, m // 2) + 1))
+        over the layers 0 <= i <= n/4 with 0 <= m - 2i <= 4, memoised per n
+        over the support 0 <= m <= max_m(n)."""
+        if n < 0 or not 0 <= m <= self.max_m(n):
+            return 0
+        if n not in self._dim:
+            self._dim[n] = tuple(
+                sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[mm - 2 * i]
+                    for i in range(max(0, (mm - 3) // 2),
+                                   min(n // 4, mm // 2) + 1))
+                for mm in range(self.max_m(n) + 1))
+        return self._dim[n][m]
 
     def columns(self, deg: int) -> dict:
         """{(word_idx, DualGen): [(layer offset, word_idx, DualGen, int)]}:
         the differential of omega_i x|g at degree deg + 4i with the layer i
         taken out, built once per relative degree deg = n - 4i.  The d part
-        has offset 0 and the f part offset -1 (it applies from i >= 1)."""
+        has offset 0 and the f part offset -1 (it applies from i >= 1).
+
+        x (x) l|v|r goes to (r x l)|v, so one pass over the terms of g's d
+        and f images, through the nonzero products r x l of every x, fills
+        the twelve columns (x, g) together."""
         if deg not in self._columns:
+            triples = triple_products()
             cols = {}
             for g in dual_basis(deg):
-                d, f = gen_image(0, deg, g), gen_image(1, deg, g)
-                for x in range(DIM):
-                    col = [(0, y, v, c)
-                           for (y, v), c in reduce_image(d, x).items()]
-                    col += [(-1, y, v, c)
-                            for (y, v), c in reduce_image(f, x).items()]
-                    cols[(x, g)] = col
+                acc = [{} for _ in range(DIM)]
+                for o, image in ((0, gen_image(0, deg, g)),
+                                 (-1, gen_image(1, deg, g))):
+                    for (_, lw, v, rw), c in image.items():
+                        for x, y, c2 in triples[(rw, lw)]:
+                            col, key = acc[x], (o, y, v)
+                            nv = col.get(key, 0) + c * c2
+                            if nv:
+                                col[key] = nv
+                            else:
+                                del col[key]
+                for x, col in enumerate(acc):
+                    cols[(x, g)] = tuple((o, y, v, c)
+                                         for (o, y, v), c in col.items())
             self._columns[deg] = cols
         return self._columns[deg]
 
@@ -147,31 +148,40 @@ class HomologyComplex:
         return {(i + o, y, v): c for o, y, v, c in col if i + o >= 0}
 
     def diff_elem(self, n: int, elem: dict) -> dict:
+        """Differential of a chain, as field scalars without zeros."""
         out = {}
         for key, c in elem.items():
             for key2, c2 in self.diff_key(n, key).items():
                 _add(out, key2, c * c2)
-        return out
+        return scalars(out, self.field)
 
-    def _assemble(self, n: int, src, tgt) -> SparseMat:
-        """The differential from the keys src of degree n into tgt."""
-        pos = {k: r for r, k in enumerate(tgt)}
-        ent = {}
-        for col, key in enumerate(src):
-            for key2, c in self.diff_key(n, key).items():
-                ent[(pos[key2], col)] = c
-        return SparseMat(len(tgt), len(src), ent, self.field)
+    def rows(self, n: int, m: int):
+        """(rows, ncols): the differential (n, m) -> (n-1, m+1) as raw
+        integer rows {column: int}, one per key of basis(n - 1, m + 1),
+        read from the layer-free columns; not retained."""
+        src = self.basis(n, m)
+        pos = {k: r for r, k in enumerate(self.basis(n - 1, m + 1))}
+        rows = [{} for _ in pos]
+        for j, (i, x, g) in enumerate(src):
+            for o, y, v, c in self.columns(n - 4 * i)[(x, g)]:
+                if i + o >= 0:
+                    rows[pos[(i + o, y, v)]][j] = c
+        return rows, len(src)
 
     def matrix(self, n: int, m: int) -> SparseMat:
-        """Matrix of the differential (n, m) -> (n-1, m+1), assembled from
-        the layer-free columns; not retained (ranks are memoised)."""
-        return self._assemble(n, self.basis(n, m), self.basis(n - 1, m + 1))
+        """Matrix of the differential (n, m) -> (n-1, m+1), from rows()."""
+        return SparseMat.from_rows(*self.rows(n, m), self.field)
 
     def kt_matrix(self, n: int, m: int) -> SparseMat:
-        """Matrix of the one-stratum differential on the omega_0 block only."""
-        src = [k for k in self.basis(n, m) if k[0] == 0]
-        tgt = [k for k in self.basis(n - 1, m + 1) if k[0] == 0]
-        return self._assemble(n, src, tgt)
+        """Matrix of the one-stratum differential on the omega_0 block only.
+        The omega_0 keys come first in each basis, and d keeps them in
+        layer 0, so it is the top-left block of rows(n, m)."""
+        rows, _ = self.rows(n, m)
+        src0 = sum(k[0] == 0 for k in self.basis(n, m))
+        tgt0 = sum(k[0] == 0 for k in self.basis(n - 1, m + 1))
+        return SparseMat.from_rows(
+            [{j: c for j, c in r.items() if j < src0} for r in rows[:tgt0]],
+            src0, self.field)
 
     def dim_one_stratum_homology(self, n: int, m: int) -> int:
         """Homology dimension of the omega_0 (one-stratum) complex at (n, m)."""
@@ -192,7 +202,7 @@ class HomologyComplex:
         if n < 1 or m < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
-            self._rank[(n, m)] = self.matrix(n, m).rank()
+            self._rank[(n, m)] = rank_of_rows(*self.rows(n, m), self.field)
         return self._rank[(n, m)]
 
     def dim_boundaries(self, n: int, m: int) -> int:

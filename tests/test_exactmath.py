@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from fk3hh.exactmath import (
     SparseMat,
     Subspace,
     field_from_name,
+    to_integers,
 )
 
 
@@ -213,6 +215,30 @@ def test_factorized_solver_matches_solve():
             assert (got is None) == (want is None)
             if got is not None:
                 assert m.apply(got) == {k: v for k, v in rhs.items() if v}
+
+
+def general_to_integers(vec, field):
+    """to_integers without its all-int shortcut over Q: every entry made a
+    field scalar, scaled by the lcm of the denominators."""
+    vec = {i: field.of(x) for i, x in vec.items()}
+    if field.characteristic:
+        return {i: v for i, v in vec.items() if v}, 1
+    e = lcm(1, *(v.denominator for v in vec.values()))
+    return {i: int(v * e) for i, v in vec.items() if v}, e
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+@pytest.mark.parametrize("vec", [
+    {}, {0: 3, 4: -14, 9: 1}, {0: 0, 2: 7, 5: 0}, {1: 0},
+    {0: Fraction(1, 2), 3: Fraction(-4, 3)}, {2: Fraction(6), 7: Fraction(0)},
+    {0: 2, 1: Fraction(5, 6), 2: 0, 3: -21}, {0: 10 ** 30, 1: Fraction(1, 5)},
+], ids=["empty", "ints", "ints-with-zeros", "zero", "fractions",
+        "integral-fractions", "mixed", "large-and-fifth"])
+def test_to_integers_equals_the_general_path(field, vec):
+    ints, e = to_integers(dict(vec), field)
+    want = general_to_integers(vec, field)
+    assert (ints, e) == want
+    assert all(type(v) is int for v in ints.values())
 
 
 # ----- property tests: the elimination kernel against a dense oracle -----

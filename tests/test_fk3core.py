@@ -29,8 +29,10 @@ from fk3hh.fk3core import (
     dual_right_action_elem,
     dual_word_left_action,
     dual_word_right_action,
+    mul_elems,
     mul_table,
     mul_words,
+    triple_products,
 )
 
 # ----------------------------------------------------------------------------
@@ -177,6 +179,20 @@ def test_mul_table_entries_ascend():
     assert len(table) == DIM * DIM
     for (i, j), entry in table.items():
         assert list(entry) == sorted(entry), (i, j)
+
+
+def test_triple_products_are_the_nonzero_products_a_x_b():
+    triples = triple_products()
+    assert len(triples) == DIM * DIM
+    for (a, b), prods in triples.items():
+        got = {}
+        for x, y, c in prods:
+            assert c, (a, x, b, y)
+            got.setdefault(x, {})[y] = QQ.of(c)
+        for x in range(DIM):
+            want = mul_elems(mul_words(a, x), {b: 1})
+            assert got.get(x, {}) == want, (a, x, b)
+            assert want == mul_elems({a: 1}, mul_words(x, b)), (a, x, b)
 
 
 def test_defining_relations_vanish():

@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from fk3hh.cohomology import CohomologyComplex, coreduce, transpose_images
+from fk3hh.cohomology import CohomologyComplex, transpose_images
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
 from fk3hh.homology import (
@@ -11,13 +11,13 @@ from fk3hh.homology import (
     cyclic_series_formula,
     hilbert_series_formula,
     homology_representatives,
-    reduce_image,
     total_dim_formula,
     verify_representatives,
 )
 from fk3hh.resolution import fb_on_gen, gen_image
 from fk3hh.tables import tables_agree_with_maps
 from fk3hh.fk3core import mul_words
+from induced_reference import coreduce, reduce_image
 
 W = WORD_INDEX
 
@@ -365,3 +365,18 @@ def test_layer_class_ranks_equal_direct_ranks(field, top):
             assert co.dim(n, m) == len(co.basis(n, m)), ("cohomology", n, m)
             assert co.rank(n, m) == co.matrix(n, m).rank(), \
                 ("cohomology", n, m)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["f7", "q"])
+def test_diff_elem_equals_matrix_column(field):
+    """diff_elem of a basis key is its matrix column in field scalars: over
+    F_7 the integer sums are reduced and the multiples of 7 dropped."""
+    hom = HomologyComplex(field, 24)
+    for n in range(25):
+        for m in range(hom.max_m(n) + 1):
+            src, tgt = hom.basis(n, m), hom.basis(n - 1, m + 1)
+            cols = [{} for _ in src]
+            for i, j, v in hom.matrix(n, m).triplets():
+                cols[j][tgt[i]] = v
+            for key, col in zip(src, cols):
+                assert hom.diff_elem(n, {key: 1}) == col, (n, m, key)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fk3hh import resolution
-from fk3hh.cohomology import coreduce, transpose_images
+from fk3hh.cohomology import transpose_images
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import (
     WORD_DEGREE,
@@ -13,7 +13,6 @@ from fk3hh.fk3core import (
     dual_basis,
     mul_table,
 )
-from fk3hh.homology import reduce_image
 from fk3hh.resolution import (
     BimoduleResolution,
     comp_basis,
@@ -25,6 +24,7 @@ from fk3hh.resolution import (
     koszul_diff_elem,
     layer_starts,
 )
+from induced_reference import coreduce, reduce_image
 
 W = WORD_INDEX
 ONE = W[""]
