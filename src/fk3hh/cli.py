@@ -17,13 +17,12 @@ import json
 import os
 import sys
 
-from . import cohomology as cohomod
-from . import homology as homod
 from . import ncgroebner as ncg
+from . import paperdata
 from .cohomology import CohomologyComplex
 from .cupring import GENERATOR_BIDEGREES, CupRing
 from .exactmath import FieldError, field_from_name
-from .homology import HomologyComplex, verify_representatives, NotTranscribed
+from .homology import HomologyComplex
 from .report import FORMATS, UsageError, write_outputs
 from .resolution import BimoduleResolution
 
@@ -90,9 +89,10 @@ def _parser():
     sp = sub.add_parser("resolution", help="resolution validity checks "
                         "(default --max-n 24)")
     common(sp)
-    sp = sub.add_parser("verify-all", help="run every verification (the cup "
-                        "checks with --max-n 16, span to degree 12 and "
-                        "commutativity to 9)")
+    sp = sub.add_parser("verify-all", help="run every verification (with "
+                        "--verify-representatives and --verify-printed, and "
+                        "the cup checks with --max-n 16, span to degree 12 "
+                        "and commutativity to 9)")
     common(sp)
     sp.add_argument("--gb-bound", type=int, default=None)
     return p
@@ -111,6 +111,20 @@ def _merge(args, cfg, key, default):
         except ValueError:
             raise UsageError(f"bad value {raw!r} for {key}") from None
     return default
+
+
+_ON, _OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+
+
+def _flag(args, cfg, key):
+    """An on/off option: on when its flag is given or its config value is
+    in _ON, off when that value is in _OFF (either in any case); any other
+    config value is a usage error."""
+    raw = cfg.get(key, "0")
+    if raw.lower() not in _ON + _OFF:
+        raise UsageError(f"bad value {raw!r} for {key}; use 1/0, true/false, "
+                         "yes/no or on/off")
+    return getattr(args, key.replace("-", "_"), False) or raw.lower() in _ON
 
 
 def _max_n(args, cfg, default, least=0):
@@ -155,25 +169,20 @@ class Runner:
 def cmd_homology(args, cfg):
     r = Runner(args, cfg)
     max_n = _max_n(args, cfg, 60)
+    verify_reps = _flag(args, cfg, "verify-representatives")
     cx = HomologyComplex(r.field, max_n=max_n)
     grid, totals = cx.homology_dims(max_n)
-    ok = all(totals[n] == homod.total_dim_formula(n) for n in range(max_n + 1))
+    ok = all(totals[n] == paperdata.homology_total_formula(n)
+             for n in range(max_n + 1))
     r.check("homology totals match the closed formula", ok)
     series = {n: cx.hilbert_series(n) for n in range(max_n + 1)}
-    ok = all(series[n] == homod.hilbert_series_formula(n)
+    ok = all(series[n] == paperdata.homology_series_formula(n)
              for n in range(max_n + 1))
     r.check("homology series match the closed formulas", ok)
-    if getattr(args, "verify_representatives", False) or \
-            "verify-representatives" in cfg:
-        bad = []
-        for n in range(min(max_n, 13) + 1):
-            for m in range(0, 5):
-                try:
-                    rep = verify_representatives(cx, "H", n, m)
-                except NotTranscribed:
-                    continue
-                if not rep["ok"]:
-                    bad.append(rep)
+    if verify_reps:
+        reports = (paperdata.verify_homology_representatives(cx, n, m)
+                   for n in range(min(max_n, 13) + 1) for m in range(5))
+        bad = [rep for rep in reports if not rep["ok"]]
         r.check("published homology representatives verify", not bad, bad)
     write_outputs(r.out, "hh-dims", {"grid": grid, "totals": totals},
                   r.formats)
@@ -186,11 +195,11 @@ def cmd_cohomology(args, cfg):
     max_n = _max_n(args, cfg, 60)
     cx = CohomologyComplex(r.field, max_n=max_n)
     grid, totals = cx.cohomology_dims(max_n)
-    ok = all(totals[n] == cohomod.total_dim_formula(n)
+    ok = all(totals[n] == paperdata.cohomology_total_formula(n)
              for n in range(max_n + 1))
     r.check("cohomology totals match the closed formula", ok)
     series = {n: cx.hilbert_series(n) for n in range(max_n + 1)}
-    ok = all(series[n] == cohomod.hilbert_series_formula(n)
+    ok = all(series[n] == paperdata.cohomology_series_formula(n)
              for n in range(max_n + 1))
     r.check("cohomology series match the closed formulas", ok)
     write_outputs(r.out, "hhco-dims", {"grid": grid, "totals": totals},
@@ -207,7 +216,7 @@ def cmd_cyclic(args, cfg):
         return 2
     cx = HomologyComplex(r.field, max_n=max_n)
     gs = cx.cyclic_series(max_n)
-    ok = all(gs[n] == homod.cyclic_series_formula(n)
+    ok = all(gs[n] == paperdata.cyclic_series_formula(n)
              for n in range(max_n + 1))
     r.check("cyclic series match the closed formulas", ok)
     write_outputs(r.out, "cyclic", {"series": dict(enumerate(gs))}, r.formats)
@@ -233,6 +242,8 @@ def _check_cup_degrees(max_n, requested):
 # hh cup's default bounds, and the wider ones hh verify-all checks
 CUP_DEFAULTS = {"gen-degree": 8, "commutativity-degree": 7, "max-n": 12}
 VERIFY_ALL_CUP = {"gen-degree": 12, "commutativity-degree": 9, "max-n": 16}
+# the on/off checks of hh homology and hh gb, which hh verify-all turns on
+VERIFY_ALL_FLAGS = ("verify-representatives", "verify-printed")
 
 
 def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
@@ -299,10 +310,11 @@ def cmd_gb(args, cfg):
     r = Runner(args, cfg)
     alg, rels = _ring_relations(r.field)
     bound = _gb_bound(args, cfg, rels)
+    verify_printed = _flag(args, cfg, "verify-printed")
     gb = ncg.buchberger_complete(alg, rels, degree_bound=bound)
     r.check("completion is untruncated", not gb.truncated)
     r.check("reduced basis has 184 elements", len(gb) == 184, len(gb))
-    if getattr(args, "verify_printed", False) or "verify-printed" in cfg:
+    if verify_printed:
         pub = ncg.load_published_basis(alg)
         ok = sorted(map(tuple, gb.lead_words())) == \
             sorted(tuple(ncg.lead_word(p)) for p in pub)
@@ -352,6 +364,9 @@ def cmd_resolution(args, cfg):
 def cmd_verify_all(args, cfg):
     field = Runner(args, cfg).field  # a bad field or format fails first
     _gb_bound(args, cfg, _ring_relations(field)[1])
+    for key in VERIFY_ALL_FLAGS:  # and so does a bad on/off value
+        _flag(args, cfg, key)
+    cfg = {**cfg, **dict.fromkeys(VERIFY_ALL_FLAGS, "1")}
     rc = 0
     wide_cup = functools.partial(cmd_cup, defaults=VERIFY_ALL_CUP)
     for fn in (cmd_homology, cmd_cohomology, wide_cup, cmd_gb, cmd_resolution):

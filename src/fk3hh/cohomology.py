@@ -9,12 +9,11 @@ with m in [-2 floor(n/4), 4].
 The codifferential is derived from the resolution: a cochain g*|x pulls back
 along the strata f^(0) = d and f^(1) = f to sum l x r over the terms l|g|r
 of each source generator's image; the higher strata vanish under this
-reduction.  The transcribed image tables live in `fk3hh.tables` as a
-verification oracle only.  The codifferential of omega*_i g*|x at degree n
-is that of omega*_0 g*|x at degree n - 4i moved up i layers, so `columns`
-pulls back once per relative degree n - 4i, with the layers taken out.  It
-makes one pass per generator g over the terms (u, l, r) of the source
-images that pass through g (`transpose_images`) and, through the table
+reduction.  The codifferential of omega*_i g*|x at degree n is that of
+omega*_0 g*|x at degree n - 4i moved up i layers, so `columns` pulls back
+once per relative degree n - 4i, with the layers taken out.  It makes one
+pass per generator g over the terms (u, l, r) of the source images that
+pass through g (`transpose_images`) and, through the table
 `fk3core.triple_products` of the nonzero products l x r, fills the twelve
 columns (g, x) together.  `diff_key` and `diff_elem` read those columns,
 shifted by i, and `rows` assembles a component's codifferential from them
@@ -41,6 +40,7 @@ from .exactmath import (
     LinearSolver,
     SparseMat,
     Subspace,
+    add_term,
     rank_of_rows,
     scalars,
 )
@@ -49,12 +49,10 @@ from .fk3core import (
     DIM,
     DIM_BY_DEGREE,
     WORD_DEGREE,
-    chi,
     dual_basis,
     dual_dim,
     triple_products,
 )
-from .homology import _add
 from .resolution import gen_image
 
 
@@ -164,7 +162,7 @@ class CohomologyComplex:
         out = {}
         for key, c in elem.items():
             for key2, c2 in self.diff_key(n, key).items():
-                _add(out, key2, c * c2)
+                add_term(out, key2, c * c2)
         return scalars(out, self.field)
 
     def rows(self, n: int, m: int):
@@ -253,9 +251,6 @@ class CohomologyComplex:
         self._classes[n] = out
         return out
 
-    def is_cocycle(self, n: int, elem: dict) -> bool:
-        return not self.diff_elem(n, elem)
-
     def is_zero_class(self, n: int, elem: dict) -> bool:
         """True when a degree-n cochain is a coboundary (per bidegree)."""
         return all(sol is not None and all(c < ncob for c in sol)
@@ -305,52 +300,3 @@ class CohomologyComplex:
             self._class_solvers[(n, m)] = (LinearSolver.from_rows(
                 rows, ncob + len(idxs), self.field), pos, ncob, idxs)
         return self._class_solvers[(n, m)]
-
-
-# ---------------------------------------------------------------------------
-# published closed formulas
-# ---------------------------------------------------------------------------
-
-def total_dim_formula(n: int) -> int:
-    if n % 2 == 1:
-        return (5 * n + 9) // 2
-    if n % 4 == 0:
-        return 5 * n // 2 + 4
-    return 5 * n // 2 + 5
-
-
-_HCO_EXPLICIT = {
-    0: {4: 1, 2: 2, 0: 1},
-    1: {2: 6, 0: 1},
-    2: {2: 4, 0: 2, -2: 4},
-    3: {0: 7, -2: 5},
-    4: {0: 5, -2: 1, -4: 7, -6: 1},
-    5: {-2: 5, -4: 11, -6: 1},
-    6: {-2: 5, -4: 4, -6: 7, -8: 4},
-    7: {-4: 5, -6: 12, -8: 5},
-}
-
-
-def hilbert_series_formula(n: int) -> dict:
-    """h^n(t): explicit for n <= 7, the closed general form for n >= 8."""
-    if n <= 7:
-        return dict(_HCO_EXPLICIT[n])
-    out = {}
-    q = n // 4
-    cn, cn1 = chi(n), chi(n + 1)
-
-    def put(e, c):
-        if c:
-            _add(out, e - n, c)
-
-    put(4, 5 * cn)
-    put(3, 5 * cn1)
-    put(2, 5 * cn)
-    for i in range(q - 2):
-        put(cn1 - 2 * i, 10)
-    r = n % 4
-    pn = {0: {4: 6, 2: 7, 0: 1}, 1: {5: 10, 3: 11, 1: 1},
-          2: {4: 9, 2: 7, 0: 4}, 3: {5: 10, 3: 12, 1: 5}}[r]
-    for e, c in pn.items():
-        put(-2 * q + e, c)
-    return out

@@ -208,37 +208,6 @@ class ChainLift:
         acc, den = self._image(k, elem)
         return scalars(acc, self.ring.field, den)
 
-    def perturb_stage(self, k: int, seed: int = 0):
-        """Replace stage k by another valid solution (adds a kernel vector).
-
-        Later stages are discarded and re-solved; the class of any product
-        computed through the lift must not change (lift independence).
-        """
-        ring = self.ring
-        res = ring.res
-        F = ring.field
-        self.ensure(k)
-        stage = {gen: self.stages[k].value(gen, F)
-                 for gen in self.stages[k].images}
-        changed = False
-        for idx, ((i, g), elem) in enumerate(sorted(stage.items(), key=str)):
-            tgt_int = g.n + 6 * i + self.intdeg
-            if k == 0:
-                continue  # augmentation kernel handled by stage-1 anyway
-            block = res.delta_block(k, tgt_int)
-            ker = block.kernel()
-            if ker.dim == 0:
-                continue
-            vec = ker.basis_dicts()[(seed + idx) % ker.dim]
-            new = dict(elem)
-            for key, c in res.comp_element(k, tgt_int, vec).items():
-                new[key] = new.get(key, 0) + c
-            stage[(i, g)] = scalars(new, F)
-            changed = True
-        if changed:
-            self.stages = self.stages[:k] + [LiftStage.of_scalars(stage, F)]
-        return changed
-
 
 class CupRing:
     """Cup-product engine over a resolution plus the dual cochain complex."""

@@ -143,6 +143,17 @@ def field_from_name(name: str):
     raise FieldError(f"unknown field {name!r}")
 
 
+def add_term(out, key, c):
+    """out[key] += c in a sparse sum; a key whose sum cancels is dropped."""
+    if not c:
+        return
+    nv = out.get(key, 0) + c
+    if nv == 0:
+        out.pop(key, None)
+    else:
+        out[key] = nv
+
+
 def scalars(acc, field, den=1):
     """Sums accumulated in raw ints or Fractions, divided by the integer den
     and made field scalars once, with the zeros dropped (over F_p a sum may
@@ -437,28 +448,12 @@ class SparseMat:
         self._d = d
 
     @classmethod
-    def identity(cls, n, field=QQ):
-        return cls(n, n, {(i, i): field.one for i in range(n)}, field)
-
-    @classmethod
-    def zero(cls, rows, cols, field=QQ):
-        return cls(rows, cols, None, field)
-
-    @classmethod
     def from_rows(cls, rows_list, cols, field=QQ):
         ent = {}
         for i, row in enumerate(rows_list):
             for j, v in row.items():
                 ent[(i, j)] = v
         return cls(len(rows_list), cols, ent, field)
-
-    @classmethod
-    def from_cols(cls, cols_list, rows, field=QQ):
-        ent = {}
-        for j, col in enumerate(cols_list):
-            for i, v in col.items():
-                ent[(i, j)] = v
-        return cls(rows, len(cols_list), ent, field)
 
     def get(self, i, j):
         return self._d.get((i, j), self.field.zero)
@@ -474,9 +469,6 @@ class SparseMat:
         for (i, j), v in self._d.items():
             rows[i][j] = v
         return rows
-
-    def col_dict(self, j):
-        return {i: v for (i, jj), v in self._d.items() if jj == j}
 
     def transpose(self):
         return SparseMat(
@@ -497,54 +489,6 @@ class SparseMat:
 
     def __repr__(self):
         return f"SparseMat({self.rows}x{self.cols}, nnz={self.nnz()})"
-
-    def matmul(self, other: "SparseMat") -> "SparseMat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        F = self.field
-        other_rows = other.row_dicts()
-        out = {}
-        for (i, k), v in self._d.items():
-            for j, w in other_rows[k].items():
-                key = (i, j)
-                nv = F.add(out.get(key, F.zero), F.mul(v, w))
-                if nv == F.zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-        return SparseMat(self.rows, other.cols, out, F)
-
-    def apply(self, vec):
-        """Matrix times vector; vec and result are dicts index->scalar."""
-        F = self.field
-        cols = {}
-        for (i, j), v in self._d.items():
-            if j in vec:
-                cols.setdefault(i, []).append(F.mul(v, vec[j]))
-        out = {}
-        for i, vals in cols.items():
-            s = F.zero
-            for v in vals:
-                s = F.add(s, v)
-            if s != F.zero:
-                out[i] = s
-        return out
-
-    def is_zero(self):
-        return not self._d
-
-    def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        F = self.field
-        out = dict(self._d)
-        for key, v in other._d.items():
-            nv = F.add(out.get(key, F.zero), v)
-            if nv == F.zero:
-                out.pop(key, None)
-            else:
-                out[key] = nv
-        return SparseMat(self.rows, self.cols, out, F)
 
     # ----- elimination -----
 

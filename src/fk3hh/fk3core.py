@@ -23,7 +23,7 @@ from functools import cache
 from typing import NamedTuple
 
 from . import ncgroebner
-from .exactmath import QQ
+from .exactmath import QQ, add_term
 
 GENS = ("a", "b", "c")
 
@@ -113,77 +113,6 @@ def mul_words(i: int, j: int) -> dict:
     return mul_table()[(i, j)]
 
 
-def mul_elems(x: dict, y: dict, field=QQ) -> dict:
-    """Bilinear extension of the table; x, y, result are {index: scalar}."""
-    out = {}
-    for i, ci in x.items():
-        for j, cj in y.items():
-            cij = field.mul(ci, cj)
-            for k, s in mul_words(i, j).items():
-                nv = field.add(out.get(k, field.zero), field.mul(cij, field.of(s)))
-                if nv == field.zero:
-                    out.pop(k, None)
-                else:
-                    out[k] = nv
-    return out
-
-
-class AlgElem:
-    """An element of FK(3): coefficients over the twelve basis words."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs=None, field=QQ):
-        self.field = field
-        self.coeffs = {i: field.of(c) for i, c in (coeffs or {}).items()
-                       if field.of(c) != field.zero}
-
-    @classmethod
-    def word(cls, w: str, field=QQ):
-        return cls({WORD_INDEX[w]: field.one}, field)
-
-    def __add__(self, other):
-        F = self.field
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            nv = F.add(out.get(i, F.zero), c)
-            if nv == F.zero:
-                out.pop(i, None)
-            else:
-                out[i] = nv
-        return AlgElem(out, F)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElem):
-            return AlgElem(mul_elems(self.coeffs, other.coeffs, self.field), self.field)
-        return AlgElem({i: self.field.mul(c, self.field.of(other))
-                        for i, c in self.coeffs.items()}, self.field)
-
-    def __neg__(self):
-        return AlgElem({i: self.field.neg(c) for i, c in self.coeffs.items()}, self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgElem) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i in sorted(self.coeffs):
-            w = BASIS_WORDS[i] or "1"
-            bits.append(f"{self.coeffs[i]}*{w}")
-        return " + ".join(bits)
-
-
 # ---------------------------------------------------------------------------
 # the graded dual of the quadratic dual: basis tags and the letter actions
 # ---------------------------------------------------------------------------
@@ -244,10 +173,8 @@ def _comb(*pairs):
     """Sparse integer combination of DualGens, dropping zero symbols."""
     out = {}
     for coeff, gen in pairs:
-        if coeff and gen is not None:
-            out[gen] = out.get(gen, 0) + coeff
-            if out[gen] == 0:
-                del out[gen]
+        if gen is not None:
+            add_term(out, gen, coeff)
     return out
 
 
@@ -342,37 +269,3 @@ def dual_right_action(f: DualGen, letter: str) -> dict:
             "ab2": _comb((c_n1, dgen("ab", n - 1)), (c_n, dgen("ag", n - 1))),
         }[tag]
     raise ValueError(f"unknown letter {letter!r}")
-
-
-def dual_left_action_elem(letter: str, f: dict) -> dict:
-    """Linear extension of dual_left_action to {DualGen: coeff} elements."""
-    out = {}
-    for gen, c in f.items():
-        for g2, s in dual_left_action(letter, gen).items():
-            out[g2] = out.get(g2, 0) + c * s
-            if out[g2] == 0:
-                del out[g2]
-    return out
-
-
-def dual_right_action_elem(f: dict, letter: str) -> dict:
-    out = {}
-    for gen, c in f.items():
-        for g2, s in dual_right_action(gen, letter).items():
-            out[g2] = out.get(g2, 0) + c * s
-            if out[g2] == 0:
-                del out[g2]
-    return out
-
-
-def dual_word_left_action(word: str, f: dict) -> dict:
-    """Action of a word u = l1 l2 ... lk: l1*(l2*(...*(lk*f)))."""
-    for letter in reversed(word):
-        f = dual_left_action_elem(letter, f)
-    return f
-
-
-def dual_word_right_action(f: dict, word: str) -> dict:
-    for letter in word:
-        f = dual_right_action_elem(f, letter)
-    return f

@@ -17,7 +17,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import re
-from itertools import product
 from math import gcd
 from operator import neg
 
@@ -80,11 +79,6 @@ class FreeAlgebra:
         d = sum(self.bidegrees[i - 1][1] for i in w)
         return (h, d)
 
-    def poly_bidegree(self, p):
-        """Common bidegree of all words of p, or None when inhomogeneous."""
-        degs = {self.word_bidegree(w) for w in p}
-        return degs.pop() if len(degs) == 1 else None
-
     # ----- text format: one polynomial per line, terms coeff*x_i*...*x_j -----
 
     _TERM_RE = re.compile(
@@ -137,37 +131,6 @@ class FreeAlgebra:
             else:
                 out[w] = nc
         return out
-
-    def format_word(self, w: Word) -> str:
-        if not w:
-            return "1"
-        parts = []
-        i = 0
-        while i < len(w):
-            j = i
-            while j < len(w) and w[j] == w[i]:
-                j += 1
-            g = f"x{w[i]}"
-            parts.append(g if j - i == 1 else f"{g}^{j - i}")
-            i = j
-        return "*".join(parts)
-
-    def format_poly(self, p) -> str:
-        if not p:
-            return "0"
-        bits = []
-        for w in sorted(p, key=word_key, reverse=True):
-            c = p[w]
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            body = self.format_word(w)
-            if cs != "1":
-                body = f"{cs}*{body}" if body != "1" else cs
-            bits.append(("- " if neg else "+ ") + body)
-        out = " ".join(bits)
-        return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
     def parse_file(self, path):
         polys = []
@@ -479,18 +442,6 @@ def standard_word_counts(basis: GBasis, up_to_hom_degree):
         bd = basis.algebra.word_bidegree(w)
         counts[bd] = counts.get(bd, 0) + 1
     return counts
-
-
-def brute_force_standard_words(basis: GBasis, length):
-    """All standard words of exactly the given length, by full enumeration."""
-    alg = basis.algebra
-    leads = set(map(tuple, basis.lead_words()))
-    out = []
-    for w in product(range(1, alg.ngens + 1), repeat=length):
-        if not any(w[i:j] in leads
-                   for i in range(length) for j in range(i + 1, length + 1)):
-            out.append(w)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate
 
-from .exactmath import QQ, SparseMat, rank_of_rows
+from .exactmath import QQ, SparseMat, add_term, rank_of_rows
 from .fk3core import (
     BASIS_WORDS,
     DIM,
@@ -69,16 +69,6 @@ from .fk3core import (
 W = WORD_INDEX  # short alias used by the comparison-map tables
 
 
-def _add_term(out, key, coeff):
-    if coeff == 0:
-        return
-    nv = out.get(key, 0) + coeff
-    if nv == 0:
-        out.pop(key, None)
-    else:
-        out[key] = nv
-
-
 def i_left(elem: dict) -> dict:
     """x|u|y -> sum_L xL | uL | y  (integer coefficients)."""
     out = {}
@@ -90,7 +80,7 @@ def i_left(elem: dict) -> dict:
             ul = dual_right_action(u, letter)
             for x2, cx in xl.items():
                 for u2, cu in ul.items():
-                    _add_term(out, (i, x2, u2, y), c * cx * cu)
+                    add_term(out, (i, x2, u2, y), c * cx * cu)
     return out
 
 
@@ -105,7 +95,7 @@ def i_right(elem: dict) -> dict:
             lu = dual_left_action(letter, u)
             for y2, cy in ly.items():
                 for u2, cu in lu.items():
-                    _add_term(out, (i, x, u2, y2), c * cy * cu)
+                    add_term(out, (i, x, u2, y2), c * cy * cu)
     return out
 
 
@@ -114,9 +104,9 @@ def koszul_diff_elem(n: int, elem: dict) -> dict:
     sign = -1 if n % 2 else 1
     out = {}
     for key, c in i_left(elem).items():
-        _add_term(out, key, sign * c)
+        add_term(out, key, sign * c)
     for key, c in i_right(elem).items():
-        _add_term(out, key, c)
+        add_term(out, key, c)
     return out
 
 
@@ -280,7 +270,7 @@ def fb_on_gen(n: int, gen: DualGen) -> dict:
         tgen = dgen(ttag, n + 3) if ttag != "eps" else dgen("eps", 0)
         if tgen is None:
             continue
-        _add_term(out, (0, W[lw], tgen, W[rw]), coeff)
+        add_term(out, (0, W[lw], tgen, W[rw]), coeff)
     return out
 
 
@@ -348,19 +338,6 @@ def gen_image(k: int, n: int, gen: DualGen) -> dict:
         return fb_on_gen(n, gen)
     raise ValueError(f"stratum {k} has no closed form; it is solved per "
                      "resolution (BimoduleResolution.stratum_on_gen)")
-
-
-def f_reduced_on_gen(n: int, gen: DualGen) -> dict:
-    """id_k (x)_A f^b_n: the right-module comparison map value on gen|1.
-
-    Keys are (DualGen, word_idx) pairs of the trivial-module Koszul complex.
-    """
-    out = {}
-    for (_, l, v, r), c in fb_on_gen(n, gen).items():
-        if l == W[""]:
-            key = (v, r)
-            _add_term(out, key, c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +451,12 @@ class BimoduleResolution:
                 a = k - b
                 inner = self.stratum_elem(b, n, e)
                 for key, c in self.stratum_elem(a, n + 4 * b - 1, inner).items():
-                    _add_term(rhs, key, -c)
+                    add_term(rhs, key, -c)
             # previous homotopy of the same stratum: f^(k)_{n-1} d_n
             if n >= 1:
                 de = koszul_diff_elem(n, e)
                 for key, c in self.stratum_elem(k, n - 1, de).items():
-                    _add_term(rhs, key, -c)
+                    add_term(rhs, key, -c)
             rhs_by_gen[g] = rhs
         # one linear solve per generator against the Koszul differential,
         # restricted to the single internal degree n + 6k of the images
@@ -540,7 +517,7 @@ class BimoduleResolution:
                 shifted = {(i - k, x, g, y): c
                            for (ii, x, g, y), c in part.items()}
                 for key, c in self.stratum_elem(k, deg, shifted).items():
-                    _add_term(out, key, c)
+                    add_term(out, key, c)
         return out
 
     def koszul_block(self, n: int, d: int) -> SparseMat:
@@ -624,7 +601,7 @@ class BimoduleResolution:
                 de = koszul_diff_elem(n, {(0, one, g, one): 1})
                 anti = koszul_diff_elem(n + 3, fb_on_gen(n, g))
                 for key, c in self.stratum_elem(1, n - 1, de).items():
-                    _add_term(anti, key, c)
+                    add_term(anti, key, c)
                 if koszul_diff_elem(n - 1, de) or anti:
                     bad.append(n)
                     break

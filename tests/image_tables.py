@@ -1,9 +1,8 @@
-"""The transcribed image tables of the induced (co)differentials.
+"""The published image tables of the induced (co)differentials.
 
-These are published data, kept only as a verification oracle: the engine
-derives every differential from the resolution's strata d and f, and
-`tables_agree_with_maps` compares each table entry with the differentials
-the homology and cohomology complexes actually use.
+The engine derives every differential from the resolution's strata d and f
+and never reads these tables; `tables_agree_with_maps` compares each table
+entry with the differentials the homology and cohomology complexes use.
 
 Cells are sums of `left|right` terms.  Homology cells are `word|dual` (an
 element of A (x) the graded dual); cohomology cells are `dual|word` (the map
@@ -16,8 +15,9 @@ from __future__ import annotations
 
 import re
 
-from .cohomology import CohomologyComplex
-from .fk3core import (
+from fk3hh.cohomology import CohomologyComplex
+from fk3hh.exactmath import add_term
+from fk3hh.fk3core import (
     BASIS_WORDS,
     WORD_DEGREE,
     WORD_INDEX,
@@ -25,7 +25,7 @@ from .fk3core import (
     dgen,
     dual_basis,
 )
-from .homology import HomologyComplex, _add
+from fk3hh.homology import HomologyComplex
 
 W = WORD_INDEX
 
@@ -430,11 +430,11 @@ def _parse_lin(s: str, n: int) -> dict:
                 chunk = m.group(2).strip()
         if chunk.startswith("(") and chunk.endswith(")"):
             for k, v in _parse_lin(chunk, n).items():
-                _add(out, k, coeff * v)
+                add_term(out, k, coeff * v)
         else:
             k = _atom(chunk, n)
             if k is not None:
-                _add(out, k, coeff)
+                add_term(out, k, coeff)
     return out
 
 
@@ -444,21 +444,12 @@ def parse_cell(cell: str, n: int) -> dict:
     for sign, term in _split_sum(cell.strip()):
         if term == "0":
             continue
-        depth = 0
-        left = right = None
-        for i, ch in enumerate(term):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == "|" and depth == 0:
-                left, right = term[:i], term[i + 1:]
-                break
-        if left is None:
+        left, bar, right = term.partition("|")  # no cell nests a "|"
+        if not bar:
             raise ValueError(f"bad cell term {term!r}")
         for a, ca in _parse_lin(left, n).items():
             for b, cb in _parse_lin(right, n).items():
-                _add(out, (a, b), sign * ca * cb)
+                add_term(out, (a, b), sign * ca * cb)
     return out
 
 

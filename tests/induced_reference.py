@@ -6,6 +6,7 @@ columns of a generator in one pass over `fk3core.triple_products`; these
 plain loops are what its columns must agree with.
 """
 
+from fk3hh.exactmath import add_term
 from fk3hh.fk3core import WORD_DEGREE, mul_table
 
 
@@ -23,12 +24,7 @@ def reduce_image(image: dict, x: int) -> dict:
             continue
         for m1, c1 in table[(rw, x)].items():
             for m2, c2 in table[(m1, lw)].items():
-                key = (m2, v)
-                nv = out.get(key, 0) + c * c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
+                add_term(out, (m2, v), c * c1 * c2)
     return out
 
 
@@ -44,10 +40,5 @@ def coreduce(terms, x: int) -> dict:
             continue
         for m1, c1 in table[(lw, x)].items():
             for m2, c2 in table[(m1, rw)].items():
-                key = (u, m2)
-                nv = out.get(key, 0) + c * c1 * c2
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
+                add_term(out, (u, m2), c * c1 * c2)
     return out

@@ -1,0 +1,51 @@
+"""SparseMat constructors and products that only the tests use.
+
+The engine ranks, reduces and solves with `fk3hh.exactmath`; these plain
+functions build test matrices and multiply them out, through SparseMat's
+public constructor, `triplets` and `row_dicts`.
+"""
+
+from fk3hh.exactmath import QQ, SparseMat
+
+
+def identity(n, field=QQ):
+    return SparseMat(n, n, {(i, i): field.one for i in range(n)}, field)
+
+
+def zero(rows, cols, field=QQ):
+    return SparseMat(rows, cols, None, field)
+
+
+def from_cols(cols_list, rows, field=QQ):
+    """The matrix whose j-th column is the dict cols_list[j] (row -> scalar)."""
+    return SparseMat.from_rows(cols_list, rows, field).transpose()
+
+
+def col_dict(m, j):
+    return {i: v for i, jj, v in m.triplets() if jj == j}
+
+
+def matmul(a, b):
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    F = a.field
+    b_rows = b.row_dicts()
+    out = {}
+    for i, k, v in a.triplets():
+        for j, w in b_rows[k].items():
+            out[(i, j)] = F.add(out.get((i, j), F.zero), F.mul(v, w))
+    return SparseMat(a.rows, b.cols, out, F)
+
+
+def apply(m, vec):
+    """Matrix times vector; vec and result are dicts index -> scalar."""
+    F = m.field
+    out = {}
+    for i, j, v in m.triplets():
+        if j in vec:
+            out[i] = F.add(out.get(i, F.zero), F.mul(v, vec[j]))
+    return {i: s for i, s in out.items() if s != F.zero}
+
+
+def is_zero(m):
+    return not m.nnz()

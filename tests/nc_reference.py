@@ -7,9 +7,12 @@ rewrite and subtracts scaled copies of the monic basis elements.  Its
 instead of the default one; on a confluent basis the remainder is the same.
 `complete_all_pairs` is the completion loop that seeks the overlaps of every
 new element against every lead, with S-polynomials in field scalars.
+`brute_force_standard_words` enumerates every word of a length;
+`format_poly` writes a polynomial in the relation files' text format.
 """
 
 import heapq
+from itertools import groupby, product
 
 from fk3hh import ncgroebner as ncg
 from fk3hh.ncgroebner import GBasis, make_monic, word_key
@@ -104,3 +107,44 @@ def complete_all_pairs(algebra, rels, degree_bound, reduce):
                 enqueue(new, t)
     return GBasis(algebra, ncg.interreduce(algebra, basis), reduced=True,
                   truncated=skipped)
+
+
+def brute_force_standard_words(basis: GBasis, length):
+    """All standard words of exactly the given length, by full enumeration."""
+    alg = basis.algebra
+    leads = set(map(tuple, basis.lead_words()))
+    out = []
+    for w in product(range(1, alg.ngens + 1), repeat=length):
+        if not any(w[i:j] in leads
+                   for i in range(length) for j in range(i + 1, length + 1)):
+            out.append(w)
+    return out
+
+
+def poly_bidegree(algebra, p):
+    """Common bidegree of all words of p, or None when inhomogeneous."""
+    degs = {algebra.word_bidegree(w) for w in p}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def format_word(w) -> str:
+    return "*".join(f"x{g}" if (k := len(list(run))) == 1 else f"x{g}^{k}"
+                    for g, run in groupby(w)) or "1"
+
+
+def format_poly(p) -> str:
+    if not p:
+        return "0"
+    bits = []
+    for w in sorted(p, key=word_key, reverse=True):
+        c = p[w]
+        cs = str(c)
+        neg = cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        body = format_word(w)
+        if cs != "1":
+            body = f"{cs}*{body}" if body != "1" else cs
+        bits.append(("- " if neg else "+ ") + body)
+    out = " ".join(bits)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]

@@ -1,4 +1,5 @@
-"""Frozen published values shared by the test modules."""
+"""Frozen published values shared by the test modules: the homology
+dimension grid and totals.  The explicit series are `fk3hh.paperdata`'s."""
 
 # dimension grid of degree-(n, m) homology for n = 0..19 (None = not printed)
 HOMOLOGY_GRID = {
@@ -19,33 +20,3 @@ HOMOLOGY_GRID = {
 
 HOMOLOGY_TOTALS = [6, 9, 11, 12, 15, 19, 21, 22, 25, 29,
                    31, 32, 35, 39, 41, 42, 45, 49, 51, 52]
-
-# explicit Hilbert series of low-degree homology, {exponent: coefficient}
-HOMOLOGY_SERIES = {
-    0: {0: 1, 1: 3, 2: 2},
-    1: {1: 3, 2: 3, 3: 2, 5: 1},
-    2: {2: 1, 3: 6, 4: 2, 5: 1, 6: 1},
-    3: {3: 4, 4: 3, 6: 1, 7: 4},
-    4: {4: 1, 5: 4, 7: 7, 8: 3},
-    5: {5: 4, 6: 1, 7: 3, 8: 4, 9: 6, 11: 1},
-}
-
-# explicit reduced cyclic homology series
-CYCLIC_SERIES = {
-    0: {1: 3, 2: 2},
-    1: {2: 1, 3: 2, 5: 1},
-    2: {3: 4, 4: 2, 6: 1},
-    3: {4: 1, 7: 4},
-}
-
-# explicit cohomology Laurent series, {internal degree m - n: dim}
-COHOMOLOGY_SERIES = {
-    0: {4: 1, 2: 2, 0: 1},
-    1: {2: 6, 0: 1},
-    2: {2: 4, 0: 2, -2: 4},
-    3: {0: 7, -2: 5},
-    4: {0: 5, -2: 1, -4: 7, -6: 1},
-    5: {-2: 5, -4: 11, -6: 1},
-    6: {-2: 5, -4: 4, -6: 7, -8: 4},
-    7: {-4: 5, -6: 12, -8: 5},
-}

@@ -7,16 +7,10 @@ residues throughout, so no numeric tolerance exists anywhere.
 
 import pytest
 
-from paper_data import (
-    COHOMOLOGY_SERIES,
-    CYCLIC_SERIES,
-    HOMOLOGY_GRID,
-    HOMOLOGY_SERIES,
-    HOMOLOGY_TOTALS,
-)
+from fk3_reference import AlgElem, dual_word_left_action
+from image_tables import tables_agree_with_maps
+from paper_data import HOMOLOGY_GRID, HOMOLOGY_TOTALS
 
-from fk3hh import cohomology as cohomod
-from fk3hh import homology as homod
 from fk3hh import ncgroebner as ncg
 from fk3hh.cohomology import CohomologyComplex
 from fk3hh.cupring import CupRing
@@ -24,17 +18,23 @@ from fk3hh.exactmath import QQ, PrimeField
 from fk3hh.fk3core import (
     DIM,
     WORD_INDEX,
-    AlgElem,
     dual_basis,
-    dual_word_left_action,
     mul_words,
 )
 from fk3hh.homology import HomologyComplex
+from fk3hh.paperdata import (
+    COHOMOLOGY_SERIES,
+    CYCLIC_SERIES,
+    HOMOLOGY_SERIES,
+    cohomology_series_formula,
+    cohomology_total_formula,
+    cyclic_series_formula,
+    homology_series_formula,
+)
 from fk3hh.resolution import (
     BimoduleResolution,
     koszul_diff_elem,
 )
-from fk3hh.tables import tables_agree_with_maps
 
 FP = PrimeField(10007)
 ONE = WORD_INDEX[""]
@@ -67,17 +67,17 @@ def test_criterion_1_homology_dimensions(hom_q):
 
 def test_criterion_2_homology_hilbert_series(hom_q):
     ok = all(hom_q.hilbert_series(n) == HOMOLOGY_SERIES[n] for n in range(6))
-    ok = ok and all(hom_q.hilbert_series(n) == homod.hilbert_series_formula(n)
+    ok = ok and all(hom_q.hilbert_series(n) == homology_series_formula(n)
                     for n in range(6, 20))
     _verdict(2, "homology Hilbert series: explicit n <= 5, general to 19", ok)
 
 
 def test_criterion_3_cohomology(coh_q):
     _, totals = coh_q.cohomology_dims(20)
-    ok = all(totals[n] == cohomod.total_dim_formula(n) for n in range(21))
+    ok = all(totals[n] == cohomology_total_formula(n) for n in range(21))
     ok = ok and all(coh_q.hilbert_series(n) == COHOMOLOGY_SERIES[n]
                     for n in range(8))
-    ok = ok and all(coh_q.hilbert_series(n) == cohomod.hilbert_series_formula(n)
+    ok = ok and all(coh_q.hilbert_series(n) == cohomology_series_formula(n)
                     for n in range(8, 21))
     _verdict(3, "cohomology dims and Laurent series, n = 0..20", ok)
 
@@ -85,7 +85,7 @@ def test_criterion_3_cohomology(coh_q):
 def test_criterion_4_cyclic_homology(hom_q):
     gs = hom_q.cyclic_series(12)
     ok = all(gs[n] == CYCLIC_SERIES[n] for n in range(4))
-    ok = ok and all(gs[n] == homod.cyclic_series_formula(n)
+    ok = ok and all(gs[n] == cyclic_series_formula(n)
                     for n in range(4, 13))
     _verdict(4, "cyclic homology series: explicit n <= 3, general to 12", ok)
 

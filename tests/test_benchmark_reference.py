@@ -11,6 +11,8 @@ or extra.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,21 @@ def test_workload_matches_its_reference(workload, tmp_path, capsys):
         assert not [ln for ln in lines if ln.startswith("[FAIL]")]
         assert sum(ln.startswith("[pass]") for ln in lines) >= ref["checks"]
         assert bench.digest_dir(out) == ref["tables"], (workload, argv)
+
+
+def test_tracer_installs_on_the_engine(tmp_path):
+    # tracer.py wraps methods through each class's own __dict__, so a
+    # wrapped name that moved or is only inherited breaks a traced run
+    req = {"src": str(PERFBENCH.parent / "src"), "mode": "trace",
+           "result": str(tmp_path / "result.json"),
+           "commands": [["homology", "--max-n", "4", "--out",
+                         str(tmp_path / "o")]]}
+    subprocess.run([sys.executable, str(PERFBENCH / "child.py"),
+                    json.dumps(req)], capture_output=True, timeout=120)
+    res = json.loads((tmp_path / "result.json").read_text("utf-8"))
+    spec = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text("utf-8"))
+    layers = {m["name"] for m in spec["per_layer"]} - {
+        "setup.import_s", "fk3core.mul_table_s", "trace.wall_s",
+        "trace.uncovered_s", "trace.overhead_s"}  # from the child's timings
+    assert res["rc"] == [0]
+    assert layers <= set(res["layers"]) and len(res["layers"]) == 70

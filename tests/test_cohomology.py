@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fk3hh.exactmath import QQ, PrimeField, SparseMat, Subspace
+from fk3hh.exactmath import QQ, PrimeField, Subspace
 from fk3hh.fk3core import (
     WORD_DEGREE,
     WORD_INDEX,
@@ -11,13 +11,11 @@ from fk3hh.fk3core import (
     dual_basis,
     mul_words,
 )
-from fk3hh.cohomology import (
-    CohomologyComplex,
-    hilbert_series_formula,
-    total_dim_formula,
-)
+from fk3hh.cohomology import CohomologyComplex
+from fk3hh.paperdata import cohomology_series_formula, cohomology_total_formula
 from fk3hh.resolution import fb_on_gen, koszul_diff_elem
-from fk3hh.tables import tables_agree_with_maps
+from image_tables import tables_agree_with_maps
+from matrix_helpers import from_cols, is_zero, matmul
 
 W = WORD_INDEX
 EPS = DualGen(0, "eps")
@@ -26,6 +24,10 @@ EPS = DualGen(0, "eps")
 @pytest.fixture(scope="module")
 def cx():
     return CohomologyComplex(QQ, max_n=20)
+
+
+def is_cocycle(cx, n, elem):
+    return not cx.diff_elem(n, elem)
 
 
 def dual_word(k, n, gen, x):
@@ -122,8 +124,8 @@ def test_diff_squares_to_zero(cx):
         for m in range(cx.min_m(n), 5):
             if not cx.basis(n, m):
                 continue
-            prod = cx.matrix(n + 1, m + 1).matmul(cx.matrix(n, m))
-            assert prod.is_zero(), (n, m)
+            prod = matmul(cx.matrix(n + 1, m + 1), cx.matrix(n, m))
+            assert is_zero(prod), (n, m)
 
 
 def test_coboundary_dims_match_paper(cx):
@@ -181,7 +183,7 @@ def test_cohomology_grid_matches_paper(cx):
 def test_totals_match_formula(cx):
     _, totals = cx.cohomology_dims(20)
     for n in range(21):
-        assert totals[n] == total_dim_formula(n), n
+        assert totals[n] == cohomology_total_formula(n), n
     assert totals[0] == 4 and totals[1] == 7 and totals[20] == 54
 
 
@@ -214,9 +216,9 @@ def test_hilbert_series(cx):
     assert cx.hilbert_series(2) == {2: 4, 0: 2, -2: 4}
     assert cx.hilbert_series(7) == {-4: 5, -6: 12, -8: 5}
     for n in range(0, 8):
-        assert cx.hilbert_series(n) == hilbert_series_formula(n), n
+        assert cx.hilbert_series(n) == cohomology_series_formula(n), n
     for n in range(8, 16):
-        assert cx.hilbert_series(n) == hilbert_series_formula(n), n
+        assert cx.hilbert_series(n) == cohomology_series_formula(n), n
 
 
 def test_h4_minus2_class(cx):
@@ -229,27 +231,27 @@ def test_h4_minus2_class(cx):
 
 def test_cocycle_basis_counts(cx):
     for n in range(0, 9):
-        assert len(cx.cocycle_basis(n)) == total_dim_formula(n), n
+        assert len(cx.cocycle_basis(n)) == cohomology_total_formula(n), n
 
 
 def test_published_representatives_are_cocycles(cx):
     # degree 0: eps|1, eps|(ab+ba), eps|(ab+bc-ac), eps|abac
     vec = {(0, EPS, W[""]): 1}
-    assert cx.is_cocycle(0, vec)
+    assert is_cocycle(cx, 0, vec)
     vec = {(0, EPS, W["ab"]): 1, (0, EPS, W["ba"]): 1}
-    assert cx.is_cocycle(0, vec)
+    assert is_cocycle(cx, 0, vec)
     vec = {(0, EPS, W["ab"]): 1, (0, EPS, W["bc"]): 1, (0, EPS, W["ac"]): -1}
-    assert cx.is_cocycle(0, vec)
-    assert cx.is_cocycle(0, {(0, EPS, W["abac"]): 1})
+    assert is_cocycle(cx, 0, vec)
+    assert is_cocycle(cx, 0, {(0, EPS, W["abac"]): 1})
     # degree 1: alpha|a + beta|b + gamma|c and the seven H^1 classes exist
     vec = {(0, dgen("a", 1), W["a"]): 1, (0, dgen("b", 1), W["b"]): 1,
            (0, dgen("g", 1), W["c"]): 1}
-    assert cx.is_cocycle(1, vec)
+    assert is_cocycle(cx, 1, vec)
     coords = cx.class_coordinates(1, vec)
     assert coords  # nonzero class
     # degree 4: omega*_1 eps|1
     vec = {(1, EPS, W[""]): 1}
-    assert cx.is_cocycle(4, vec)
+    assert is_cocycle(cx, 4, vec)
     assert cx.class_coordinates(4, vec)
 
 
@@ -278,7 +280,7 @@ def reference_class_coordinates(cx, n, elem):
         resid = img.reduce({pos[k]: F.of(c) for k, c in part.items()})
         cls = [(idx, cv) for idx, (mm, cv) in enumerate(cx.cocycle_basis(n))
                if mm == m]
-        mat = SparseMat.from_cols([{pos[k]: c for k, c in cv.items()}
+        mat = from_cols([{pos[k]: c for k, c in cv.items()}
                                    for _, cv in cls], len(basis), F)
         sol = mat.solve(resid)
         if sol is None:

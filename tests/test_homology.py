@@ -5,40 +5,27 @@ import pytest
 from fk3hh.cohomology import CohomologyComplex, transpose_images
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
-from fk3hh.homology import (
-    HomologyComplex,
-    NotTranscribed,
+from fk3hh.homology import HomologyComplex
+from fk3hh.paperdata import (
     cyclic_series_formula,
-    hilbert_series_formula,
     homology_representatives,
-    total_dim_formula,
-    verify_representatives,
+    homology_series_formula,
+    homology_total_formula,
 )
 from fk3hh.resolution import fb_on_gen, gen_image
-from fk3hh.tables import tables_agree_with_maps
 from fk3hh.fk3core import mul_words
+from homology_reference import (
+    NotTranscribed,
+    dim_one_stratum_homology,
+    kt_matrix,
+    verify_representatives,
+)
+from image_tables import tables_agree_with_maps
 from induced_reference import coreduce, reduce_image
+from matrix_helpers import from_cols, is_zero, matmul
+from paper_data import HOMOLOGY_GRID, HOMOLOGY_TOTALS
 
 W = WORD_INDEX
-
-# the published dimension table: H_{n,m} for n = 0..19 (rows m = 0..12)
-PAPER_GRID = {
-    0: [1, 3, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4],
-    1: [3, 3, 6, 3, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1],
-    2: [2, 2, 2, 0, 0, 3, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4, 1, 4],
-    3: [0, 0, 1, 1, 7, 4, 10, 4, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8, 2],
-    4: [0, 1, 1, 4, 3, 6, 3, 4, 1, 7, 2, 8, 2, 8, 2, 8, 2, 8, 2, 8],
-    5: [None, None, None, None, 0, 0, 1, 1, 7, 4, 10, 4, 8, 2, 8, 2, 8, 2, 8, 2],
-    6: [None, None, None, None, 0, 1, 1, 4, 3, 6, 3, 4, 1, 7, 2, 8, 2, 8, 2, 8],
-    7: [None] * 8 + [0, 0, 1, 1, 7, 4, 10, 4, 8, 2, 8, 2],
-    8: [None] * 8 + [0, 1, 1, 4, 3, 6, 3, 4, 1, 7, 2, 8],
-    9: [None] * 12 + [0, 0, 1, 1, 7, 4, 10, 4],
-    10: [None] * 12 + [0, 1, 1, 4, 3, 6, 3, 4],
-    11: [None] * 16 + [0, 0, 1, 1],
-    12: [None] * 16 + [0, 1, 1, 4],
-}
-PAPER_TOTALS = [6, 9, 11, 12, 15, 19, 21, 22, 25, 29,
-                31, 32, 35, 39, 41, 42, 45, 49, 51, 52]
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +95,8 @@ def test_diff_squares_to_zero(cx):
         for m in range(cx.max_m(n) + 1):
             if not cx.basis(n, m):
                 continue
-            prod = cx.matrix(n - 1, m + 1).matmul(cx.matrix(n, m))
-            assert prod.is_zero(), (n, m)
+            prod = matmul(cx.matrix(n - 1, m + 1), cx.matrix(n, m))
+            assert is_zero(prod), (n, m)
 
 
 def test_boundary_dims_match_paper(cx):
@@ -128,14 +115,14 @@ def test_boundary_dims_match_paper(cx):
 
 def test_homology_grid_matches_paper(cx):
     grid, totals = cx.homology_dims(19)
-    for m, row in PAPER_GRID.items():
+    for m, row in HOMOLOGY_GRID.items():
         for n, want in enumerate(row):
             if want is None:
                 continue
             assert grid.get((n, m), 0) == want, (n, m)
     for n in range(20):
-        assert totals[n] == PAPER_TOTALS[n], n
-        assert totals[n] == total_dim_formula(n), n
+        assert totals[n] == HOMOLOGY_TOTALS[n], n
+        assert totals[n] == homology_total_formula(n), n
 
 
 def test_recursion_in_m(cx):
@@ -165,7 +152,7 @@ def test_total_decomposes_into_one_stratum_pieces(cx):
     # there D~ - B~ = 2 while the surviving homology is 1 (the incoming
     # omega-stratum image accounts for the difference), so that copy
     # contributes 1.
-    assert cx.dim_one_stratum_homology(3, 3) == 2
+    assert dim_one_stratum_homology(cx, 3, 3) == 2
     assert cx.dim_homology(3, 3) == 1
     _, totals = cx.homology_dims(14)
     for n in range(0, 15):
@@ -174,7 +161,7 @@ def test_total_decomposes_into_one_stratum_pieces(cx):
             for m in range(0, 5):
                 if n % 4 == 0 and n > 0 and i == n // 4 and m == 0:
                     continue
-                piece = cx.dim_one_stratum_homology(n - 4 * i, m)
+                piece = dim_one_stratum_homology(cx, n - 4 * i, m)
                 if (n - 4 * i, m) == (3, 3):
                     piece = 1
                 total += piece
@@ -200,12 +187,12 @@ def test_hilbert_series_explicit(cx):
     assert cx.hilbert_series(0) == {0: 1, 1: 3, 2: 2}
     assert cx.hilbert_series(5) == {5: 4, 6: 1, 7: 3, 8: 4, 9: 6, 11: 1}
     for n in range(6):
-        assert cx.hilbert_series(n) == hilbert_series_formula(n), n
+        assert cx.hilbert_series(n) == homology_series_formula(n), n
 
 
 def test_hilbert_series_general_formula(cx):
     for n in range(6, 20):
-        assert cx.hilbert_series(n) == hilbert_series_formula(n), n
+        assert cx.hilbert_series(n) == homology_series_formula(n), n
 
 
 def test_cyclic_series(cx):
@@ -265,18 +252,17 @@ def test_specific_paper_examples(cx):
 def test_rank_kernel_image_spec_values(cx):
     # one-stratum matrices: image of the (2,0) column has dim 4 and the
     # kernel picks up the remaining 1 of the 5-dim domain
-    m20 = cx.kt_matrix(2, 0)
+    m20 = kt_matrix(cx, 2, 0)
     assert m20.cols == 5 and m20.rank() == 4
     assert m20.kernel().dim == 1
     # kernel at (3, 0) has dim 4 out of the 6-dim domain
-    m30 = cx.kt_matrix(3, 0)
+    m30 = kt_matrix(cx, 3, 0)
     assert m30.cols == 6 and m30.kernel().dim == 4
     # image of the (1,1) column equals the boundary space of dim 2
-    m11 = cx.kt_matrix(1, 1)
+    m11 = kt_matrix(cx, 1, 1)
     assert m11.cols == 9 and m11.image().dim == 2
     # restricting the degree-1 differential to the 12-dim A (x) alpha block
     # gives rank 5 (by row-reducing the first table column)
-    from fk3hh.exactmath import SparseMat, QQ
     eps_basis = {}
     cols = []
     for x in range(12):
@@ -286,7 +272,7 @@ def test_rank_kernel_image_spec_values(cx):
             eps_basis.setdefault((w, g), len(eps_basis))
             col[eps_basis[(w, g)]] = QQ.of(c)
         cols.append(col)
-    mat = SparseMat.from_cols(cols, max(len(eps_basis), 1))
+    mat = from_cols(cols, max(len(eps_basis), 1))
     assert mat.rank() == 5
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fk3hh import cli
+from fk3hh import cli, paperdata
 from fk3hh.report import UsageError, emit_table, write_outputs
 
 
@@ -101,6 +101,69 @@ def test_cli_config_knows_every_subcommand_option(tmp_path, capsys):
                        "\nout = " + str(tmp_path / "o") + "\n")
     assert cli.main(["--config", str(cfgfile), "homology"]) == 0
     assert "[pass] published homology representatives verify" in \
+        capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value,on", [
+    ("0", False), ("false", False), ("No", False), ("OFF", False),
+    ("1", True), ("TRUE", True), ("yes", True), ("On", True)])
+def test_cli_config_flag_values(tmp_path, capsys, value, on):
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text(f"verify-representatives = {value}\n")
+    rc = cli.main(["--config", str(cfgfile), "homology", "--max-n", "4",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert ("representatives verify" in capsys.readouterr().out) == on
+
+
+def test_cli_config_false_flag_skips_printed_basis(tmp_path, capsys):
+    (tmp_path / "hh.cfg").write_text("verify-printed = 0\n")
+    assert cli.main(["--config", str(tmp_path / "hh.cfg"), "gb",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert "leading words" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["maybe", "2", ""])
+@pytest.mark.parametrize("command,key", [
+    ("homology", "verify-representatives"), ("gb", "verify-printed"),
+    ("verify-all", "verify-representatives"), ("verify-all", "verify-printed")])
+def test_cli_config_rejects_bad_flag_values(tmp_path, capsys, command, key,
+                                            value):
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    rc = cli.main(["--config", str(cfgfile), command, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error" in captured.err and "[pass]" not in captured.out
+    assert not out.exists()
+
+
+def test_verify_all_runs_printed_basis_and_representative_checks(
+        tmp_path, capsys, monkeypatch):
+    # the cup and resolution commands are stubbed out here
+    monkeypatch.setattr(cli, "cmd_cup", lambda args, cfg, defaults: 0)
+    monkeypatch.setattr(cli, "cmd_resolution", lambda args, cfg: 0)
+    rc = cli.main(["verify-all", "--max-n", "4", "--out", str(tmp_path / "o")])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    for label in ("published homology representatives verify",
+                  "leading words equal the published ones",
+                  "mutual reduction vanishes"):
+        assert f"[pass] {label}" in lines
+
+
+def test_cli_representative_check_can_fail(tmp_path, capsys, monkeypatch):
+    # one wrong coefficient in one published family fails the check:
+    # 2 a|gamma_1 + c|alpha_1 for a|gamma_1 + c|alpha_1 at (1, 1)
+    reps_m1 = paperdata._homology_reps_m1
+    wrong = paperdata._elem((0, "a", "g", 1, 2), (0, "c", "a", 1))
+    monkeypatch.setattr(paperdata, "_homology_reps_m1", lambda n: (
+        [wrong] + reps_m1(n)[1:] if n == 1 else reps_m1(n)))
+    rc = cli.main(["homology", "--max-n", "6", "--verify-representatives",
+                   "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "[FAIL] published homology representatives verify" in \
         capsys.readouterr().out
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from fk3hh import resolution
 from fk3hh.cohomology import transpose_images
-from fk3hh.exactmath import QQ, PrimeField, SparseMat
+from fk3hh.exactmath import QQ, PrimeField, SparseMat, add_term
 from fk3hh.fk3core import (
     WORD_DEGREE,
     WORD_INDEX,
@@ -16,7 +16,6 @@ from fk3hh.fk3core import (
 from fk3hh.resolution import (
     BimoduleResolution,
     comp_basis,
-    f_reduced_on_gen,
     fb_on_gen,
     i_left,
     i_right,
@@ -29,6 +28,18 @@ from induced_reference import coreduce, reduce_image
 W = WORD_INDEX
 ONE = W[""]
 EPS = DualGen(0, "eps")
+
+
+def f_reduced_on_gen(n, gen):
+    """id_k (x)_A f^b_n: the right-module comparison map value on gen|1.
+
+    Keys are (DualGen, word_idx) pairs of the trivial-module Koszul complex.
+    """
+    out = {}
+    for (_, l, v, r), c in fb_on_gen(n, gen).items():
+        if l == W[""]:
+            add_term(out, (v, r), c)
+    return out
 
 
 def kb(word_l, tag, n, word_r, coeff=1):

@@ -19,7 +19,7 @@ from fk3hh.ncgroebner import (
     standard_words,
     RING_BIDEGREES,
 )
-from nc_reference import reference_normal_form
+from nc_reference import format_poly, poly_bidegree, reference_normal_form
 
 # the published standard-word lists (token sequences as printed; the
 # length-4 list prints x9^3*x12 twice, giving 89 tokens but 88 distinct)
@@ -136,7 +136,7 @@ def test_commutation_relations_follow_the_graded_pattern(alg):
 def test_relations_are_bihomogeneous(alg):
     for p in (load_commutation_relations(alg) + load_ideal_relations(alg)
               + load_published_basis(alg)):
-        assert alg.poly_bidegree(p) is not None, alg.format_poly(p)
+        assert poly_bidegree(alg, p) is not None, format_poly(p)
 
 
 def test_commutation_alone_gives_free_graded_commutative(alg):
