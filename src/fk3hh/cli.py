@@ -223,22 +223,6 @@ def cmd_cyclic(args, cfg):
     return r.finish()
 
 
-def _check_cup_degrees(max_n, requested):
-    """Reject cup degrees whose lifts would run past the resolution.
-
-    A lift of a degree-m cocycle to stage k needs the resolution to degree
-    k + m, and ChainLift raises beyond max_n; each requested bound, the top
-    degree of the relations and that of the pairwise product table is such a
-    k + m.  requested maps a name to (least allowed value, value).
-    """
-    for name, (least, top) in requested.items():
-        if top < least:
-            raise UsageError(f"{name} must be at least {least}, got {top}")
-        if top > max_n:
-            raise UsageError(f"{name} {top} needs the resolution to degree "
-                             f"{top}, beyond --max-n {max_n}")
-
-
 # hh cup's default bounds, and the wider ones hh verify-all checks
 CUP_DEFAULTS = {"gen-degree": 8, "commutativity-degree": 7, "max-n": 12}
 VERIFY_ALL_CUP = {"gen-degree": 12, "commutativity-degree": 9, "max-n": 16}
@@ -246,24 +230,40 @@ VERIFY_ALL_CUP = {"gen-degree": 12, "commutativity-degree": 9, "max-n": 16}
 VERIFY_ALL_FLAGS = ("verify-representatives", "verify-printed")
 
 
-def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
-    r = Runner(args, cfg)
+def _cup_degrees(args, cfg, defaults, rels):
+    """(gen_degree, comm_degree, max_n) of hh cup, with the cup degrees
+    whose lifts would run past the resolution rejected.
+
+    A lift of a degree-m cocycle to stage k needs the resolution to degree
+    k + m, and ChainLift raises beyond max_n; each requested bound, the top
+    degree of the relations rels and that of the pairwise product table is
+    such a k + m."""
     gen_degree = _merge(args, cfg, "gen-degree", defaults["gen-degree"])
     comm_degree = _merge(args, cfg, "commutativity-degree",
                          defaults["commutativity-degree"])
     max_n = _merge(args, cfg, "max-n", defaults["max-n"])
+    rel_degree = max(sum(GENERATOR_BIDEGREES[i][0] for i in w)
+                     for p in rels for w in p)
+    top_gen = max(d for d, _ in GENERATOR_BIDEGREES.values())
+    for name, least, top in (("--gen-degree", 1, gen_degree),
+                             ("--commutativity-degree", 0, comm_degree),
+                             ("the relations' degree", 0, rel_degree),
+                             ("the product table's degree", 0, 2 * top_gen)):
+        if top < least:
+            raise UsageError(f"{name} must be at least {least}, got {top}")
+        if top > max_n:
+            raise UsageError(f"{name} {top} needs the resolution to degree "
+                             f"{top}, beyond --max-n {max_n}")
+    return gen_degree, comm_degree, max_n
+
+
+def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
+    r = Runner(args, cfg)
     alg = ncg.ring_algebra(r.field)
     comm_rels = ncg.load_commutation_relations(alg)
     ideal_rels = ncg.load_ideal_relations(alg)
-    rel_degree = max(sum(GENERATOR_BIDEGREES[i][0] for i in w)
-                     for p in comm_rels + ideal_rels for w in p)
-    top_gen = max(d for d, _ in GENERATOR_BIDEGREES.values())
-    _check_cup_degrees(max_n, {
-        "--gen-degree": (1, gen_degree),
-        "--commutativity-degree": (0, comm_degree),
-        "the relations' degree": (0, rel_degree),
-        "the product table's degree": (0, 2 * top_gen),
-    })
+    gen_degree, comm_degree, max_n = _cup_degrees(
+        args, cfg, defaults, comm_rels + ideal_rels)
     ring = CupRing(r.field, max_n=max_n)
     relrep = {}
     rep = ring.verify_relations(comm_rels)
@@ -363,7 +363,9 @@ def cmd_resolution(args, cfg):
 
 def cmd_verify_all(args, cfg):
     field = Runner(args, cfg).field  # a bad field or format fails first
-    _gb_bound(args, cfg, _ring_relations(field)[1])
+    rels = _ring_relations(field)[1]
+    _gb_bound(args, cfg, rels)
+    _cup_degrees(args, cfg, VERIFY_ALL_CUP, rels)  # and so do bad cup degrees
     for key in VERIFY_ALL_FLAGS:  # and so does a bad on/off value
         _flag(args, cfg, key)
     cfg = {**cfg, **dict.fromkeys(VERIFY_ALL_FLAGS, "1")}

@@ -17,14 +17,13 @@ pass through g (`transpose_images`) and, through the table
 `fk3core.triple_products` of the nonzero products l x r, fills the twelve
 columns (g, x) together.  `diff_key` and `diff_elem` read those columns,
 shifted by i, and `rows` assembles a component's codifferential from them
-as raw integer rows; `matrix` wraps those rows in a SparseMat, `rank` ranks
-them through `exactmath.rank_of_rows` without one, and the class solvers
-factor them.  Nothing assembled is kept; ranks are memoised once per
-omega-layer class.  Below m = 0 the component Q^n_m has no omega*_0 layer
-and is Q^{n-4}_{m+2} one layer up, codifferential included, so `rank` ranks
-only components with m >= 0.  `dim` counts the keys layer by layer without
-building a basis (memoised per n), and `fk3core.dual_basis` is memoised and
-read-only.
+as raw integer rows, which `matrix` wraps in a SparseMat as they are, for
+`rank` to rank; the class solvers factor such rows too.  Nothing assembled
+is kept; ranks are memoised once per omega-layer class.  Below m = 0 the
+component Q^n_m has no omega*_0 layer and is Q^{n-4}_{m+2} one layer up,
+codifferential included, so `rank` ranks only components with m >= 0.
+`dim` counts the keys layer by layer without building a basis (memoised per
+n), and `fk3core.dual_basis` is memoised and read-only.
 
 Cohomology dimensions come from ranks; `cocycle_basis` returns canonical
 coset representatives (kernel vectors reduced against the RREF of the
@@ -41,7 +40,6 @@ from .exactmath import (
     SparseMat,
     Subspace,
     add_term,
-    rank_of_rows,
     scalars,
 )
 from .fk3core import (
@@ -192,7 +190,7 @@ class CohomologyComplex:
         if n < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
-            self._rank[(n, m)] = rank_of_rows(*self.rows(n, m), self.field)
+            self._rank[(n, m)] = self.matrix(n, m).rank()
         return self._rank[(n, m)]
 
     def dim_coboundaries(self, n: int, m: int) -> int:
@@ -297,6 +295,6 @@ class CohomologyComplex:
                     for k, c in cv.items():
                         rows[pos[k]][ncob + len(idxs)] = c
                     idxs.append(idx)
-            self._class_solvers[(n, m)] = (LinearSolver.from_rows(
-                rows, ncob + len(idxs), self.field), pos, ncob, idxs)
+            self._class_solvers[(n, m)] = (LinearSolver(SparseMat.from_rows(
+                rows, ncob + len(idxs), self.field)), pos, ncob, idxs)
         return self._class_solvers[(n, m)]

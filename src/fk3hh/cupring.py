@@ -5,15 +5,16 @@ the bimodule map sending the free generator omega_i 1|gen|1 of the resolution
 to the stored element of A.  Lifting such a cocycle to a chain self-map of
 the resolution solves one small linear system per generator and internal
 degree, against cached factorizations of the augmentation and differential
-blocks (factored from their raw integer rows, in the resolution's comp_basis
+blocks (SparseMats of raw integer entries, in the resolution's comp_basis
 coordinates); existence is guaranteed by exactness, so an unsolvable stage
 signals a real bug.  Each stage is held in integers over one denominator
 (LiftStage), and every product is summed in integers and made a field
 scalar once.
 
-cup(f, g) composes f with stage deg(f) of g's lift and reduces the resulting
-cochain to canonical class coordinates.  Longer products evaluate words
-x_{i_1} ... x_{i_r} as f = X_{i_1} composed with successive lift stages.
+The cochain of f cup g composes f with stage deg(f) of g's lift
+(compose_with_lift), and class_coordinates reduces it to canonical class
+coordinates.  Longer products evaluate words x_{i_1} ... x_{i_r} as
+f = X_{i_1} composed with successive lift stages.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from __future__ import annotations
 from math import lcm
 
 from .cohomology import CohomologyComplex
-from .exactmath import QQ, EchelonBasis, LinearSolver, scalars, to_integers
+from .exactmath import (
+    QQ,
+    EchelonBasis,
+    LinearSolver,
+    SparseMat,
+    scalars,
+    to_integers,
+)
 from .fk3core import (
     DIM,
     WORD_DEGREE,
@@ -105,10 +113,6 @@ class LiftStage:
         return cls({gen: {key: c.numerator * (den // c.denominator)
                           for key, c in elem.items()}
                     for gen, elem in values.items()}, den)
-
-    def value(self, gen, field) -> dict:
-        """The image of gen = (i, g) as field scalars."""
-        return scalars(self.images.get(gen, {}), field, self.den)
 
     def by_target(self) -> dict:
         """The image terms listed by the generator they land on: (j, g2) ->
@@ -226,11 +230,10 @@ class CupRing:
     # ----- solver plumbing -----
 
     def delta_solver(self, k: int, intdeg: int):
-        """Solver of delta^b_k on the internal-degree component, factorised
-        from the block's raw integer rows."""
+        """Solver of delta^b_k on the internal-degree component."""
         if (k, intdeg) not in self._delta_solvers:
-            self._delta_solvers[(k, intdeg)] = LinearSolver.from_rows(
-                *self.res.block_rows(k, intdeg), self.field)
+            self._delta_solvers[(k, intdeg)] = LinearSolver(
+                self.res.delta_block(k, intdeg))
         return self._delta_solvers[(k, intdeg)]
 
     def gen_delta(self, n: int, i: int, g) -> dict:
@@ -251,8 +254,8 @@ class CupRing:
             for col, (_, x, _, y) in enumerate(keys):
                 for w, c in mul_words(x, y).items():
                     rows[w][col] = c
-            self._aug_solvers[intdeg] = LinearSolver.from_rows(
-                rows, len(keys), self.field)
+            self._aug_solvers[intdeg] = LinearSolver(
+                SparseMat.from_rows(rows, len(keys), self.field))
         return self._aug_solvers[intdeg]
 
     def evaluate_cochain(self, cochain: dict, elem: dict) -> dict:
@@ -312,21 +315,6 @@ class CupRing:
                             key = (i, g, w3)
                             acc[key] = acc.get(key, 0) + ccc * c2 * c3
         return scalars(acc, self.field, st.den * e)
-
-    def cup_cochain(self, f: dict, g_key, g: dict) -> dict:
-        """Cochain-level product f . (lift of g) at stage deg(f)."""
-        nf, _ = cochain_degrees(f)
-        lift = self.lift(g_key, g, horizon=nf)
-        return self.compose_with_lift(f, lift, nf)
-
-    def cup(self, f: dict, g: dict, g_key=None):
-        """Class coordinates of f cup g in the canonical cocycle basis."""
-        nf, _ = cochain_degrees(f)
-        ng, _ = cochain_degrees(g)
-        key = g_key if g_key is not None else ("anon", tuple(sorted(
-            (i, str(gen), x, str(c)) for (i, gen, x), c in g.items())))
-        prod = self.cup_cochain(f, key, g)
-        return self.cox.class_coordinates(nf + ng, prod)
 
     def evaluate_word(self, word) -> dict:
         """Cochain of X_{i_1} ... X_{i_r} (tuple of generator indices)."""

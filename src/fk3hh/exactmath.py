@@ -1,19 +1,22 @@
 """Exact scalar arithmetic and sparse linear algebra.
 
 Every rank, kernel, image and solve in the project runs through this module,
-and all of them through one sparse elimination kernel (_echelon, wrapped by
-_rref_core, by rank_of_rows, which also ranks raw integer rows, and by
-LinearSolver, which factorises a SparseMat or raw integer rows): pivot
-columns in increasing order (so the reduced row echelon form is canonical),
-each taken from the shortest row holding it, with a column -> rows index kept
-up to date as entries fill in and cancel.  Over Q the kernel works on integer
-rows, fraction-free (Bareiss-style r <- a r - b prow, then divided by the
-row's content); over F_p it scales each pivot row by the inverse pivot.
+on one matrix type, SparseMat, which holds its rows as dicts col -> entry,
+and through one sparse elimination kernel (_echelon, wrapped by
+SparseMat.rank, by _rref_core and by LinearSolver, which factorises a
+SparseMat; SparseMat.solve_many solves through it): pivot columns in
+increasing order (so the reduced row echelon form is canonical), each taken
+from the shortest row holding it, with a column -> rows index kept up to
+date as entries fill in and cancel.  The kernel copies its input rows once;
+over Q it works on integer rows, fraction-free (Bareiss-style
+r <- a r - b prow, then divided by the row's content); over F_p it scales
+each pivot row by the inverse pivot.
 Membership tests reduce a vector by stored echelon rows instead: those of a
 Subspace, or of an EchelonBasis, which grows one vector at a time.
-Scalars live in a Field: either Q (stdlib Fraction) or a prime field F_p with
-p >= 5 (residues as plain ints).  Matrices and subspaces are immutable after
-construction, so they can be shared freely.
+Scalars live in a Field: either Q (stdlib Fraction, or int where a raw
+integer is kept) or a prime field F_p with p >= 5 (residues as plain ints).
+Matrices and subspaces are immutable after construction, so they can be
+shared freely.
 """
 
 from __future__ import annotations
@@ -56,10 +59,7 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def div(self, a, b):
-        return a / b
+        return Fraction(1, a)
 
     def __repr__(self):
         return "QQ"
@@ -113,9 +113,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -187,69 +184,49 @@ def to_integers(vec, field):
             for i, v in vec.items() if v}, e
 
 
-def _field_rows(row_dicts, field):
-    """Raw rows (dicts col -> int or Fraction) as elimination input: as they
-    are over Q, reduced mod p over F_p, dropping the entries that vanish."""
-    p = field.characteristic
-    if not p:
-        return row_dicts
-    return [{c: v for c, x in r.items()
-             if (v := x % p if type(x) is int else field.of(x))}
-            for r in row_dicts]
-
-
 def _integral(row):
-    """A rational row scaled to coprime integers (a nonzero multiple of it);
-    an int row with coprime entries is returned as it is."""
+    """A new row: the rational row scaled to coprime integers (a nonzero
+    multiple of it)."""
     try:
         g = gcd(*row.values())
     except TypeError:  # a Fraction among the entries
         pass
     else:
-        return row if g == 1 else {c: x // g for c, x in row.items()}
+        return dict(row) if g == 1 else {c: x // g for c, x in row.items()}
     den = lcm(*(x.denominator for x in row.values()))
     row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
     g = gcd(*row.values())
     return {c: x // g for c, x in row.items()}
 
 
-def rank_of_rows(row_dicts, ncols, field, in_field=False):
-    """Rank of rows given as dicts col -> scalar (consumed): the number of
-    pivots of the kernel's forward sweep.  The entries may be raw ints or
-    Fractions: over Q the integer elimination takes them as they are, over
-    F_p they are reduced mod p first, dropping those that vanish, unless
-    in_field says they are residues already (as in a SparseMat)."""
-    if not in_field:
-        row_dicts = _field_rows(row_dicts, field)
-    pivrows, _ = _echelon(row_dicts, ncols, field, reduced=False)
-    return len(pivrows)
-
-
-def _rref_core(row_dicts, pivot_limit, field, reduced=True):
+def _rref_core(rows, pivot_limit, field):
     """Reduced row echelon form with pivots restricted to columns < pivot_limit.
 
-    Rows are dicts col->scalar (consumed).  Returns (pivrows, leftovers) where
-    pivrows is a list of (pivot_col, row) sorted by pivot column with pivot
-    entries normalized to one and pivot columns cleared from every other row,
-    and leftovers are nonzero rows supported entirely in columns >= limit
-    (multiples of combinations of the input rows; over Q with int entries).
-    Fractions are built only for the returned pivot rows, from the integer
-    rows of _echelon.  reduced=False stops after the forward sweep: the pivot
-    rows are then echelon rows, good only for counting.
+    Rows are dicts col -> nonzero scalar, left as they are.  Returns the
+    pivot rows as a list of (pivot_col, row) sorted by pivot column, with
+    pivot entries normalized to one and pivot columns cleared from every
+    other row.  Fractions are built only for these rows, from the integer
+    rows of _echelon.
     """
-    pivrows, leftovers = _echelon(row_dicts, pivot_limit, field, reduced)
-    if reduced and not field.characteristic:
+    pivrows, _ = _echelon(rows, pivot_limit, field)
+    if not field.characteristic:
         pivrows = [(pc, {c: Fraction(x, r[pc]) for c, x in r.items()})
                    for pc, r in pivrows]
-    return pivrows, leftovers
+    return pivrows
 
 
-def _echelon(row_dicts, pivot_limit, field, reduced=True):
-    """The elimination behind _rref_core, with the pivot rows left unscaled
-    over Q: there each is an integer row whose pivot entry is any nonzero
-    int (over F_p the pivot entry is one)."""
+def _echelon(rows_in, pivot_limit, field, reduced=True):
+    """(pivrows, leftovers): the elimination behind _rref_core, with the
+    pivot rows left unscaled over Q: there each is an integer row whose
+    pivot entry is any nonzero int (over F_p the pivot entry is one).
+    leftovers are the nonzero rows left supported in columns >= pivot_limit
+    (multiples of combinations of the input rows).  reduced=False stops
+    after the forward sweep: the pivot rows are then echelon rows, good
+    only for counting.  It works on its own copy of the rows: over Q scaled
+    to coprime integers, over F_p as they are."""
     p = field.characteristic
-    rows = {i: r if p else _integral(r) for i, r in enumerate(row_dicts) if r}
+    rows = {i: dict(r) if p else _integral(r)
+            for i, r in enumerate(rows_in) if r}
     colrows = {}
     for i, r in rows.items():
         for c in r:
@@ -354,7 +331,7 @@ class Subspace:
     def span(cls, ambient_dim, vectors, field=QQ):
         """Canonicalize arbitrary spanning vectors (dicts col->scalar)."""
         rows = [{c: x for c, x in v.items() if x != field.zero} for v in vectors]
-        pivrows, _ = _rref_core(rows, ambient_dim, field)
+        pivrows = _rref_core(rows, ambient_dim, field)
         return cls(ambient_dim, [r for _, r in pivrows], field)
 
     @property
@@ -367,9 +344,6 @@ class Subspace:
     def reduce(self, vec):
         """Residual of a vector (dict col->scalar) after reduction by the basis."""
         return _reduce_by_rows(self.basis, vec, self.field)
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec)
 
     def __eq__(self, other):
         return (
@@ -412,76 +386,73 @@ class EchelonBasis:
 
 
 class SparseMat:
-    """Immutable sparse matrix over a field.
+    """Immutable sparse matrix over a field, held as its rows.
 
-    Entries are kept as a dict (row, col) -> nonzero scalar; the canonical
-    sorted triplet list is what equality and hashing use.
+    Row i is a dict col -> nonzero entry: over Q an int or a Fraction, kept
+    as given, over F_p a residue in [0, p).  Equal matrices compare and hash
+    equal whatever the entries' types (1 == Fraction(1), with equal hashes).
+    The elimination copies the rows it works on and never changes them.
     """
 
-    __slots__ = ("rows", "cols", "field", "_d")
+    __slots__ = ("rows", "cols", "field", "_r")
 
     def __init__(self, rows, cols, entries=None, field=QQ):
-        self.rows = rows
-        self.cols = cols
-        self.field = field
-        d = {}
-        if entries:
-            if isinstance(entries, dict):
-                items = (((i, j), v) for (i, j), v in entries.items())
-            else:
-                items = (((i, j), v) for i, j, v in entries)
-            for (i, j), v in items:
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
-                v = field.of(v)
-                if v == field.zero:
-                    continue
-                key = (i, j)
-                if key in d:
-                    nv = field.add(d[key], v)
-                    if nv == field.zero:
-                        del d[key]
-                    else:
-                        d[key] = nv
-                else:
-                    d[key] = v
-        self._d = d
+        """entries: a dict (i, j) -> scalar or (i, j, scalar) triplets, any
+        scalar field.of accepts; repeated positions are summed."""
+        if isinstance(entries, dict):
+            entries = ((i, j, v) for (i, j), v in entries.items())
+        r = [{} for _ in range(rows)]
+        for i, j, v in entries or ():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i},{j}) outside {rows}x{cols}")
+            add_term(r[i], j, v if type(v) is int else field.of(v))
+        self._set(r, cols, field)
 
     @classmethod
     def from_rows(cls, rows_list, cols, field=QQ):
-        ent = {}
-        for i, row in enumerate(rows_list):
-            for j, v in row.items():
-                ent[(i, j)] = v
-        return cls(len(rows_list), cols, ent, field)
+        """The matrix with these rows (dicts col -> int or Fraction, or a
+        residue over F_p), taken over as they are over Q, zeros dropped;
+        over F_p the entries are reduced mod p."""
+        mat = cls.__new__(cls)
+        mat._set(rows_list, cols, field)
+        return mat
+
+    def _set(self, rows_list, cols, field):
+        p = field.characteristic
+        if p:
+            rows_list = [{c: v for c, x in r.items()
+                          if (v := x % p if type(x) is int else field.of(x))}
+                         for r in rows_list]
+        else:
+            rows_list = [r if all(r.values()) else
+                         {c: x for c, x in r.items() if x} for r in rows_list]
+        self.rows = len(rows_list)
+        self.cols = cols
+        self.field = field
+        self._r = rows_list
 
     def get(self, i, j):
-        return self._d.get((i, j), self.field.zero)
+        return self._r[i].get(j, self.field.zero)
 
     def triplets(self):
-        return sorted((i, j, v) for (i, j), v in self._d.items())
+        return [(i, j, r[j]) for i, r in enumerate(self._r) for j in sorted(r)]
 
     def nnz(self):
-        return len(self._d)
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self._d.items():
-            rows[i][j] = v
-        return rows
+        return sum(map(len, self._r))
 
     def transpose(self):
-        return SparseMat(
-            self.cols, self.rows,
-            {(j, i): v for (i, j), v in self._d.items()}, self.field,
-        )
+        cols = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._r):
+            for j, v in r.items():
+                cols[j][i] = v
+        return SparseMat.from_rows(cols, self.rows, self.field)
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseMat)
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.field == other.field
-            and self._d == other._d
+            and self._r == other._r
         )
 
     def __hash__(self):
@@ -493,13 +464,13 @@ class SparseMat:
     # ----- elimination -----
 
     def rank(self) -> int:
-        """Rank: the number of pivots of the elimination kernel."""
-        return rank_of_rows(self.row_dicts(), self.cols, self.field,
-                            in_field=True)
+        """Rank: the number of pivots of the kernel's forward sweep."""
+        pivrows, _ = _echelon(self._r, self.cols, self.field, reduced=False)
+        return len(pivrows)
 
     def rref(self):
         """Canonical RREF: (list of rows as dicts, sorted pivot columns)."""
-        pivrows, _ = _rref_core(self.row_dicts(), self.cols, self.field)
+        pivrows = _rref_core(self._r, self.cols, self.field)
         return [r for _, r in pivrows], [c for c, _ in pivrows]
 
     def kernel(self) -> Subspace:
@@ -525,30 +496,11 @@ class SparseMat:
         return self.solve_many([rhs])[0]
 
     def solve_many(self, rhs_list):
-        """Solve M x = rhs for several right-hand sides with one elimination.
-
-        rhs entries may be dicts row->scalar or sequences of length `rows`.
-        Returns a list of solutions (dicts col->scalar, free vars at zero),
-        with None for inconsistent systems.
-        """
-        F = self.field
-        rows = self.row_dicts()
-        for t, rhs in enumerate(rhs_list):
-            if not isinstance(rhs, dict):
-                rhs = {i: v for i, v in enumerate(rhs)}
-            for i, v in rhs.items():
-                v = F.of(v)
-                if v != F.zero:
-                    rows[i][self.cols + t] = v
-        pivrows, leftovers = _rref_core(rows, self.cols, F)
-        out = []
-        for rcol in range(self.cols, self.cols + len(rhs_list)):
-            if any(rcol in r for r in leftovers):
-                out.append(None)
-            else:
-                out.append({pcol: row[rcol] for pcol, row in pivrows
-                            if rcol in row})
-        return out
+        """Solve M x = rhs for several right-hand sides (dicts row ->
+        scalar) against one factorisation: a list of solutions (dicts
+        col -> scalar, free variables at zero), None where inconsistent."""
+        solver = LinearSolver(self)
+        return [solver.solve(rhs) for rhs in rhs_list]
 
 
 class LinearSolver:
@@ -565,23 +517,10 @@ class LinearSolver:
     """
 
     def __init__(self, mat: SparseMat):
-        self._factor(mat.row_dicts(), mat.cols, mat.field)
-
-    @classmethod
-    def from_rows(cls, row_dicts, cols, field):
-        """The solver of the matrix with these raw rows (dicts col -> int or
-        Fraction, consumed), factorised without building a SparseMat: over
-        F_p the entries are reduced mod p first, as rank_of_rows does."""
-        solver = cls.__new__(cls)
-        solver._factor(_field_rows(row_dicts, field), cols, field)
-        return solver
-
-    def _factor(self, rows, cols, F):
+        F, cols = mat.field, mat.cols
         self.field = F
-        self.cols = cols
-        for i, row in enumerate(rows):
-            row[cols + i] = 1
-        pivrows, leftovers = _echelon(rows, cols, F)
+        pivrows, leftovers = _echelon(
+            ({**row, cols + i: 1} for i, row in enumerate(mat._r)), cols, F)
 
         def tail(row):
             return {c - cols: v for c, v in row.items() if c >= cols}

@@ -49,8 +49,7 @@ _REL_WORDS = [
 def _build_mul_table():
     """12x12 structure constants from the completed rewriting system, each
     entry {basis index: int} in ascending index order."""
-    alg = ncgroebner.FreeAlgebra(3, QQ, gen_names=list(GENS),
-                                 bidegrees=[(1, 1)] * 3)
+    alg = ncgroebner.FreeAlgebra(3, QQ, bidegrees=[(1, 1)] * 3)
     gb = ncgroebner.buchberger_complete(alg, [alg.poly(r) for r in _REL_WORDS],
                                         degree_bound=8)
     if gb.truncated:

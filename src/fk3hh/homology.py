@@ -13,9 +13,9 @@ generator g over the terms of g's d and f images and, through the table
 `fk3core.triple_products` of the nonzero products r x l, fills the twelve
 columns (x, g) together.  `diff_key` and `diff_elem` read those columns,
 shifted by i, and `rows` assembles a component's differential from them as
-raw integer rows; `matrix` wraps those rows in a SparseMat, and `rank`
-ranks them through `exactmath.rank_of_rows` without one.  Nothing assembled
-is kept: only the ranks are memoised, once per omega-layer class.  Above
+raw integer rows, which `matrix` wraps in a SparseMat as they are and
+`rank` ranks.  Nothing assembled is kept: only the ranks are memoised, once
+per omega-layer class.  Above
 m = 4 the (n, m) component has no omega_0 layer and is the (n - 4, m - 2)
 component one layer up, differential included; at m = 4 its omega_0
 columns map into A_5 = 0, so the rank is still that of (n - 4, 2), and
@@ -31,7 +31,7 @@ this complex.
 
 from __future__ import annotations
 
-from .exactmath import QQ, SparseMat, add_term, rank_of_rows, scalars
+from .exactmath import QQ, SparseMat, add_term, scalars
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
@@ -163,7 +163,7 @@ class HomologyComplex:
         if n < 1 or m < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
-            self._rank[(n, m)] = rank_of_rows(*self.rows(n, m), self.field)
+            self._rank[(n, m)] = self.matrix(n, m).rank()
         return self._rank[(n, m)]
 
     def dim_boundaries(self, n: int, m: int) -> int:

@@ -45,12 +45,9 @@ class FreeAlgebra:
     generator (1-based generator i uses bidegrees[i-1]).
     """
 
-    def __init__(self, ngens, field=QQ, gen_names=None, bidegrees=None):
+    def __init__(self, ngens, field=QQ, bidegrees=None):
         self.ngens = ngens
         self.field = field
-        self.gen_names = gen_names or [f"x{i}" for i in range(1, ngens + 1)]
-        if len(self.gen_names) != ngens:
-            raise NcPolyError("one name per generator required")
         self.bidegrees = bidegrees
 
     def poly(self, terms):

@@ -17,9 +17,10 @@ built once per resolution, as integer triplets in kb_comp_basis coordinates,
 one generator u of K_{n-4i} at a time, by the one bimodule extension
 (extend_into) that every stratum uses: each term l|v|r of f^(k)(1|u|1) meets
 only the outer words x, y with x.l != 0 and r.y != 0.  The blocks are
-assembled from the pieces by offsetting rows and columns by layer.  Ranks
-are taken from the assembled integer rows directly; blocks are not kept,
-and neither is a full basis of P^b_n (pb_dim counts it).
+assembled from the pieces by offsetting rows and columns by layer, into a
+SparseMat that keeps the raw entries; blocks are ranked and factorised as
+they are and not kept, and neither is a full basis of P^b_n (pb_dim counts
+it).
 
 The differential of the glued resolution is a homotopy tower
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import accumulate
 
-from .exactmath import QQ, SparseMat, add_term, rank_of_rows
+from .exactmath import QQ, SparseMat, add_term
 from .fk3core import (
     BASIS_WORDS,
     DIM,
@@ -466,14 +467,9 @@ class BimoduleResolution:
         tgt = kb_comp_basis(target_deg - 1, intdeg)
         tgt_pos = {key: i for i, key in enumerate(tgt)}
         F = self.field
-        mat = self.koszul_block(target_deg, intdeg)
-        rhs_vecs = []
-        for g in gens:
-            vec = {}
-            for key, c in rhs_by_gen[g].items():
-                vec[tgt_pos[key]] = F.of(c)
-            rhs_vecs.append(vec)
-        sols = mat.solve_many(rhs_vecs)
+        sols = self.koszul_block(target_deg, intdeg).solve_many(
+            [{tgt_pos[key]: c for key, c in rhs_by_gen[g].items()}
+             for g in gens])
         store = {}
         for g, sol in zip(gens, sols):
             if sol is None:
@@ -526,10 +522,10 @@ class BimoduleResolution:
         rows, cols = len(kb_comp_basis(n - 1, d)), len(kb_comp_basis(n, d))
         return SparseMat(rows, cols, self._piece(0, n, d), self.field)
 
-    def block_rows(self, n: int, d: int):
-        """Rows (dicts col -> raw coeff) and column count of delta^b_n on the
-        internal-degree-d component, in comp_basis coordinates, assembled
-        from the pieces by the layers' start positions."""
+    def delta_block(self, n: int, d: int) -> SparseMat:
+        """Matrix of delta^b_n on the internal-degree-d component, in
+        comp_basis coordinates, assembled from the pieces' raw entries by
+        the layers' start positions; not retained."""
         col_off, row_off = layer_starts(n, d), layer_starts(n - 1, d)
         rows = [{} for _ in range(row_off[-1])]
         for i, c0 in enumerate(col_off[:-1]):
@@ -539,15 +535,10 @@ class BimoduleResolution:
                     r0 = row_off[i - k]
                     for r, c, v in piece:
                         rows[r0 + r][c0 + c] = v
-        return rows, col_off[-1]
-
-    def delta_block(self, n: int, d: int) -> SparseMat:
-        """Matrix of delta^b_n on the internal-degree-d component."""
-        rows, cols = self.block_rows(n, d)
-        return SparseMat.from_rows(rows, cols, self.field)
+        return SparseMat.from_rows(rows, col_off[-1], self.field)
 
     def delta_rank(self, n: int) -> int:
-        """Rank of delta^b_n, from the assembled integer rows of its blocks."""
+        """Rank of delta^b_n: the sum of its blocks' ranks."""
         if n > self.max_n + 1:
             raise ValueError(f"delta_{n} lies beyond the resolution's "
                              f"degree range (max_n = {self.max_n})")
@@ -555,8 +546,7 @@ class BimoduleResolution:
             return 0
         if n not in self._delta_ranks:
             self._delta_ranks[n] = sum(
-                rank_of_rows(*self.block_rows(n, d), self.field)
-                for d in self.intdegs(n))
+                self.delta_block(n, d).rank() for d in self.intdegs(n))
         return self._delta_ranks[n]
 
     def comp_vector(self, n: int, d: int, elem: dict):

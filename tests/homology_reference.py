@@ -115,7 +115,7 @@ def verify_representatives(cx, family: str, n: int, m: int):
         img = kt_matrix(cx, n + 1, m - 1).image() if m >= 1 else \
             Subspace(len(basis), [], F)
         expected = img.dim
-        members = all(img.contains(v) for v in vecs)
+        members = all(not img.reduce(v) for v in vecs)
     indep = Subspace.span(len(basis), vecs, F).dim == len(reps)
     return {"family": family, "n": n, "m": m, "count": len(reps),
             "expected": expected, "members": members, "independent": indep,

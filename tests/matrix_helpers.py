@@ -1,8 +1,9 @@
-"""SparseMat constructors and products that only the tests use.
+"""SparseMat constructors, products and a dense oracle that only the tests use.
 
 The engine ranks, reduces and solves with `fk3hh.exactmath`; these plain
 functions build test matrices and multiply them out, through SparseMat's
-public constructor, `triplets` and `row_dicts`.
+public constructor and `triplets`, and eliminate dense copies of them
+independently of the engine's kernel.
 """
 
 from fk3hh.exactmath import QQ, SparseMat
@@ -29,7 +30,9 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     F = a.field
-    b_rows = b.row_dicts()
+    b_rows = [{} for _ in range(b.rows)]
+    for k, j, w in b.triplets():
+        b_rows[k][j] = w
     out = {}
     for i, k, v in a.triplets():
         for j, w in b_rows[k].items():
@@ -49,3 +52,33 @@ def apply(m, vec):
 
 def is_zero(m):
     return not m.nnz()
+
+
+def dense(mat):
+    return [[mat.get(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+
+
+def gauss_jordan(rows, pivot_limit, F):
+    """Textbook dense Gauss-Jordan with pivots in columns < pivot_limit.
+
+    Returns all rows after elimination (the first len(pivots) are the pivot
+    rows, normalized) and the pivot columns.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(pivot_limit):
+        top = len(pivots)
+        piv = next((i for i in range(top, len(rows)) if rows[i][col] != F.zero),
+                   None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = F.inv(rows[top][col])
+        rows[top] = [F.mul(inv, x) for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col] != F.zero:
+                coef = row[col]
+                rows[i] = [F.sub(x, F.mul(coef, y))
+                           for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fk3hh import cli
-from fk3hh.exactmath import QQ, LinearSolver, PrimeField, scalars
+from fk3hh.exactmath import QQ, PrimeField, scalars
 from fk3hh.fk3core import (
     BASIS_WORDS,
     WORD_DEGREE,
@@ -28,10 +28,26 @@ from fk3hh.ncgroebner import (
     load_ideal_relations,
     ring_algebra,
 )
-from matrix_helpers import apply
+from fk3hh.resolution import BimoduleResolution
+from matrix_helpers import apply, dense, gauss_jordan
 
 W = WORD_INDEX
 EPS = DualGen(0, "eps")
+
+
+def stage_value(stage, gen, field) -> dict:
+    """The image of gen = (i, g) under a LiftStage, as field scalars."""
+    return scalars(stage.images.get(gen, {}), field, stage.den)
+
+
+def cup(ring, f: dict, g_key, g: dict) -> dict:
+    """Class coordinates of f cup g in the canonical cocycle basis: f
+    composed with stage deg(f) of g's lift, cached under g_key."""
+    nf, _ = cochain_degrees(f)
+    ng, _ = cochain_degrees(g)
+    lift = ring.lift(g_key, g, horizon=nf)
+    return ring.cox.class_coordinates(nf + ng,
+                                      ring.compose_with_lift(f, lift, nf))
 
 
 def perturb_stage(lift, k: int, seed: int = 0):
@@ -45,7 +61,7 @@ def perturb_stage(lift, k: int, seed: int = 0):
     res = ring.res
     F = ring.field
     lift.ensure(k)
-    stage = {gen: lift.stages[k].value(gen, F)
+    stage = {gen: stage_value(lift.stages[k], gen, F)
              for gen in lift.stages[k].images}
     changed = False
     for idx, ((i, g), elem) in enumerate(sorted(stage.items(), key=str)):
@@ -271,7 +287,7 @@ def test_generator_stage_applied_to_a_generator_is_its_stored_value(ring):
         for k, stage in enumerate(lift.stages):
             for i, g in ring.res.pb_gens(k + lift.m):
                 assert lift.apply(k, {(i, one, g, one): 1}) == \
-                    stage.value((i, g), ring.field), (idx, k, i, g)
+                    stage_value(stage, (i, g), ring.field), (idx, k, i, g)
 
 
 def compose_reference(ring, cochain, lift, stage):
@@ -313,44 +329,62 @@ def test_lifts_and_cochains_with_denominators(ring):
         got = ring.compose_with_lift(f3, ring.generator_lift(j, nf), nf)
         assert got == compose_reference(
             ring, f3, ring.generator_lift(j, nf), nf), (i, j)
-        fg = ring.cup(f, g, g_key=("X", j))
+        fg = cup(ring, f, ("X", j), g)
         assert fg, (i, j)
-        assert ring.cup(f3, g, g_key=("X", j)) == \
+        assert cup(ring, f3, ("X", j), g) == \
             {k: third * v for k, v in fg.items()}
-        assert ring.cup(f, g25, g_key=("2/5", j)) == \
+        assert cup(ring, f, ("2/5", j), g25) == \
             {k: two_fifths * v for k, v in fg.items()}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
-def test_delta_solver_from_raw_rows_equals_block_solver(field):
-    # CupRing.delta_solver factorises the raw integer rows of a delta-block;
-    # it must solve exactly as the solver of the assembled SparseMat does.
-    # Over F_7 the block (13, 15) holds raw entries that are nonzero
-    # multiples of 7, which the raw-row solver must reduce to zero.
+def test_delta_solver_matches_the_dense_oracle(field):
+    # CupRing.delta_solver factorises a delta-block.  On every block the
+    # image b of a random x must be solved, by some sol with block sol = b.
+    # On the blocks small enough for the cubic dense oracle, every solution
+    # must be the particular one (free variables at zero) that dense
+    # Gauss-Jordan reads off [block | b], and None exactly where b raises
+    # the dense rank.  The raw entries of the block (13, 15) include
+    # nonzero multiples of 7, which its F_7 matrix must hold reduced to 0.
     ring = CupRing(field, max_n=8)
     res = ring.res
     rng = random.Random(8)
     blocks = [(k, d) for k in range(1, 9) for d in res.intdegs(k)]
     if field.characteristic:
-        rows, _ = res.block_rows(13, 15)
-        assert any(v and v % 7 == 0 for r in rows for v in r.values())
+        raw = BimoduleResolution(QQ, max_n=8).delta_block(13, 15)
+        sevens = [(i, j) for i, j, v in raw.triplets() if v % 7 == 0]
+        assert sevens
+        assert not any(res.delta_block(13, 15).get(i, j) for i, j in sevens)
         blocks.append((13, 15))
     inconsistent = 0
     for k, d in blocks:
         block = res.delta_block(k, d)
-        want, got = LinearSolver(block), ring.delta_solver(k, d)
+        solver = ring.delta_solver(k, d)
+        rhs = []  # images of a random x (consistent), then random vectors
         for _ in range(4):
             x = {c: field.of(rng.randint(-4, 4))
                  for c in rng.sample(range(block.cols), min(block.cols, 3))}
             b = apply(block, x)
-            sol = got.solve(b)
-            assert sol is not None and sol == want.solve(b), (k, d)
-            assert apply(block, sol) == b
-            b = {r: field.of(rng.randint(1, 4))
-                 for r in rng.sample(range(block.rows), min(block.rows, 2))}
-            sol = got.solve(b)
-            assert sol == want.solve(b), (k, d)
-            inconsistent += sol is None
+            sol = solver.solve(b)
+            assert sol is not None and apply(block, sol) == b, (k, d)
+            rhs.append(b)
+        if block.rows * block.cols > 12000 and (k, d) != (13, 15):
+            continue
+        for _ in range(4):
+            rhs.append({r: field.of(rng.randint(1, 4))
+                        for r in rng.sample(range(block.rows),
+                                            min(block.rows, 2))})
+        aug = [row + [b.get(i, field.zero) for b in rhs]
+               for i, row in enumerate(dense(block))]
+        rows, pivots = gauss_jordan(aug, block.cols, field)
+        for t, b in enumerate(rhs, start=block.cols):
+            sol = solver.solve(b)
+            if any(row[t] for row in rows[len(pivots):]):
+                assert sol is None, (k, d)
+                inconsistent += 1
+            else:
+                assert sol == {p: row[t] for row, p in zip(rows, pivots)
+                               if row[t]}, (k, d)
     assert inconsistent
 
 

@@ -141,8 +141,10 @@ def test_cli_config_rejects_bad_flag_values(tmp_path, capsys, command, key,
 
 def test_verify_all_runs_printed_basis_and_representative_checks(
         tmp_path, capsys, monkeypatch):
-    # the cup and resolution commands are stubbed out here
+    # the cup and resolution commands are stubbed out here, and so is the
+    # cup's degree check, which rejects --max-n 4 up front
     monkeypatch.setattr(cli, "cmd_cup", lambda args, cfg, defaults: 0)
+    monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
     monkeypatch.setattr(cli, "cmd_resolution", lambda args, cfg: 0)
     rc = cli.main(["verify-all", "--max-n", "4", "--out", str(tmp_path / "o")])
     lines = capsys.readouterr().out.splitlines()
@@ -197,6 +199,18 @@ def test_cli_cup_rejects_degrees_beyond_resolution(tmp_path, capsys, flags):
     assert rc == 2
     assert "usage error" in captured.err and "Traceback" not in captured.err
     assert "[pass]" not in captured.out
+    assert not out.exists()
+
+
+def test_verify_all_rejects_cup_degrees_before_any_work(tmp_path, capsys):
+    # verify-all's cup checks need the resolution to degree 16; a lower
+    # --max-n is a bad request, refused before homology or cohomology runs
+    out = tmp_path / "o"
+    rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error" in captured.err and "--max-n 4" in captured.err
+    assert "[pass]" not in captured.out and "[FAIL]" not in captured.out
     assert not out.exists()
 
 
