@@ -431,9 +431,6 @@ class SparseMat:
         self.field = field
         self._r = rows_list
 
-    def get(self, i, j):
-        return self._r[i].get(j, self.field.zero)
-
     def triplets(self):
         return [(i, j, r[j]) for i, r in enumerate(self._r) for j in sorted(r)]
 

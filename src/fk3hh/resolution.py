@@ -18,9 +18,27 @@ one generator u of K_{n-4i} at a time, by the one bimodule extension
 (extend_into) that every stratum uses: each term l|v|r of f^(k)(1|u|1) meets
 only the outer words x, y with x.l != 0 and r.y != 0.  The blocks are
 assembled from the pieces by offsetting rows and columns by layer, into a
-SparseMat that keeps the raw entries; blocks are ranked and factorised as
-they are and not kept, and neither is a full basis of P^b_n (pb_dim counts
-it).
+SparseMat that keeps the raw entries; the cup layer's lifts factorise them
+as they are, the strata solves factorise the Koszul pieces (koszul_block),
+and neither a block nor a full basis of P^b_n is kept.
+
+Exactness is checked on the one-sided complex P (x)_A k, whose blocks have
+a twelfth of the rows and columns.  Its degree-n module is the sum of
+omega_i A (x) V_{n-4i}, with basis keys (i, x, u) standing for
+omega_i x|u|1, and its differential keeps of each generator image only the
+terms l|v|1: omega_i x|u|1 goes to the sum of c (x.l)|v over the terms
+c l|v|1 of f^(k)(1|u|1), in layer i - k.  It is built and ranked blockwise
+per internal degree from layer-free pieces, like delta.  The lemma:
+
+    Let C be the augmented complex P -> A, a bounded-below complex of free
+    right A-modules with delta^2 = 0.  If C is exact below degree n, the
+    cycles Z_{n-1} are projective, so H_n(C (x)_A k) = H_n(C) (x)_A k.  A is
+    finite-dimensional and connected, so by graded Nakayama M (x)_A k = 0
+    forces M = 0 for the bounded-below graded module M = H_n(C).  By
+    induction on n, C is exact in degrees <= n if and only if C (x)_A k is.
+
+At degree 0, C (x)_A k ends in the augmentation A (x)_A k = A -> k, of
+rank 1, so exactness there needs rank(delta_1 (x) k) = 11.
 
 The differential of the glued resolution is a homotopy tower
 
@@ -368,10 +386,19 @@ def comp_basis(n: int, d: int):
     return keys, {key: r for r, key in enumerate(keys)}
 
 
-def layer_starts(n: int, d: int) -> list:
-    """The position in comp_basis(n, d) where each layer i starts, and last
-    the component's dimension, counted without building the keys."""
-    return [0, *accumulate(len(kb_comp_basis(n - 4 * i, d - 6 * i))
+@cache
+def k_comp_basis(deg: int, intdeg: int) -> tuple:
+    """Basis keys (x, u) of the internal-degree component of K^b_deg (x)_A k,
+    standing for x|u|1, ordered (dual tag, word) (memoised)."""
+    return tuple((x, g) for g in dual_basis(deg) for x in range(DIM)
+                 if WORD_DEGREE[x] + g.n == intdeg)
+
+
+def layer_starts(n: int, d: int, basis=kb_comp_basis) -> list:
+    """The position in the internal-degree-d component of P^b_n (or, with
+    basis=k_comp_basis, of P^b_n (x)_A k) where each layer i starts, and
+    last the component's dimension, counted without building its keys."""
+    return [0, *accumulate(len(basis(n - 4 * i, d - 6 * i))
                            for i in range(n // 4 + 1))]
 
 
@@ -382,7 +409,8 @@ class BimoduleResolution:
         self.field = field
         self.max_n = max_n
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
-        self._delta_ranks = {}
+        self._kpieces = {}  # the same for P (x)_A k, see _kpiece
+        self._ranks = {}  # n -> rank of delta_n (x)_A k
         self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}, k != 1
 
     # ----- the homotopy tower f^(k) -----
@@ -419,7 +447,7 @@ class BimoduleResolution:
 
         This is the block of delta from omega_i to omega_{i-k} at degree
         m + 4i and internal degree e + 6i, for every layer i >= k; pieces
-        with m <= max_n + 1 (all that delta_rank may ask for) are kept.
+        with m <= max_n + 1 are kept.
         It is built one generator u at a time: the columns x|u|y of u are
         one extension of the image of 1|u|1, keyed by column."""
         key = (k, m, e)
@@ -493,9 +521,6 @@ class BimoduleResolution:
             return []
         return [(i, g) for i in range(n // 4 + 1) for g in dual_basis(n - 4 * i)]
 
-    def pb_dim(self, n: int) -> int:
-        return DIM * DIM * sum(dual_dim(n - 4 * i) for i in range(n // 4 + 1))
-
     def intdegs(self, n: int):
         """The internal degrees of P^b_n (n >= 0): layer i spans n + 2i
         to n + 2i + 8."""
@@ -522,32 +547,71 @@ class BimoduleResolution:
         rows, cols = len(kb_comp_basis(n - 1, d)), len(kb_comp_basis(n, d))
         return SparseMat(rows, cols, self._piece(0, n, d), self.field)
 
-    def delta_block(self, n: int, d: int) -> SparseMat:
-        """Matrix of delta^b_n on the internal-degree-d component, in
-        comp_basis coordinates, assembled from the pieces' raw entries by
-        the layers' start positions; not retained."""
-        col_off, row_off = layer_starts(n, d), layer_starts(n - 1, d)
+    def _assemble(self, n: int, d: int, basis, piece) -> SparseMat:
+        """The internal-degree-d block of a differential out of degree n
+        whose part from layer i to layer i - k is piece(k, n - 4i, d - 6i),
+        in the coordinates basis(n - 4i, d - 6i) layer by layer: the
+        pieces' raw entries offset by the layers' start positions."""
+        col_off = layer_starts(n, d, basis)
+        row_off = layer_starts(n - 1, d, basis)
         rows = [{} for _ in range(row_off[-1])]
         for i, c0 in enumerate(col_off[:-1]):
             for k in range(i + 1):
-                piece = self._piece(k, n - 4 * i, d - 6 * i)
-                if piece:
-                    r0 = row_off[i - k]
-                    for r, c, v in piece:
-                        rows[r0 + r][c0 + c] = v
+                r0 = row_off[i - k]
+                for r, c, v in piece(k, n - 4 * i, d - 6 * i):
+                    rows[r0 + r][c0 + c] = v
         return SparseMat.from_rows(rows, col_off[-1], self.field)
 
-    def delta_rank(self, n: int) -> int:
-        """Rank of delta^b_n: the sum of its blocks' ranks."""
+    def delta_block(self, n: int, d: int) -> SparseMat:
+        """Matrix of delta^b_n on the internal-degree-d component, in
+        comp_basis coordinates, assembled from _piece's raw entries; not
+        retained."""
+        return self._assemble(n, d, kb_comp_basis, self._piece)
+
+    def _kpiece(self, k: int, m: int, e: int):
+        """f^(k)_m (x)_A k on the internal-degree-e component of
+        K^b_m (x)_A k, as triplets (row, col, coeff) in the coordinates
+        k_comp_basis(m, e) -> k_comp_basis(m+4k-1, e+6k): the column x|u|1
+        is the sum of c (x.l)|v over the terms c l|v|1 of f^(k)(1|u|1).
+
+        Like _piece, it is the block from omega_i to omega_{i-k} at degree
+        m + 4i and internal degree e + 6i for every layer i >= k; all are
+        kept."""
+        key = (k, m, e)
+        trips = self._kpieces.get(key)
+        if trips is not None:
+            return trips
+        table, one = mul_table(), W[""]
+        row_of = {t: r for r, t in
+                  enumerate(k_comp_basis(m + 4 * k - 1, e + 6 * k))}
+        entries, heads = {}, {}  # heads: u -> the terms l|v|1 of its image
+        for col, (x, u) in enumerate(k_comp_basis(m, e)):
+            if u not in heads:
+                heads[u] = [(l, v, c) for (_, l, v, r), c in
+                            self.stratum_on_gen(k, m, u).items() if r == one]
+            for l, v, c in heads[u]:
+                for x2, cx in table[(x, l)].items():
+                    add_term(entries, (row_of[(x2, v)], col), c * cx)
+        trips = self._kpieces[key] = [(r, c, v) for (r, c), v in
+                                      entries.items()]
+        return trips
+
+    def one_sided_block(self, n: int, d: int) -> SparseMat:
+        """Matrix of delta_n (x)_A k on the internal-degree-d component, in
+        k_comp_basis coordinates layer by layer, assembled from _kpiece's
+        raw entries; not retained."""
+        return self._assemble(n, d, k_comp_basis, self._kpiece)
+
+    def one_sided_rank(self, n: int) -> int:
+        """Rank of delta_n (x)_A k: the sum of its blocks' ranks (memoised);
+        a degree beyond max_n + 1 raises."""
         if n > self.max_n + 1:
             raise ValueError(f"delta_{n} lies beyond the resolution's "
                              f"degree range (max_n = {self.max_n})")
-        if n <= 0:
-            return 0
-        if n not in self._delta_ranks:
-            self._delta_ranks[n] = sum(
-                self.delta_block(n, d).rank() for d in self.intdegs(n))
-        return self._delta_ranks[n]
+        if n not in self._ranks:
+            self._ranks[n] = sum(self.one_sided_block(n, d).rank()
+                                 for d in self.intdegs(n))
+        return self._ranks[n]
 
     def comp_vector(self, n: int, d: int, elem: dict):
         """comp_basis coordinates of an element supported in internal degree
@@ -598,5 +662,12 @@ class BimoduleResolution:
         return bad
 
     def exactness_defect(self, n: int) -> int:
-        """dim P^b_n - rank(delta_n) - rank(delta_{n+1}); 0 at exact degrees n >= 1."""
-        return self.pb_dim(n) - self.delta_rank(n) - self.delta_rank(n + 1)
+        """The homology of P (x)_A k at degree n >= 0, counted by rank:
+        dim - rank(delta_n (x) k) - rank(delta_{n+1} (x) k), where at n = 0
+        the augmentation A -> k, of rank 1, stands for delta_0 (x) k.
+
+        P is exact in degrees 0..n (against A at 0) exactly when these
+        defects vanish at 0..n: see the lemma in the module docstring."""
+        dim = DIM * sum(dual_dim(n - 4 * i) for i in range(n // 4 + 1))
+        below = 1 if n == 0 else self.one_sided_rank(n)
+        return dim - below - self.one_sided_rank(n + 1)

@@ -55,7 +55,10 @@ def is_zero(m):
 
 
 def dense(mat):
-    return [[mat.get(i, j) for j in range(mat.cols)] for i in range(mat.rows)]
+    out = [[mat.field.zero] * mat.cols for _ in range(mat.rows)]
+    for i, j, v in mat.triplets():
+        out[i][j] = v
+    return out
 
 
 def gauss_jordan(rows, pivot_limit, F):

@@ -1,0 +1,27 @@
+"""The exactness check on the bimodule resolution itself, by rank.
+
+The engine checks exactness on the one-sided complex P (x)_A k, whose
+blocks are twelve times smaller in each direction (see the lemma in the
+docstring of fk3hh.resolution).  This is the direct check it replaced: the
+rank of every bimodule delta-block, and the defect of P^b_n.  Both must
+vanish at the same degrees.
+"""
+
+from fk3hh.fk3core import DIM, dual_dim
+
+
+def pb_dim(n):
+    """dim P^b_n = 144 * sum_i dual_dim(n - 4i)."""
+    return DIM * DIM * sum(dual_dim(n - 4 * i) for i in range(n // 4 + 1))
+
+
+def delta_rank(res, n):
+    """Rank of delta^b_n: the sum of its blocks' ranks."""
+    return sum(res.delta_block(n, d).rank() for d in res.intdegs(n))
+
+
+def bimodule_defect(res, n):
+    """dim P^b_n - rank(delta_n) - rank(delta_{n+1}); at n = 0 the
+    augmentation P^b_0 = A (x) A -> A, of rank 12, stands for delta_0."""
+    below = DIM if n == 0 else delta_rank(res, n)
+    return pb_dim(n) - below - delta_rank(res, n + 1)

@@ -107,8 +107,8 @@ def test_criterion_5_resolution_validity(res_q):
     for n in range(1, 13):
         if res_q.minimality_violations(n):
             ok = False
-    # exactness by rank in degrees 1..12
-    for n in range(1, 13):
+    # exactness by rank in degrees 0..12, on P (x)_A k
+    for n in range(13):
         if res_q.exactness_defect(n) != 0:
             ok = False
     # anticommutation of the published comparison maps, j = 0..8
@@ -124,7 +124,7 @@ def test_criterion_5_resolution_validity(res_q):
                     del tot[k]
             if tot:
                 ok = False
-    _verdict(5, "resolution: delta^2 = 0, minimal, exact in degrees 1..12, "
+    _verdict(5, "resolution: delta^2 = 0, minimal, exact in degrees 0..12, "
                 "anticommutation for j <= 8", ok)
 
 
@@ -236,10 +236,10 @@ def test_criterion_10_field_independence(hom_q, coh_q, res_q):
     ok = ok and cq == cp
     # criterion 5 over F_p
     res_p = BimoduleResolution(FP, max_n=13)
-    for n in range(1, 13):
+    for n in range(13):
         if res_p.exactness_defect(n) != 0:
             ok = False
-        if res_p.minimality_violations(n):
+        if n and res_p.minimality_violations(n):
             ok = False
     # criterion 6 is integer table data, identical over any field; check a
     # differential matrix entrywise across the two fields

@@ -32,8 +32,8 @@ def random_sparse(rng, rows, cols, density=0.2, field=QQ):
 
 def naive_rank(mat):
     # plain dense fraction-based elimination, no pivot strategy
-    rows = [[Fraction(mat.field.of(mat.get(i, j))) if mat.field is QQ else mat.get(i, j)
-             for j in range(mat.cols)] for i in range(mat.rows)]
+    rows = [[Fraction(x) if mat.field is QQ else x for x in row]
+            for row in dense(mat)]
     F = mat.field
     rank = 0
     col = 0

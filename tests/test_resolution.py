@@ -13,17 +13,20 @@ from fk3hh.fk3core import (
     dual_basis,
     mul_table,
 )
+from fk3hh import cli
 from fk3hh.resolution import (
     BimoduleResolution,
     comp_basis,
     fb_on_gen,
     i_left,
     i_right,
+    k_comp_basis,
     kb_comp_basis,
     koszul_diff_elem,
     layer_starts,
 )
 from induced_reference import coreduce, reduce_image
+from resolution_reference import bimodule_defect, delta_rank, pb_dim
 
 W = WORD_INDEX
 ONE = W[""]
@@ -209,13 +212,13 @@ def test_f_reduced_matches_trivial_module_values():
         assert f_reduced_on_gen(n, dgen("ab", n)) == {}
 
 
-def test_resolution_dims(res):
+def test_resolution_dims():
     # dim P^b_n = 144 * sum_i dual_dim(n-4i)
-    assert res.pb_dim(0) == 144
-    assert res.pb_dim(1) == 3 * 144
-    assert res.pb_dim(2) == 5 * 144
-    assert res.pb_dim(4) == (6 + 1) * 144
-    assert res.pb_dim(8) == (6 + 6 + 1) * 144
+    assert pb_dim(0) == 144
+    assert pb_dim(1) == 3 * 144
+    assert pb_dim(2) == 5 * 144
+    assert pb_dim(4) == (6 + 1) * 144
+    assert pb_dim(8) == (6 + 6 + 1) * 144
 
 
 def test_comp_basis_is_the_full_basis_split_by_internal_degree(res):
@@ -232,7 +235,7 @@ def test_comp_basis_is_the_full_basis_split_by_internal_degree(res):
             d = WORD_DEGREE[x] + g.n + WORD_DEGREE[y] + 6 * i
             by_deg.setdefault(d, []).append(key)
         assert sorted(by_deg) == list(res.intdegs(n)), n
-        assert res.pb_dim(n) == len(full), n
+        assert pb_dim(n) == len(full), n
         for d, keys in by_deg.items():
             got, pos = comp_basis(n, d)
             assert got == tuple(keys), (n, d)
@@ -264,24 +267,30 @@ def test_minimality(res):
 
 
 def test_exactness_by_rank_low_degrees(res):
-    # rank(delta_n) + rank(delta_{n+1}) = dim P^b_n for n = 1..4;
-    # degree 0: exactness against the augmentation: rank(eps) = 12
-    for n in range(1, 5):
+    # rank(delta_n) + rank(delta_{n+1}) = dim P^b_n for n = 1..4, and the
+    # same on P (x)_A k; degree 0 is measured against the augmentation
+    for n in range(5):
         assert res.exactness_defect(n) == 0, n
+        assert bimodule_defect(res, n) == 0, n
 
 
 def test_augmentation_exact_at_zero(res):
-    # ker(eps^b) = im(delta_1): rank(delta_1) = dim P^b_0 - dim A
-    assert res.delta_rank(1) == res.pb_dim(0) - 12
+    # ker(eps^b) = im(delta_1): rank(delta_1) = dim P^b_0 - dim A; on
+    # P (x)_A k, ker(A -> k) = im(delta_1 (x) k) has dimension 12 - 1
+    assert delta_rank(res, 1) == pb_dim(0) - 12
+    assert res.one_sided_rank(1) == 11
 
 
 def test_delta_rank_beyond_range_raises():
+    # exactness_defect(n) needs the rank of delta_{n+1} (x) k, and the
+    # ranks stop at max_n + 1
     res3 = BimoduleResolution(QQ, max_n=3)
-    assert res3.delta_rank(4) >= 0
+    assert res3.one_sided_rank(4) >= 0
+    assert res3.exactness_defect(3) == 0
     with pytest.raises(ValueError):
-        res3.delta_rank(5)
+        res3.one_sided_rank(5)
     with pytest.raises(ValueError):
-        res3.exactness_defect(6)
+        res3.exactness_defect(4)
 
 
 def test_higher_strata_vanish_under_both_reductions():
@@ -302,7 +311,8 @@ def test_higher_strata_vanish_under_both_reductions():
 def test_delta_blocks_prime_field_ranks_match(res):
     resp = BimoduleResolution(PrimeField(10007), max_n=6)
     for n in range(1, 6):
-        assert resp.delta_rank(n) == res.delta_rank(n), n
+        assert delta_rank(resp, n) == delta_rank(res, n), n
+        assert resp.one_sided_rank(n) == res.one_sided_rank(n), n
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
@@ -312,7 +322,6 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
     # and each column also by the reference extension
     resf = BimoduleResolution(field, max_n=16)
     for n in range(1, 17):
-        ranks = 0
         for d in resf.intdegs(n):
             src, (tgt, row_of) = comp_basis(n, d)[0], comp_basis(n - 1, d)
             entries = {}
@@ -323,8 +332,69 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
                     entries[(row_of[key2], col)] = c
             expect = SparseMat(len(tgt), len(src), entries, field)
             assert resf.delta_block(n, d) == expect, (n, d)
-            ranks += expect.rank()
-        assert resf.delta_rank(n) == ranks, n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_one_sided_blocks_equal_the_reduced_column_images(field):
+    # the column omega_i x|u|1 of delta_n (x)_A k is delta_n(omega_i x|u|1)
+    # with every term whose right word is not 1 dropped
+    def keys(n, d):
+        return [(i, x, u) for i in range(n // 4 + 1)
+                for x, u in k_comp_basis(n - 4 * i, d - 6 * i)]
+
+    resf = BimoduleResolution(field, max_n=13)
+    for n in range(1, 14):
+        for d in resf.intdegs(n):
+            src = keys(n, d)
+            row_of = {key: r for r, key in enumerate(keys(n - 1, d))}
+            entries = {}
+            for col, (i, x, u) in enumerate(src):
+                column = resf.delta_elem(n, {(i, x, u, ONE): 1})
+                for (i2, x2, v, y2), c in column.items():
+                    if y2 == ONE:
+                        entries[(row_of[(i2, x2, v)], col)] = c
+            expect = SparseMat(len(row_of), len(src), entries, field)
+            assert resf.one_sided_block(n, d) == expect, (n, d)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_one_sided_and_bimodule_defects_vanish_together(field):
+    resf = BimoduleResolution(field, max_n=12)
+    one_sided = [resf.exactness_defect(n) for n in range(13)]
+    bimodule = [bimodule_defect(resf, n) for n in range(13)]
+    assert one_sided == bimodule == [0] * 13
+
+
+def test_exactness_to_degree_40_over_f7():
+    # over Q, test_report_cli.py runs the same check through hh resolution
+    res40 = BimoduleResolution(PrimeField(7), max_n=40)
+    assert [res40.exactness_defect(n) for n in range(41)] == [0] * 41
+
+
+def test_both_checks_fail_at_degree_3_without_the_comparison_maps(
+        monkeypatch, tmp_path, capsys):
+    # with f^(1) zeroed every solved stratum is zero too, so delta is d on
+    # each layer omega_i K^b.  FK(3) is not Koszul: its Koszul complex is
+    # exact only up to degree 2, and each layer repeats its homology four
+    # degrees up.  The bimodule homology is twelve times as large
+    monkeypatch.setattr(resolution, "fb_on_gen", lambda n, gen: {})
+    bare = BimoduleResolution(QQ, max_n=10)
+    one_sided = [bare.exactness_defect(n) for n in range(10)]
+    assert one_sided == [0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
+    assert [bimodule_defect(bare, n) for n in range(10)] == \
+        [12 * e for e in one_sided]
+    rc = cli.main(["resolution", "--max-n", "5", "--out", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert [line for line in lines if "exactness" in line] == [
+        "[pass] exactness by rank at degree 1",
+        "[pass] exactness by rank at degree 2",
+        "[FAIL] exactness by rank at degree 3: P (x)_A k is not exact at "
+        "degrees [3]",
+        "[FAIL] exactness by rank at degree 4: P (x)_A k is not exact at "
+        "degrees [3, 4]",
+        "[FAIL] exactness by rank at degree 5: P (x)_A k is not exact at "
+        "degrees [3, 4]"]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])

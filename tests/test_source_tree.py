@@ -1,12 +1,20 @@
 """Every function and method defined in fk3hh has a use in fk3hh.
 
 A name counts as used when src/fk3hh references it (as a name or an
-attribute) or when perfbench/tracer.py wraps it by name.  Code that only the
-tests call belongs in tests/.
+attribute) or when perfbench/tracer.py wraps it by name.  A method whose
+name a dict, list or set also has (add, get, remove, ...) is a use of its
+own only when a call from src/fk3hh reaches it: every dict.get there would
+count otherwise.  Code that only the tests call belongs in tests/.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
+
+from fk3hh import ncgroebner as ncg
+from fk3hh.cupring import CupRing
+from fk3hh.exactmath import QQ, PrimeField
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fk3hh"
@@ -41,3 +49,50 @@ def test_every_function_in_src_is_used():
     dead = {name: where for name, where in defined.items()
             if name not in used | traced_names()}
     assert not dead, f"defined in src/fk3hh but used nowhere there: {dead}"
+
+
+CONTAINER_METHODS = {name for kind in (dict, list, set) for name in dir(kind)
+                     if not name.startswith("__")}
+
+
+def container_named_methods():
+    """(module, class, name) of each method defined in src/fk3hh under a
+    name that a dict, list or set method also has."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                out.extend((path.stem, node.name, f.name) for f in node.body
+                           if isinstance(f, ast.FunctionDef)
+                           and f.name in CONTAINER_METHODS)
+    return out
+
+
+def test_container_named_methods_are_reached_from_src(monkeypatch):
+    # each such method is wrapped to note the calls that come from a frame
+    # in src/fk3hh; small runs of the completion over Q and F_7 and of the
+    # cup layer's span check must reach every one of them
+    reached = set()
+
+    def spy(key, method):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1).f_code.co_filename
+            if Path(caller).resolve().parent == SRC:
+                reached.add(key)
+            return method(*args, **kwargs)
+        return wrapper
+
+    methods = container_named_methods()
+    assert methods  # the scan sees the engine's add and remove methods
+    for module, cls_name, name in methods:
+        cls = getattr(importlib.import_module(f"fk3hh.{module}"), cls_name)
+        monkeypatch.setattr(cls, name, spy((module, cls_name, name),
+                                           cls.__dict__[name]))
+    for field in (QQ, PrimeField(7)):
+        alg = ncg.ring_algebra(field)
+        rels = ncg.load_commutation_relations(alg) + \
+            ncg.load_ideal_relations(alg)
+        ncg.buchberger_complete(alg, rels, degree_bound=4)
+    CupRing(QQ, max_n=2).verify_generating_set(2)
+    unreached = sorted(set(methods) - reached)
+    assert not unreached, f"no call from src/fk3hh reaches {unreached}"
