@@ -1,4 +1,4 @@
-"""Hochschild cohomology of FK(3) via the dualized resolution complex.
+"""Hochschild cohomology of FK(3) as the dual of the nu-twisted chain complex.
 
 Components Q^n_m = sum_i omega*_i K^{n-4i}_{m+2i} of Hom_{A^e}(P, A), with
 K^n_m the maps sending one degree-n dual-basis tag to an element of A_m;
@@ -6,78 +6,74 @@ basis keys are (i, DualGen, word_idx).  omega*_i has cohomological degree 4i
 and internal degree -6i, so Q^n_m is concentrated in internal degree m - n
 with m in [-2 floor(n/4), 4].
 
-The codifferential is derived from the resolution: a cochain g*|x pulls back
-along the strata f^(0) = d and f^(1) = f to sum l x r over the terms l|g|r
-of each source generator's image; the higher strata vanish under this
-reduction.  The codifferential of omega*_i g*|x at degree n is that of
-omega*_0 g*|x at degree n - 4i moved up i layers, so `columns` pulls back
-once per relative degree n - 4i, with the layers taken out.  It makes one
-pass per generator g over the terms (u, l, r) of the source images that
-pass through g (`transpose_images`) and, through the table
-`fk3core.triple_products` of the nonzero products l x r, fills the twelve
-columns (g, x) together.  `diff_key` and `diff_elem` read those columns,
-shifted by i, and `rows` assembles a component's codifferential from them
-as raw integer rows, which `matrix` wraps in a SparseMat as they are, for
-`rank` to rank; the class solvers factor such rows too.  Nothing assembled
-is kept; ranks are memoised once per omega-layer class.  Below m = 0 the
-component Q^n_m has no omega*_0 layer and is Q^{n-4}_{m+2} one layer up,
-codifferential included, so `rank` ranks only components with m >= 0.
-`dim` counts the keys layer by layer without building a basis (memoised per
-n), and `fk3core.dual_basis` is memoised and read-only.
+FK(3) is Frobenius for the pairing B(x, y) = coefficient of abac in x y,
+with Nakayama automorphism nu(x) = (-1)^{|x|} x: B(l, z) = (-1)^{|l|} B(z, l).
+So <phi, x' (x) p> = B(phi(p), x') identifies Hom_{A^e}(P, A) with the dual
+of A_nu (x)_{A^e} P, where x (x) l|v|r = (-1)^{|l|} (r x l) (x) v: the
+chain complex `chain`, a HomologyComplex with twisted=True.  The
+codifferential is the transpose of its differential, with no further sign.
+omega*_i g*|x pairs with omega_i x'|g by B(x, x'), which vanishes unless
+|x| + |x'| = 4, so with P_n the pairing of Q^n_m with the chain component
+(n, 4 - m), one block B per layer and tag,
 
-Cohomology dimensions come from ranks; `cocycle_basis` returns canonical
-coset representatives (kernel vectors reduced against the RREF of the
-coboundaries).  `class_coordinates` and `is_zero_class` solve each
-component against one integer factorisation of its raw columns
-[coboundaries | classes] and read the class part of the solution.
+    (codifferential of Q^n_m)^T P_{n+1} = P_n (differential of (n+1, 3-m)).
+
+Hence `dim(n, m)` is the chain dim(n, 4 - m) and `rank(n, m)` the chain
+rank(n + 1, 3 - m), ranked once per omega-layer class there, and `columns`
+reads the codifferential off the chain columns through B and B^-1.  B is a
+signed permutation except on its degree-2 block, which is unimodular, so
+B^-1 and every row are integral.  `diff_key`, `diff_elem` and `rows` read
+those columns; `matrix` wraps the raw integer rows in a SparseMat as they
+are, and the class solvers factor such rows too.  Nothing assembled is kept.
+
+`cocycle_basis` returns canonical coset representatives (kernel vectors
+reduced against the RREF of the coboundaries).  `class_coordinates` and
+`is_zero_class` solve each component against one integer factorisation of
+its raw columns [coboundaries | classes] and read the class part.
 """
 
 from __future__ import annotations
 
-from .exactmath import (
-    QQ,
-    LinearSolver,
-    SparseMat,
-    Subspace,
-    add_term,
-    scalars,
-)
-from .fk3core import (
-    BASIS_BY_DEGREE,
-    DIM,
-    DIM_BY_DEGREE,
-    WORD_DEGREE,
-    dual_basis,
-    dual_dim,
-    triple_products,
-)
-from .resolution import gen_image
+from functools import cache
+
+from .exactmath import QQ, LinearSolver, SparseMat, Subspace, add_term
+from .fk3core import BASIS_BY_DEGREE, DIM, WORD_DEGREE, dual_basis, mul_table
+from .homology import HomologyComplex, InducedComplex
 
 
-def transpose_images(images: dict) -> dict:
-    """{u: sum c l|v|r} -> {v: [(u, l, r, c), ...]}: for each generator v,
-    the terms of the source generators' images that pass through it."""
-    out = {}
-    for u, image in images.items():
-        for (_, lw, v, rw), c in image.items():
-            out.setdefault(v, []).append((u, lw, rw, c))
-    return out
+@cache
+def frobenius_pairing():
+    """(pair, inverse): pair[y] lists the (x, B(x, y)) and inverse[x] the
+    (y, B^-1(x, y)) that are nonzero, for B(x, y) = coefficient of abac in
+    x y.  From mul_table() on first use; shared and read-only."""
+    top = DIM - 1
+    b = {xy: t[top] for xy, t in mul_table().items() if top in t}
+    pair, inverse = [[] for _ in range(DIM)], [[] for _ in range(DIM)]
+    for (x, y), c in b.items():
+        pair[y].append((x, c))
+    # column y of B^-1 solves B z = e_y; B is unimodular, so z is integral
+    for y, z in enumerate(SparseMat(DIM, DIM, b, QQ).solve_many(
+            [{y: 1} for y in range(DIM)])):
+        for x, c in z.items():
+            if c != int(c):
+                raise ArithmeticError("the pairing B is not unimodular")
+            inverse[x].append((y, int(c)))
+    return pair, inverse
 
 
 # ---------------------------------------------------------------------------
 # the bigraded cochain complex
 # ---------------------------------------------------------------------------
 
-class CohomologyComplex:
-    """Q^n_m components with the dualized differential."""
+class CohomologyComplex(InducedComplex):
+    """Q^n_m components with the codifferential, read off the dual A_nu
+    chain complex `chain`, built to degree max_n + 1."""
+
+    step = 1
 
     def __init__(self, field=QQ, max_n=20):
-        self.field = field
-        self.max_n = max_n
-        self._basis = {}
-        self._dim = {}
-        self._rank = {}
-        self._columns = {}
+        super().__init__(field, max_n)
+        self.chain = HomologyComplex(field, max_n + 1, twisted=True)
         self._classes = {}
         self._class_solvers = {}
 
@@ -101,79 +97,33 @@ class CohomologyComplex:
         return self._basis[(n, m)]
 
     def dim(self, n: int, m: int) -> int:
-        """len(basis(n, m)), counted without building the basis: a sum
-        over the layers 0 <= i <= n/4 with 0 <= m + 2i <= 4, memoised per n
-        over the support min_m(n) <= m <= 4."""
-        if n < 0 or not self.min_m(n) <= m <= 4:
-            return 0
-        if n not in self._dim:
-            self._dim[n] = tuple(
-                sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[mm + 2 * i]
-                    for i in range(max(0, (1 - mm) // 2),
-                                   min(n // 4, (4 - mm) // 2) + 1))
-                for mm in range(self.min_m(n), 5))
-        return self._dim[n][m - self.min_m(n)]
+        """len(basis(n, m)): the dimension of the dual chain component."""
+        return self.chain.dim(n, 4 - m)
 
     def columns(self, deg: int) -> dict:
         """{(DualGen, word_idx): [(layer offset, DualGen, word_idx, int)]}:
         the codifferential of omega*_i g*|x at degree deg + 4i with the
-        layer i taken out, built once per relative degree deg = n - 4i.
-        The part pulled back along d_{deg+1} has offset 0, the part pulled
-        back along f_{deg-3} offset +1.
-
-        Pulling g*|x back along the terms (u, l, r, c) that pass through g
-        gives sum c u*|(l x r), so one pass over those terms, through the
-        nonzero products l x r of every x, fills the twelve columns (g, x)
-        together."""
+        layer i taken out, built once per relative degree deg = n - 4i:
+        with offset 0 from the d part of the chain columns of degree
+        deg + 1, with offset +1 from the f part (offset -1 there) of those
+        of degree deg - 3.  It is P_{n+1}^-T (differential)^T P_n^T, so a
+        chain entry c from x'|u to y'|g adds B(x, y') c B^-1(x', y) to the
+        entry from g*|x to u*|y."""
         if deg not in self._columns:
-            d = transpose_images({u: gen_image(0, deg + 1, u)
-                                  for u in dual_basis(deg + 1)})
-            f = transpose_images({u: gen_image(1, deg - 3, u)
-                                  for u in dual_basis(deg - 3)})
-            triples = triple_products()
-            cols = {}
-            for g in dual_basis(deg):
-                acc = [{} for _ in range(DIM)]
-                for o, terms in ((0, d.get(g, ())), (1, f.get(g, ()))):
-                    for u, lw, rw, c in terms:
-                        for x, y, c2 in triples[(lw, rw)]:
-                            col, key = acc[x], (o, u, y)
-                            nv = col.get(key, 0) + c * c2
-                            if nv:
-                                col[key] = nv
-                            else:
-                                del col[key]
-                for x, col in enumerate(acc):
-                    cols[(g, x)] = tuple((o, u, y, c)
-                                         for (o, u, y), c in col.items())
-            self._columns[deg] = cols
+            pair, inverse = frobenius_pairing()
+            acc = {(g, x): {} for g in dual_basis(deg) for x in range(DIM)}
+            for o, deg1 in ((0, deg + 1), (1, deg - 3)):
+                for (x1, u), col in self.chain.columns(deg1).items():
+                    for o1, y1, g, c in col:
+                        if o1 == -o:  # the part that lands in degree deg
+                            for x, b in pair[y1]:
+                                for y, bi in inverse[x1]:
+                                    add_term(acc[(g, x)], (o, u, y),
+                                             b * c * bi)
+            self._columns[deg] = {
+                gx: tuple((o, u, y, c) for (o, u, y), c in col.items())
+                for gx, col in acc.items()}
         return self._columns[deg]
-
-    def diff_key(self, n: int, key) -> dict:
-        """Codifferential of a single basis element of degree n."""
-        i, g, x = key
-        return {(i + o, u, y): c
-                for o, u, y, c in self.columns(n - 4 * i)[(g, x)]}
-
-    def diff_elem(self, n: int, elem: dict) -> dict:
-        """Codifferential of a cochain, as field scalars without zeros."""
-        out = {}
-        for key, c in elem.items():
-            for key2, c2 in self.diff_key(n, key).items():
-                add_term(out, key2, c * c2)
-        return scalars(out, self.field)
-
-    def rows(self, n: int, m: int):
-        """(rows, ncols): the codifferential Q^n_m -> Q^{n+1}_{m+1} as raw
-        integer rows {column: int}, one per key of basis(n + 1, m + 1),
-        read from the layer-free columns; not retained."""
-        src = self.basis(n, m)
-        pos = {k: r for r, k in enumerate(self.basis(n + 1, m + 1))}
-        rows = [{} for _ in pos]
-        for j, (i, g, x) in enumerate(src):
-            for o, u, y, c in self.columns(n - 4 * i)[(g, x)]:
-                rows[pos[(i + o, u, y)]][j] = c
-        return rows, len(src)
 
     def matrix(self, n: int, m: int) -> SparseMat:
         """Matrix of Q^n_m -> Q^{n+1}_{m+1}, from rows(); not retained
@@ -182,16 +132,8 @@ class CohomologyComplex:
         return SparseMat.from_rows(*self.rows(n, m), self.field)
 
     def rank(self, n: int, m: int) -> int:
-        # Below m = 0 the component Q^n_m has no omega*_0 layer: it is
-        # Q^{n-4}_{m+2} moved up one layer, and so is its codifferential
-        # (the target's extra layer-0 rows are reached from no source).
-        while m < 0:
-            n, m = n - 4, m + 2
-        if n < 0 or not self.dim(n, m):
-            return 0
-        if (n, m) not in self._rank:
-            self._rank[(n, m)] = self.matrix(n, m).rank()
-        return self._rank[(n, m)]
+        """Rank of Q^n_m -> Q^{n+1}_{m+1}: that of the dual chain map."""
+        return self.chain.rank(n + 1, 3 - m)
 
     def dim_coboundaries(self, n: int, m: int) -> int:
         return self.rank(n - 1, m - 1)

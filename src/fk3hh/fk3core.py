@@ -91,7 +91,7 @@ def triple_products() -> dict:
     """{(a, b): ((x, y, c), ...)}: the nonzero coefficients c of the words y
     in the products (a x) b over all twelve x, from mul_table() on first use
     and read-only.  A pass over the terms l|v|r of one image reaches every x
-    at once through the products r x l (homology) or l x r (cohomology)."""
+    at once through the products r x l."""
     table = mul_table()
     out = {}
     for a in range(DIM):

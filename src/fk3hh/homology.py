@@ -1,10 +1,12 @@
 """Hochschild homology of FK(3) via the induced complex of the resolution.
 
-The complex A (x)_{A^e} P has components P~_{n,m} = sum_i omega_i K~_{n-4i,m-2i}
-with K~_{n,m} = A_m (x) (dual of degree n); basis keys are (i, word_idx,
-DualGen).  Its differential is derived from the resolution: the strata
-f^(0) = d and f^(1) = f of each generator's image are reduced by
-x (x) l|v|r -> (r x l)|v; the higher strata vanish under this reduction.
+The complex M (x)_{A^e} P, with coefficients M = A or, for the dual of the
+cohomology complex (`fk3hh.cohomology`), M = A_nu, has components
+P~_{n,m} = sum_i omega_i K~_{n-4i,m-2i} with K~_{n,m} = A_m (x) (dual of
+degree n); basis keys are (i, word_idx, DualGen).  Its differential is
+derived from the resolution: the strata f^(0) = d and f^(1) = f of each
+generator's image are reduced by x (x) l|v|r -> (r x l)|v, times (-1)^{|l|}
+in A_nu; the higher strata vanish under this reduction.
 
 The differential of omega_i x|g at degree n is that of omega_0 x|g at
 degree n - 4i moved up i layers, so `columns` reduces the images once per
@@ -14,7 +16,8 @@ generator g over the terms of g's d and f images and, through the table
 columns (x, g) together.  `diff_key` and `diff_elem` read those columns,
 shifted by i, and `rows` assembles a component's differential from them as
 raw integer rows, which `matrix` wraps in a SparseMat as they are and
-`rank` ranks.  Nothing assembled is kept: only the ranks are memoised, once
+`rank` ranks (`InducedComplex` holds diff_key, diff_elem and rows, for
+the cochain complex too).  Nothing assembled is kept: only the ranks are memoised, once
 per omega-layer class.  Above
 m = 4 the (n, m) component has no omega_0 layer and is the (n - 4, m - 2)
 component one layer up, differential included; at m = 4 its omega_0
@@ -36,6 +39,7 @@ from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
     DIM_BY_DEGREE,
+    WORD_DEGREE,
     dual_basis,
     dual_dim,
     triple_products,
@@ -44,19 +48,62 @@ from .resolution import gen_image
 
 
 # ---------------------------------------------------------------------------
-# the bigraded complex and its dimensions
+# the bigraded complexes and their dimensions
 # ---------------------------------------------------------------------------
 
-class HomologyComplex:
-    """The induced complex with components indexed by (n, m)."""
+class InducedComplex:
+    """What the chain complex and its dual share: basis keys (i, a, b) of
+    the (n, m) components, and a differential (n, m) -> (n + step, m + 1)
+    read off `columns(deg)`, which maps (a, b) to the entries
+    (layer offset, a2, b2, int) of the image of the key (0, a, b) in degree
+    deg, once per relative degree deg = n - 4i; keys of a negative layer
+    are dropped.  Subclasses set step and define basis and columns."""
 
-    def __init__(self, field=QQ, max_n=19):
+    def __init__(self, field, max_n):
         self.field = field
         self.max_n = max_n
         self._basis = {}
+        self._columns = {}
+
+    def diff_key(self, n: int, key) -> dict:
+        """Differential of a single basis element of degree n."""
+        i, a, b = key
+        col = self.columns(n - 4 * i)[(a, b)]
+        return {(i + o, a2, b2): c for o, a2, b2, c in col if i + o >= 0}
+
+    def diff_elem(self, n: int, elem: dict) -> dict:
+        """Differential of an element, as field scalars without zeros."""
+        out = {}
+        for key, c in elem.items():
+            for key2, c2 in self.diff_key(n, key).items():
+                add_term(out, key2, c * c2)
+        return scalars(out, self.field)
+
+    def rows(self, n: int, m: int):
+        """(rows, ncols): the differential (n, m) -> (n + step, m + 1) as
+        raw integer rows {column: int}, one per key of its target, read
+        from the layer-free columns; not retained."""
+        src = self.basis(n, m)
+        pos = {k: r for r, k in enumerate(self.basis(n + self.step, m + 1))}
+        rows = [{} for _ in pos]
+        for j, (i, a, b) in enumerate(src):
+            for o, a2, b2, c in self.columns(n - 4 * i)[(a, b)]:
+                if i + o >= 0:
+                    rows[pos[(i + o, a2, b2)]][j] = c
+        return rows, len(src)
+
+
+class HomologyComplex(InducedComplex):
+    """The induced complex with components indexed by (n, m)."""
+
+    step = -1
+
+    def __init__(self, field=QQ, max_n=19, twisted=False):
+        super().__init__(field, max_n)
+        # (-1)^{|l|} per word l in A_nu (twisted=True), 1 in A
+        self._sign = tuple((-1) ** d if twisted else 1 for d in WORD_DEGREE)
         self._dim = {}
         self._rank = {}
-        self._columns = {}
 
     def max_m(self, n=None) -> int:
         n = self.max_n if n is None else n
@@ -102,13 +149,14 @@ class HomologyComplex:
         and f images, through the nonzero products r x l of every x, fills
         the twelve columns (x, g) together."""
         if deg not in self._columns:
-            triples = triple_products()
+            triples, sign = triple_products(), self._sign
             cols = {}
             for g in dual_basis(deg):
                 acc = [{} for _ in range(DIM)]
                 for o, image in ((0, gen_image(0, deg, g)),
                                  (-1, gen_image(1, deg, g))):
                     for (_, lw, v, rw), c in image.items():
+                        c *= sign[lw]
                         for x, y, c2 in triples[(rw, lw)]:
                             col, key = acc[x], (o, y, v)
                             nv = col.get(key, 0) + c * c2
@@ -121,33 +169,6 @@ class HomologyComplex:
                                          for (o, y, v), c in col.items())
             self._columns[deg] = cols
         return self._columns[deg]
-
-    def diff_key(self, n: int, key) -> dict:
-        """Differential of a single basis element of degree n."""
-        i, x, g = key
-        col = self.columns(n - 4 * i)[(x, g)]
-        return {(i + o, y, v): c for o, y, v, c in col if i + o >= 0}
-
-    def diff_elem(self, n: int, elem: dict) -> dict:
-        """Differential of a chain, as field scalars without zeros."""
-        out = {}
-        for key, c in elem.items():
-            for key2, c2 in self.diff_key(n, key).items():
-                add_term(out, key2, c * c2)
-        return scalars(out, self.field)
-
-    def rows(self, n: int, m: int):
-        """(rows, ncols): the differential (n, m) -> (n-1, m+1) as raw
-        integer rows {column: int}, one per key of basis(n - 1, m + 1),
-        read from the layer-free columns; not retained."""
-        src = self.basis(n, m)
-        pos = {k: r for r, k in enumerate(self.basis(n - 1, m + 1))}
-        rows = [{} for _ in pos]
-        for j, (i, x, g) in enumerate(src):
-            for o, y, v, c in self.columns(n - 4 * i)[(x, g)]:
-                if i + o >= 0:
-                    rows[pos[(i + o, y, v)]][j] = c
-        return rows, len(src)
 
     def matrix(self, n: int, m: int) -> SparseMat:
         """Matrix of the differential (n, m) -> (n-1, m+1), from rows()."""

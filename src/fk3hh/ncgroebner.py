@@ -162,9 +162,10 @@ class GBasis:
     (over F_p, its residues), split into the integer lead coefficient lc and
     the (word, int) pairs of the other terms.  The constructor sorts its
     input by lead word (stably); `add` appends, and `remove` takes an element
-    out of the index only.  The first-letter buckets hold `(word_key(lead),
-    i)` pairs in sorted order, so a lookup meets the leads in canonical
-    order, equal leads by index.  `reduced` marks full interreduction.
+    out of the index only.  The index maps each lead word to the indices
+    that have it, ascending, and a lookup tries the lead lengths in
+    ascending order, so it meets the leads in canonical order, equal leads
+    by index.  `reduced` marks full interreduction.
     """
 
     def __init__(self, algebra: FreeAlgebra, polys, reduced=False, truncated=False):
@@ -174,7 +175,8 @@ class GBasis:
         self.polys = []
         self.leads = []
         self.ints = []
-        self._by_first = {}
+        self._by_lead = {}  # lead word -> the indices that have it
+        self._sizes = []  # every lead length indexed so far, ascending
         for lw, p in sorted(((lead_word(p), p) for p in polys),
                             key=lambda t: word_key(t[0])):
             self._insert(p, lw)
@@ -196,14 +198,15 @@ class GBasis:
         ints, _ = to_integers(p, self.algebra.field)
         lc = ints.pop(lw)
         self.ints.append((lc, tuple(ints.items())))
-        bisect.insort(self._by_first.setdefault(lw[0], []), (word_key(lw), idx))
+        self._by_lead.setdefault(lw, []).append(idx)
+        if len(lw) not in self._sizes:
+            bisect.insort(self._sizes, len(lw))
         return idx
 
     def remove(self, idx):
         """Drop element idx from the index; its slot in polys stays."""
         lw = self.leads[idx]
-        bucket = self._by_first[lw[0]]
-        del bucket[bisect.bisect_left(bucket, (word_key(lw), idx))]
+        self._by_lead[lw].remove(idx)
 
     def find_divisor(self, w: Word, skip=None):
         """Leftmost occurrence of any leading word inside w.
@@ -212,13 +215,14 @@ class GBasis:
         position the first in canonical order wins.  The element at index
         `skip`, if given, is left out.
         """
-        n = len(w)
+        n, by_lead = len(w), self._by_lead
         for pos in range(n):
-            for (size, lw), idx in self._by_first.get(w[pos], ()):
+            for size in self._sizes:
                 if size > n - pos:
-                    break  # buckets are sorted by length first
-                if w[pos:pos + size] == lw and idx != skip:
-                    return pos, idx
+                    break
+                for idx in by_lead.get(w[pos:pos + size], ()):
+                    if idx != skip:
+                        return pos, idx
         return None
 
 

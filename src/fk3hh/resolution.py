@@ -57,10 +57,15 @@ which is always consistent (the right-hand side is a cycle and the Koszul
 complex is exact in the relevant degrees; a solve that is not raises).
 The equations for k = 0 and k = 1, d d = 0 and d f + f d = 0, are checked
 on every generator by square_zero_defects; with the solves they give
-delta^2 = 0.  Every f^(k) with k >= 2 has outer degree >= 5 on both
-reductions (tested through k = 4), so the induced homology and cohomology
-complexes are reductions of the strata k = 0, 1 alone, whose generator
-images `gen_image` gives.
+delta^2 = 0.
+
+The tower by degree: delta keeps the internal degree, and omega_i carries
+6i of it, so each term l|v|r of f^(k)_n(1|u|1) has |l| + |r| = 2k + 1 (it
+has internal degree n + 6k over v of degree n + 4k - 1).  As A_5 = 0,
+f^(k) = 0 for k >= 4, which `stratum_on_gen` returns unsolved; and for
+k >= 2, |l| + |r| >= 5 forces r != 1 and r x l = l x r = 0 for every x,
+so these strata vanish on P (x)_A k, in the minimality check and under
+both induced reductions, which therefore use `gen_image` (k = 0, 1) alone.
 """
 
 from __future__ import annotations
@@ -419,9 +424,12 @@ class BimoduleResolution:
         """f^(k)_n(1|gen|1) as a sparse K^b_{n+4k-1} element.
 
         The returned dict is shared and read-only: the Koszul stratum k = 0
-        is kept per resolution, like the solved strata k >= 2."""
+        is kept per resolution, like the solved strata k = 2, 3; the strata
+        k >= 4 vanish by degree (see the module docstring)."""
         if k == 1:
             return fb_on_gen(n, gen)
+        if k >= 4:
+            return {}
         if (k, n) not in self._homotopy:
             if k == 0:
                 self._homotopy[(0, n)] = {

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from fk3hh.exactmath import QQ, PrimeField, Subspace
+from fk3hh.exactmath import QQ, PrimeField, SparseMat, Subspace
 from fk3hh.fk3core import (
     WORD_DEGREE,
     WORD_INDEX,
@@ -15,6 +15,7 @@ from fk3hh.cohomology import CohomologyComplex
 from fk3hh.paperdata import cohomology_series_formula, cohomology_total_formula
 from fk3hh.resolution import fb_on_gen, koszul_diff_elem
 from image_tables import tables_agree_with_maps
+from induced_reference import cochain_columns
 from matrix_helpers import from_cols, is_zero, matmul
 
 W = WORD_INDEX
@@ -360,3 +361,65 @@ def test_image_of_degree_zero_differential(cx):
     # the (0, 3) column maps onto a 3-dimensional coboundary space at (1, 4)
     assert cx.matrix(0, 3).image().dim == 3
     assert cx.dim_coboundaries(1, 4) == 3
+
+
+# ----- the duality with the nu-twisted chain complex -----
+
+def pairing_matrix(co, n, m):
+    """P_n on Q^n_m: omega*_i g*|x against the chain key omega_i x'|g of the
+    component (n, 4 - m) is B(x, x') = the coefficient of abac in x x'."""
+    pos = {key: j for j, key in enumerate(co.chain.basis(n, 4 - m))}
+    src = co.basis(n, m)
+    ent = {}
+    for r, (i, g, x) in enumerate(src):
+        for x2 in range(12):
+            b = mul_words(x, x2).get(W["abac"])
+            if b:
+                ent[(r, pos[(i, x2, g)])] = b
+    return SparseMat(len(src), len(pos), ent, co.field)
+
+
+def reference_codifferential(co, n, m):
+    """Q^n_m -> Q^{n+1}_{m+1} pulled back along the generator images by
+    the reference pass, independently of the chain complex."""
+    src, tgt = co.basis(n, m), co.basis(n + 1, m + 1)
+    pos = {key: r for r, key in enumerate(tgt)}
+    ent = {}
+    for j, (i, g, x) in enumerate(src):
+        for (o, u, y), c in cochain_columns(n - 4 * i)[(g, x)].items():
+            ent[(pos[(i + o, u, y)], j)] = c
+    return SparseMat(len(tgt), len(src), ent, co.field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_codifferential_is_dual_to_the_twisted_differential(field):
+    # D^T P_{n+1} = P_n d_nu on every component: D pulled back along the
+    # images, d_nu the A_nu chain differential of (n + 1, 3 - m); without
+    # the sign (-1)^{|l|} the chain side differs
+    co = CohomologyComplex(field, max_n=14)
+    checked = 0
+    for n in range(15):
+        for m in range(co.min_m(n), 5):
+            if not co.dim(n, m):
+                continue
+            p_n = pairing_matrix(co, n, m)
+            p_n1 = pairing_matrix(co, n + 1, m + 1)
+            assert p_n.rows == p_n.cols == p_n.rank(), (n, m)
+            lhs = matmul(reference_codifferential(co, n, m).transpose(), p_n1)
+            rhs = matmul(p_n, co.chain.matrix(n + 1, 3 - m))
+            assert lhs == rhs, (field, n, m)
+            checked += not is_zero(lhs)
+    assert checked >= 40, checked
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_derived_columns_equal_the_reference_pass(field):
+    # the columns read off the chain complex are the ones the images give,
+    # so every row, diff_key and class solver reads the same entries (the
+    # rows to n = 40 are checked against a per-word reduction in
+    # test_homology)
+    co = CohomologyComplex(field, max_n=40)
+    for deg in range(41):
+        got = {gx: {(o, u, y): c for o, u, y, c in col}
+               for gx, col in co.columns(deg).items()}
+        assert got == cochain_columns(deg), (field, deg)

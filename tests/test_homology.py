@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from fk3hh.cohomology import CohomologyComplex, transpose_images
+from fk3hh.cohomology import CohomologyComplex
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
 from fk3hh.homology import HomologyComplex
@@ -21,7 +21,7 @@ from homology_reference import (
     verify_representatives,
 )
 from image_tables import tables_agree_with_maps
-from induced_reference import coreduce, reduce_image
+from induced_reference import cochain_columns, reduce_image
 from matrix_helpers import from_cols, is_zero, matmul
 from paper_data import HOMOLOGY_GRID, HOMOLOGY_TOTALS
 
@@ -281,11 +281,6 @@ def _gen_image(k, n, g):
     return gen_image(k, n, g)
 
 
-@functools.cache
-def _transposed(k, n):
-    return transpose_images({u: _gen_image(k, n, u) for u in dual_basis(n)})
-
-
 def _direct_homology_column(n, key):
     """omega_i x|g at degree n, reduced from the generator images of degree
     n - 4i: d stays in layer i, f goes to layer i - 1 when i >= 1."""
@@ -303,13 +298,8 @@ def _direct_cohomology_column(n, key):
     """omega*_i g*|x at degree n, pulled back along d_{deg+1} into layer i
     and along f_{deg-3} into layer i + 1, with deg = n - 4i."""
     i, g, x = key
-    deg = n - 4 * i
-    out = {}
-    for k, src_deg, layer in ((0, deg + 1, i), (1, deg - 3, i + 1)):
-        terms = _transposed(k, src_deg).get(g, ())
-        out.update({(layer, u, y): c
-                    for (u, y), c in coreduce(terms, x).items()})
-    return out
+    return {(i + o, u, y): c for (o, u, y), c in
+            cochain_columns(n - 4 * i)[(g, x)].items()}
 
 
 def _direct_matrix(src, tgt, column, field):

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fk3hh import resolution
-from fk3hh.cohomology import transpose_images
 from fk3hh.exactmath import QQ, PrimeField, SparseMat, add_term
 from fk3hh.fk3core import (
     WORD_DEGREE,
@@ -25,7 +24,7 @@ from fk3hh.resolution import (
     koszul_diff_elem,
     layer_starts,
 )
-from induced_reference import coreduce, reduce_image
+from induced_reference import coreduce, reduce_image, transpose_images
 from resolution_reference import bimodule_defect, delta_rank, pb_dim
 
 W = WORD_INDEX
@@ -306,6 +305,29 @@ def test_higher_strata_vanish_under_both_reductions():
             for g, terms in transpose_images(images).items():
                 for x in range(12):
                     assert coreduce(terms, x) == {}, (k, n, g, x)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_the_tower_by_degree(field):
+    # every term l|v|r of f^(k)_n(1|u|1) lies over a generator v of degree
+    # n + 4k - 1 with outer degree |l| + |r| = 2k + 1; so from k = 4 on the
+    # stratum's component is empty and stratum_on_gen returns it unsolved
+    resf = BimoduleResolution(field, max_n=30)
+    terms = 0
+    for k in (2, 3):
+        for n in range(31):
+            for g in dual_basis(n):
+                for (_, l, v, r), c in resf.stratum_on_gen(k, n, g).items():
+                    assert c and v.n == n + 4 * k - 1, (k, n, g)
+                    assert WORD_DEGREE[l] + WORD_DEGREE[r] == 2 * k + 1
+                    terms += 1
+    assert terms > 1000, terms
+    for k in range(4, 9):
+        for n in range(61):
+            assert kb_comp_basis(n + 4 * k - 1, n + 6 * k) == (), (k, n)
+            assert all(resf.stratum_on_gen(k, n, g) == {}
+                       for g in dual_basis(n))
+    assert not any(k >= 4 for k, _ in resf._homotopy)
 
 
 def test_delta_blocks_prime_field_ranks_match(res):

@@ -5,6 +5,10 @@ attribute) or when perfbench/tracer.py wraps it by name.  A method whose
 name a dict, list or set also has (add, get, remove, ...) is a use of its
 own only when a call from src/fk3hh reaches it: every dict.get there would
 count otherwise.  Code that only the tests call belongs in tests/.
+
+The cochain complex has one source: `fk3hh.cohomology` reads its
+codifferential off the dual chain complex and never touches the generator
+images itself.
 """
 
 import ast
@@ -96,3 +100,18 @@ def test_container_named_methods_are_reached_from_src(monkeypatch):
     CupRing(QQ, max_n=2).verify_generating_set(2)
     unreached = sorted(set(methods) - reached)
     assert not unreached, f"no call from src/fk3hh reaches {unreached}"
+
+
+def test_cohomology_reads_no_generator_images():
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "cohomology.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+    banned = {"gen_image", "triple_products", "transpose_images"}
+    assert not names & banned, sorted(names & banned)
