@@ -22,7 +22,7 @@ from . import paperdata
 from .cohomology import CohomologyComplex
 from .cupring import GENERATOR_BIDEGREES, CupRing
 from .exactmath import FieldError, field_from_name
-from .homology import HomologyComplex
+from .homology import HomologyComplex, exactness_defects
 from .report import FORMATS, UsageError, write_outputs
 from .resolution import BimoduleResolution
 
@@ -349,15 +349,15 @@ def cmd_gb(args, cfg):
 def cmd_resolution(args, cfg):
     r = Runner(args, cfg)
     max_n = _max_n(args, cfg, 40, least=1)
-    res = BimoduleResolution(r.field, max_n=max_n + 1)
-    # P is exact in degrees 0..n exactly when P (x)_A k is (resolution.py)
+    # P is exact in degrees 0..n exactly when P (x)_A k is (homology.py)
     bad = []
-    for n in range(max_n + 1):
-        if res.exactness_defect(n):
+    for n, defect in enumerate(exactness_defects(r.field, max_n)):
+        if defect:
             bad.append(n)
         if n:
             r.check(f"exactness by rank at degree {n}", not bad,
                     f"P (x)_A k is not exact at degrees {bad}")
+    res = BimoduleResolution(r.field, max_n=max_n + 1)
     ok = all(not res.minimality_violations(n) for n in range(1, max_n + 1))
     r.check("minimality (differential entries in the augmentation ideal)", ok)
     bad = res.square_zero_defects()

@@ -10,7 +10,7 @@ FK(3) is Frobenius for the pairing B(x, y) = coefficient of abac in x y,
 with Nakayama automorphism nu(x) = (-1)^{|x|} x: B(l, z) = (-1)^{|l|} B(z, l).
 So <phi, x' (x) p> = B(phi(p), x') identifies Hom_{A^e}(P, A) with the dual
 of A_nu (x)_{A^e} P, where x (x) l|v|r = (-1)^{|l|} (r x l) (x) v: the
-chain complex `chain`, a HomologyComplex with twisted=True.  The
+chain complex `chain`, the HomologyComplex with coefficients "A_nu".  The
 codifferential is the transpose of its differential, with no further sign.
 omega*_i g*|x pairs with omega_i x'|g by B(x, x'), which vanishes unless
 |x| + |x'| = 4, so with P_n the pairing of Q^n_m with the chain component
@@ -20,11 +20,13 @@ omega*_i g*|x pairs with omega_i x'|g by B(x, x'), which vanishes unless
 
 Hence `dim(n, m)` is the chain dim(n, 4 - m) and `rank(n, m)` the chain
 rank(n + 1, 3 - m), ranked once per omega-layer class there, and `columns`
-reads the codifferential off the chain columns through B and B^-1.  B is a
-signed permutation except on its degree-2 block, which is unimodular, so
-B^-1 and every row are integral.  `diff_key`, `diff_elem` and `rows` read
-those columns; `matrix` wraps the raw integer rows in a SparseMat as they
-are, and the class solvers factor such rows too.  Nothing assembled is kept.
+reads the codifferential off the chain columns through B and B^-1; it
+builds them by `chain.derive_columns`, so the chain keeps only the columns
+its own ranks read.  B is a signed permutation except on its degree-2
+block, which is unimodular, so B^-1 and every row are integral.
+`diff_key`, `diff_elem` and `rows` read those columns; `matrix` wraps the
+raw integer rows in a SparseMat as they are, and the class solvers factor
+such rows too.  Nothing assembled is kept.
 
 `cocycle_basis` returns canonical coset representatives (kernel vectors
 reduced against the RREF of the coboundaries).  `class_coordinates` and
@@ -73,7 +75,7 @@ class CohomologyComplex(InducedComplex):
 
     def __init__(self, field=QQ, max_n=20):
         super().__init__(field, max_n)
-        self.chain = HomologyComplex(field, max_n + 1, twisted=True)
+        self.chain = HomologyComplex(field, max_n + 1, "A_nu")
         self._classes = {}
         self._class_solvers = {}
 
@@ -113,7 +115,7 @@ class CohomologyComplex(InducedComplex):
             pair, inverse = frobenius_pairing()
             acc = {(g, x): {} for g in dual_basis(deg) for x in range(DIM)}
             for o, deg1 in ((0, deg + 1), (1, deg - 3)):
-                for (x1, u), col in self.chain.columns(deg1).items():
+                for (x1, u), col in self.chain.derive_columns(deg1).items():
                     for o1, y1, g, c in col:
                         if o1 == -o:  # the part that lands in degree deg
                             for x, b in pair[y1]:

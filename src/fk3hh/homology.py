@@ -1,31 +1,41 @@
-"""Hochschild homology of FK(3) via the induced complex of the resolution.
+"""Hochschild homology of FK(3), and the exactness of its resolution P, via
+the induced complexes of P.
 
-The complex M (x)_{A^e} P, with coefficients M = A or, for the dual of the
-cohomology complex (`fk3hh.cohomology`), M = A_nu, has components
-P~_{n,m} = sum_i omega_i K~_{n-4i,m-2i} with K~_{n,m} = A_m (x) (dual of
-degree n); basis keys are (i, word_idx, DualGen).  Its differential is
-derived from the resolution: the strata f^(0) = d and f^(1) = f of each
-generator's image are reduced by x (x) l|v|r -> (r x l)|v, times (-1)^{|l|}
-in A_nu; the higher strata vanish under this reduction.
+The complex M (x)_{A^e} P has components P~_{n,m} = sum_i omega_i
+K~_{n-4i,m-2i} with K~_{n,m} = M_m (x) (dual of degree n); basis keys are
+(i, word_idx, DualGen).  The coefficient bimodule M is one of three, each
+the vector space A with the actions of its `action_table`:
+
+    "A"      Hochschild homology, r.x.l = r x l;
+    "A_nu"   the right action twisted by nu(l) = (-1)^{|l|} l, the dual of
+             the cohomology complex (`fk3hh.cohomology`);
+    "eps A"  the left action through the augmentation, r.x.l = eps(r) x l,
+             so eps A (x)_{A^e} P is P (x)_A k, whose homology
+             certifies P's exactness (`exactness_defects`).
+
+No CLI or config option chooses M.  The differential is derived from the
+resolution: the strata f^(0) = d and f^(1) = f of each generator's image
+are reduced by x (x) l|v|r -> (r.x.l)|v; the higher strata vanish under
+this reduction (the tower-by-degree lemma in `fk3hh.resolution`).
 
 The differential of omega_i x|g at degree n is that of omega_0 x|g at
 degree n - 4i moved up i layers, so `columns` reduces the images once per
-relative degree n - 4i, with the layers taken out.  It makes one pass per
-generator g over the terms of g's d and f images and, through the table
-`fk3core.triple_products` of the nonzero products r x l, fills the twelve
-columns (x, g) together.  `diff_key` and `diff_elem` read those columns,
-shifted by i, and `rows` assembles a component's differential from them as
-raw integer rows, which `matrix` wraps in a SparseMat as they are and
-`rank` ranks (`InducedComplex` holds diff_key, diff_elem and rows, for
-the cochain complex too).  Nothing assembled is kept: only the ranks are memoised, once
-per omega-layer class.  Above
-m = 4 the (n, m) component has no omega_0 layer and is the (n - 4, m - 2)
-component one layer up, differential included; at m = 4 its omega_0
-columns map into A_5 = 0, so the rank is still that of (n - 4, 2), and
-`rank` ranks only components with m <= 3.  `dim` counts the keys layer by
-layer without building a basis (memoised per n), so bases are built only
-for the components that are assembled; `fk3core.dual_basis` is memoised
-and read-only.
+relative degree n - 4i, with the layers taken out (`derive_columns` builds
+them without keeping them, for the cochain complex).  It makes one pass per
+generator g over the terms of g's d and f images and, through M's action
+table of the nonzero products r.x.l, fills the twelve columns (x, g)
+together.  `diff_key` and `diff_elem` read those columns, shifted by i, and
+`rows` assembles a component's differential from them as raw integer rows,
+which `matrix` wraps in a SparseMat as they are and `rank` ranks
+(`InducedComplex` holds diff_key, diff_elem and rows, for the cochain
+complex too).  Nothing assembled is kept: only the ranks are memoised, once
+per omega-layer class.  Above m = 4 the (n, m) component has no omega_0
+layer and is the (n - 4, m - 2) component one layer up, differential
+included; at m = 4 its omega_0 columns map into M_5 = 0, so the rank is
+still that of (n - 4, 2), and `rank` ranks only components with m <= 3.
+`dim` counts the keys layer by layer without building a basis (memoised
+per n), so bases are built only for the components that are assembled;
+`fk3core.dual_basis` is memoised and read-only.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 published representative families; `fk3hh.paperdata` checks those against
@@ -33,6 +43,8 @@ this complex.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .exactmath import QQ, SparseMat, add_term, scalars
 from .fk3core import (
@@ -45,6 +57,25 @@ from .fk3core import (
     triple_products,
 )
 from .resolution import gen_image
+
+
+@cache
+def action_table(coefficients: str) -> dict:
+    """{(r, l): ((x, y, c), ...)}: the nonzero coefficients c of the words y
+    in r.x.l over the twelve words x, in the coefficient bimodule M named
+    `coefficients` (see the module docstring), from the table of A,
+    `fk3core.triple_products`, on first use; shared and read-only."""
+    table = triple_products()
+    if coefficients == "A":
+        return table
+    if coefficients == "A_nu":
+        return {(r, l): tuple((x, y, (-1) ** WORD_DEGREE[l] * c)
+                              for x, y, c in t)
+                for (r, l), t in table.items()}
+    if coefficients == "eps A":
+        return {(r, l): () if WORD_DEGREE[r] else t
+                for (r, l), t in table.items()}
+    raise ValueError(f"no coefficient bimodule {coefficients!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +125,14 @@ class InducedComplex:
 
 
 class HomologyComplex(InducedComplex):
-    """The induced complex with components indexed by (n, m)."""
+    """The induced complex M (x)_{A^e} P with components indexed by (n, m),
+    for M named by `coefficients` (see `action_table`)."""
 
     step = -1
 
-    def __init__(self, field=QQ, max_n=19, twisted=False):
+    def __init__(self, field=QQ, max_n=19, coefficients="A"):
         super().__init__(field, max_n)
-        # (-1)^{|l|} per word l in A_nu (twisted=True), 1 in A
-        self._sign = tuple((-1) ** d if twisted else 1 for d in WORD_DEGREE)
+        self.coefficients = coefficients
         self._dim = {}
         self._rank = {}
 
@@ -140,35 +171,38 @@ class HomologyComplex(InducedComplex):
         return self._dim[n][m]
 
     def columns(self, deg: int) -> dict:
+        """derive_columns(deg), built once per relative degree."""
+        if deg not in self._columns:
+            self._columns[deg] = self.derive_columns(deg)
+        return self._columns[deg]
+
+    def derive_columns(self, deg: int) -> dict:
         """{(word_idx, DualGen): [(layer offset, word_idx, DualGen, int)]}:
         the differential of omega_i x|g at degree deg + 4i with the layer i
-        taken out, built once per relative degree deg = n - 4i.  The d part
-        has offset 0 and the f part offset -1 (it applies from i >= 1).
+        taken out, for a relative degree deg = n - 4i; not retained.  The d
+        part has offset 0 and the f part offset -1 (it applies from i >= 1).
 
-        x (x) l|v|r goes to (r x l)|v, so one pass over the terms of g's d
-        and f images, through the nonzero products r x l of every x, fills
-        the twelve columns (x, g) together."""
-        if deg not in self._columns:
-            triples, sign = triple_products(), self._sign
-            cols = {}
-            for g in dual_basis(deg):
-                acc = [{} for _ in range(DIM)]
-                for o, image in ((0, gen_image(0, deg, g)),
-                                 (-1, gen_image(1, deg, g))):
-                    for (_, lw, v, rw), c in image.items():
-                        c *= sign[lw]
-                        for x, y, c2 in triples[(rw, lw)]:
-                            col, key = acc[x], (o, y, v)
-                            nv = col.get(key, 0) + c * c2
-                            if nv:
-                                col[key] = nv
-                            else:
-                                del col[key]
-                for x, col in enumerate(acc):
-                    cols[(x, g)] = tuple((o, y, v, c)
-                                         for (o, y, v), c in col.items())
-            self._columns[deg] = cols
-        return self._columns[deg]
+        x (x) l|v|r goes to (r.x.l)|v, so one pass over the terms of g's d
+        and f images, through M's action table, fills the twelve columns
+        (x, g) together."""
+        action = action_table(self.coefficients)
+        cols = {}
+        for g in dual_basis(deg):
+            acc = [{} for _ in range(DIM)]
+            for o, image in ((0, gen_image(0, deg, g)),
+                             (-1, gen_image(1, deg, g))):
+                for (_, lw, v, rw), c in image.items():
+                    for x, y, c2 in action[(rw, lw)]:
+                        col, key = acc[x], (o, y, v)
+                        nv = col.get(key, 0) + c * c2
+                        if nv:
+                            col[key] = nv
+                        else:
+                            del col[key]
+            for x, col in enumerate(acc):
+                cols[(x, g)] = tuple((o, y, v, c)
+                                     for (o, y, v), c in col.items())
+        return cols
 
     def matrix(self, n: int, m: int) -> SparseMat:
         """Matrix of the differential (n, m) -> (n-1, m+1), from rows()."""
@@ -238,3 +272,23 @@ class HomologyComplex(InducedComplex):
             out.append(g)
             prev = g
         return out
+
+
+def exactness_defects(field, max_n: int) -> list:
+    """The homology of P (x)_A k = eps A (x)_{A^e} P at n = 0..max_n, less
+    k at n = 0: P is exact in degrees 0..n (against A at 0) exactly when
+    the defects at 0..n vanish, by this lemma:
+
+        Let C be the augmented complex P -> A, a bounded-below complex of
+        free right A-modules with delta^2 = 0.  If C is exact below degree
+        n, the cycles Z_{n-1} are projective, so H_n(C (x)_A k) =
+        H_n(C) (x)_A k.  A is finite-dimensional and connected, so by graded
+        Nakayama M (x)_A k = 0 forces M = 0 for the bounded-below graded
+        module M = H_n(C).  By induction on n, C is exact in degrees <= n
+        if and only if C (x)_A k is.
+
+    C (x)_A k ends in the augmentation A (x)_A k = A -> k, of rank 1, so
+    when P is exact the homology of P (x)_A k is k, in degree 0; exactness
+    there is rank(delta_1 (x) k) = 11."""
+    totals = HomologyComplex(field, max_n, "eps A").homology_dims()[1]
+    return [totals[n] - (n == 0) for n in range(max_n + 1)]

@@ -22,23 +22,11 @@ SparseMat that keeps the raw entries; the cup layer's lifts factorise them
 as they are, the strata solves factorise the Koszul pieces (koszul_block),
 and neither a block nor a full basis of P^b_n is kept.
 
-Exactness is checked on the one-sided complex P (x)_A k, whose blocks have
-a twelfth of the rows and columns.  Its degree-n module is the sum of
-omega_i A (x) V_{n-4i}, with basis keys (i, x, u) standing for
-omega_i x|u|1, and its differential keeps of each generator image only the
-terms l|v|1: omega_i x|u|1 goes to the sum of c (x.l)|v over the terms
-c l|v|1 of f^(k)(1|u|1), in layer i - k.  It is built and ranked blockwise
-per internal degree from layer-free pieces, like delta.  The lemma:
-
-    Let C be the augmented complex P -> A, a bounded-below complex of free
-    right A-modules with delta^2 = 0.  If C is exact below degree n, the
-    cycles Z_{n-1} are projective, so H_n(C (x)_A k) = H_n(C) (x)_A k.  A is
-    finite-dimensional and connected, so by graded Nakayama M (x)_A k = 0
-    forces M = 0 for the bounded-below graded module M = H_n(C).  By
-    induction on n, C is exact in degrees <= n if and only if C (x)_A k is.
-
-At degree 0, C (x)_A k ends in the augmentation A (x)_A k = A -> k, of
-rank 1, so exactness there needs rank(delta_1 (x) k) = 11.
+Exactness is checked on P (x)_A k, which is the induced complex
+eps A (x)_{A^e} P of `fk3hh.homology`: `homology.exactness_defects`, with
+the graded-Nakayama lemma that makes it a check of P.  This module keeps
+only the bimodule resolution that the strata solves and the cup layer's
+lifts use.
 
 The differential of the glued resolution is a homotopy tower
 
@@ -56,16 +44,17 @@ f^(2), f^(3), ... are correcting homotopies solved degreewise from
 which is always consistent (the right-hand side is a cycle and the Koszul
 complex is exact in the relevant degrees; a solve that is not raises).
 The equations for k = 0 and k = 1, d d = 0 and d f + f d = 0, are checked
-on every generator by square_zero_defects; with the solves they give
+on every generator by square_zero_defects, which also solves every stratum
+k >= 2 that delta applies up to max_n; with the solves they give
 delta^2 = 0.
 
 The tower by degree: delta keeps the internal degree, and omega_i carries
 6i of it, so each term l|v|r of f^(k)_n(1|u|1) has |l| + |r| = 2k + 1 (it
 has internal degree n + 6k over v of degree n + 4k - 1).  As A_5 = 0,
 f^(k) = 0 for k >= 4, which `stratum_on_gen` returns unsolved; and for
-k >= 2, |l| + |r| >= 5 forces r != 1 and r x l = l x r = 0 for every x,
-so these strata vanish on P (x)_A k, in the minimality check and under
-both induced reductions, which therefore use `gen_image` (k = 0, 1) alone.
+k >= 2, |l| + |r| >= 5 forces r x l = l x r = 0 for every x, so these
+strata vanish under the induced reductions (with coefficients A, A_nu and
+eps A alike), which therefore use `gen_image` (k = 0, 1) alone.
 """
 
 from __future__ import annotations
@@ -76,14 +65,12 @@ from itertools import accumulate
 from .exactmath import QQ, SparseMat, add_term
 from .fk3core import (
     BASIS_WORDS,
-    DIM,
     WORD_DEGREE,
     WORD_INDEX,
     DualGen,
     chi,
     dgen,
     dual_basis,
-    dual_dim,
     dual_left_action,
     dual_right_action,
     mul_table,
@@ -391,19 +378,11 @@ def comp_basis(n: int, d: int):
     return keys, {key: r for r, key in enumerate(keys)}
 
 
-@cache
-def k_comp_basis(deg: int, intdeg: int) -> tuple:
-    """Basis keys (x, u) of the internal-degree component of K^b_deg (x)_A k,
-    standing for x|u|1, ordered (dual tag, word) (memoised)."""
-    return tuple((x, g) for g in dual_basis(deg) for x in range(DIM)
-                 if WORD_DEGREE[x] + g.n == intdeg)
-
-
-def layer_starts(n: int, d: int, basis=kb_comp_basis) -> list:
-    """The position in the internal-degree-d component of P^b_n (or, with
-    basis=k_comp_basis, of P^b_n (x)_A k) where each layer i starts, and
-    last the component's dimension, counted without building its keys."""
-    return [0, *accumulate(len(basis(n - 4 * i, d - 6 * i))
+def layer_starts(n: int, d: int) -> list:
+    """The position in the internal-degree-d component of P^b_n where each
+    layer i starts, and last the component's dimension, counted without
+    building its keys."""
+    return [0, *accumulate(len(kb_comp_basis(n - 4 * i, d - 6 * i))
                            for i in range(n // 4 + 1))]
 
 
@@ -414,8 +393,6 @@ class BimoduleResolution:
         self.field = field
         self.max_n = max_n
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
-        self._kpieces = {}  # the same for P (x)_A k, see _kpiece
-        self._ranks = {}  # n -> rank of delta_n (x)_A k
         self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}, k != 1
 
     # ----- the homotopy tower f^(k) -----
@@ -433,7 +410,8 @@ class BimoduleResolution:
         if (k, n) not in self._homotopy:
             if k == 0:
                 self._homotopy[(0, n)] = {
-                    g.tag: gen_image(0, n, g) for g in dual_basis(n)}
+                    g.tag: koszul_diff_elem(n, {(0, W[""], g, W[""]): 1})
+                    for g in dual_basis(n)}
             else:
                 self._solve_homotopy(k, n)
         return self._homotopy[(k, n)].get(gen.tag, {})
@@ -529,11 +507,6 @@ class BimoduleResolution:
             return []
         return [(i, g) for i in range(n // 4 + 1) for g in dual_basis(n - 4 * i)]
 
-    def intdegs(self, n: int):
-        """The internal degrees of P^b_n (n >= 0): layer i spans n + 2i
-        to n + 2i + 8."""
-        return range(n, n + 2 * (n // 4) + 9)
-
     def delta_elem(self, n: int, elem: dict) -> dict:
         """delta^b_n of a sparse P^b_n element: the full homotopy tower."""
         out = {}
@@ -555,71 +528,19 @@ class BimoduleResolution:
         rows, cols = len(kb_comp_basis(n - 1, d)), len(kb_comp_basis(n, d))
         return SparseMat(rows, cols, self._piece(0, n, d), self.field)
 
-    def _assemble(self, n: int, d: int, basis, piece) -> SparseMat:
-        """The internal-degree-d block of a differential out of degree n
-        whose part from layer i to layer i - k is piece(k, n - 4i, d - 6i),
-        in the coordinates basis(n - 4i, d - 6i) layer by layer: the
-        pieces' raw entries offset by the layers' start positions."""
-        col_off = layer_starts(n, d, basis)
-        row_off = layer_starts(n - 1, d, basis)
+    def delta_block(self, n: int, d: int) -> SparseMat:
+        """Matrix of delta^b_n on the internal-degree-d component, in
+        comp_basis coordinates: the raw entries of each piece
+        _piece(k, n - 4i, d - 6i), from layer i to layer i - k, offset by
+        the layers' start positions; not retained."""
+        col_off, row_off = layer_starts(n, d), layer_starts(n - 1, d)
         rows = [{} for _ in range(row_off[-1])]
         for i, c0 in enumerate(col_off[:-1]):
             for k in range(i + 1):
                 r0 = row_off[i - k]
-                for r, c, v in piece(k, n - 4 * i, d - 6 * i):
+                for r, c, v in self._piece(k, n - 4 * i, d - 6 * i):
                     rows[r0 + r][c0 + c] = v
         return SparseMat.from_rows(rows, col_off[-1], self.field)
-
-    def delta_block(self, n: int, d: int) -> SparseMat:
-        """Matrix of delta^b_n on the internal-degree-d component, in
-        comp_basis coordinates, assembled from _piece's raw entries; not
-        retained."""
-        return self._assemble(n, d, kb_comp_basis, self._piece)
-
-    def _kpiece(self, k: int, m: int, e: int):
-        """f^(k)_m (x)_A k on the internal-degree-e component of
-        K^b_m (x)_A k, as triplets (row, col, coeff) in the coordinates
-        k_comp_basis(m, e) -> k_comp_basis(m+4k-1, e+6k): the column x|u|1
-        is the sum of c (x.l)|v over the terms c l|v|1 of f^(k)(1|u|1).
-
-        Like _piece, it is the block from omega_i to omega_{i-k} at degree
-        m + 4i and internal degree e + 6i for every layer i >= k; all are
-        kept."""
-        key = (k, m, e)
-        trips = self._kpieces.get(key)
-        if trips is not None:
-            return trips
-        table, one = mul_table(), W[""]
-        row_of = {t: r for r, t in
-                  enumerate(k_comp_basis(m + 4 * k - 1, e + 6 * k))}
-        entries, heads = {}, {}  # heads: u -> the terms l|v|1 of its image
-        for col, (x, u) in enumerate(k_comp_basis(m, e)):
-            if u not in heads:
-                heads[u] = [(l, v, c) for (_, l, v, r), c in
-                            self.stratum_on_gen(k, m, u).items() if r == one]
-            for l, v, c in heads[u]:
-                for x2, cx in table[(x, l)].items():
-                    add_term(entries, (row_of[(x2, v)], col), c * cx)
-        trips = self._kpieces[key] = [(r, c, v) for (r, c), v in
-                                      entries.items()]
-        return trips
-
-    def one_sided_block(self, n: int, d: int) -> SparseMat:
-        """Matrix of delta_n (x)_A k on the internal-degree-d component, in
-        k_comp_basis coordinates layer by layer, assembled from _kpiece's
-        raw entries; not retained."""
-        return self._assemble(n, d, k_comp_basis, self._kpiece)
-
-    def one_sided_rank(self, n: int) -> int:
-        """Rank of delta_n (x)_A k: the sum of its blocks' ranks (memoised);
-        a degree beyond max_n + 1 raises."""
-        if n > self.max_n + 1:
-            raise ValueError(f"delta_{n} lies beyond the resolution's "
-                             f"degree range (max_n = {self.max_n})")
-        if n not in self._ranks:
-            self._ranks[n] = sum(self.one_sided_block(n, d).rank()
-                                 for d in self.intdegs(n))
-        return self._ranks[n]
 
     def comp_vector(self, n: int, d: int, elem: dict):
         """comp_basis coordinates of an element supported in internal degree
@@ -639,43 +560,43 @@ class BimoduleResolution:
         return {keys[r]: c for r, c in vec.items()}
 
     def minimality_violations(self, n: int):
-        """Generator-image terms with both outer words trivial (must be none)."""
+        """Generator-image terms with both outer words trivial (must be none).
+
+        delta(omega_i 1|g|1) is the sum of omega_{i-k} f^(k)(1|g|1) over
+        k <= i; distinct k land in distinct layers, so no terms cancel and
+        the terms are those of the strata."""
         bad = []
         one = W[""]
         for i, g in self.pb_gens(n):
-            img = self.delta_elem(n, {(i, one, g, one): 1})
-            for (j, x, v, y), c in img.items():
-                if x == one and y == one:
-                    bad.append(((i, g), (j, v), c))
+            for k in range(i + 1):
+                for (_, x, v, y), c in self.stratum_on_gen(
+                        k, n - 4 * i, g).items():
+                    if x == one and y == one:
+                        bad.append(((i, g), (i - k, v), c))
         return bad
 
     def square_zero_defects(self) -> list:
         """Degrees n <= max_n at which d_{n-1} d_n or d_{n+3} f_n + f_{n-1} d_n
         is nonzero on a generator 1|u|1 of K^b_n (none may be).
 
-        These are the tower equations of strata 0 and 1; those of the
-        higher strata hold wherever a stratum is solved (the solve raises
-        otherwise), so together they give delta^2 = 0."""
+        These are the tower equations of strata 0 and 1.  Where they hold,
+        this solves every f^(k), k = 2, 3, that delta_n applies for
+        n <= max_n, on K_m with m <= max_n - 4k; the higher equations hold
+        wherever a stratum is solved (the solve raises otherwise), so
+        together they give delta^2 = 0 to degree max_n."""
         bad = []
-        one = W[""]
         for n in range(self.max_n + 1):
             for g in dual_basis(n):
-                de = koszul_diff_elem(n, {(0, one, g, one): 1})
+                de = self.stratum_on_gen(0, n, g)
                 anti = koszul_diff_elem(n + 3, fb_on_gen(n, g))
                 for key, c in self.stratum_elem(1, n - 1, de).items():
                     add_term(anti, key, c)
                 if koszul_diff_elem(n - 1, de) or anti:
                     bad.append(n)
                     break
+        if not bad:
+            for k in (2, 3):
+                for m in range(self.max_n - 4 * k + 1):
+                    for g in dual_basis(m):
+                        self.stratum_on_gen(k, m, g)
         return bad
-
-    def exactness_defect(self, n: int) -> int:
-        """The homology of P (x)_A k at degree n >= 0, counted by rank:
-        dim - rank(delta_n (x) k) - rank(delta_{n+1} (x) k), where at n = 0
-        the augmentation A -> k, of rank 1, stands for delta_0 (x) k.
-
-        P is exact in degrees 0..n (against A at 0) exactly when these
-        defects vanish at 0..n: see the lemma in the module docstring."""
-        dim = DIM * sum(dual_dim(n - 4 * i) for i in range(n // 4 + 1))
-        below = 1 if n == 0 else self.one_sided_rank(n)
-        return dim - below - self.one_sided_rank(n + 1)

@@ -13,19 +13,19 @@ from fk3hh.fk3core import (
     mul_table,
 )
 from fk3hh import cli
+from fk3hh.homology import HomologyComplex, exactness_defects
 from fk3hh.resolution import (
     BimoduleResolution,
     comp_basis,
     fb_on_gen,
     i_left,
     i_right,
-    k_comp_basis,
     kb_comp_basis,
     koszul_diff_elem,
     layer_starts,
 )
 from induced_reference import coreduce, reduce_image, transpose_images
-from resolution_reference import bimodule_defect, delta_rank, pb_dim
+from resolution_reference import bimodule_defect, delta_rank, intdegs, pb_dim
 
 W = WORD_INDEX
 ONE = W[""]
@@ -233,7 +233,7 @@ def test_comp_basis_is_the_full_basis_split_by_internal_degree(res):
             i, x, g, y = key
             d = WORD_DEGREE[x] + g.n + WORD_DEGREE[y] + 6 * i
             by_deg.setdefault(d, []).append(key)
-        assert sorted(by_deg) == list(res.intdegs(n)), n
+        assert sorted(by_deg) == list(intdegs(n)), n
         assert pb_dim(n) == len(full), n
         for d, keys in by_deg.items():
             got, pos = comp_basis(n, d)
@@ -265,11 +265,18 @@ def test_minimality(res):
         assert res.minimality_violations(n) == []
 
 
+def eps_rank(field, n):
+    """Rank of delta_n (x)_A k: the sum over m of the ranks of the induced
+    complex with coefficients eps A."""
+    eps = HomologyComplex(field, n, "eps A")
+    return sum(eps.rank(n, m) for m in range(eps.max_m(n) + 1))
+
+
 def test_exactness_by_rank_low_degrees(res):
     # rank(delta_n) + rank(delta_{n+1}) = dim P^b_n for n = 1..4, and the
     # same on P (x)_A k; degree 0 is measured against the augmentation
+    assert exactness_defects(QQ, 4) == [0] * 5
     for n in range(5):
-        assert res.exactness_defect(n) == 0, n
         assert bimodule_defect(res, n) == 0, n
 
 
@@ -277,19 +284,7 @@ def test_augmentation_exact_at_zero(res):
     # ker(eps^b) = im(delta_1): rank(delta_1) = dim P^b_0 - dim A; on
     # P (x)_A k, ker(A -> k) = im(delta_1 (x) k) has dimension 12 - 1
     assert delta_rank(res, 1) == pb_dim(0) - 12
-    assert res.one_sided_rank(1) == 11
-
-
-def test_delta_rank_beyond_range_raises():
-    # exactness_defect(n) needs the rank of delta_{n+1} (x) k, and the
-    # ranks stop at max_n + 1
-    res3 = BimoduleResolution(QQ, max_n=3)
-    assert res3.one_sided_rank(4) >= 0
-    assert res3.exactness_defect(3) == 0
-    with pytest.raises(ValueError):
-        res3.one_sided_rank(5)
-    with pytest.raises(ValueError):
-        res3.exactness_defect(4)
+    assert eps_rank(QQ, 1) == 11
 
 
 def test_higher_strata_vanish_under_both_reductions():
@@ -334,7 +329,7 @@ def test_delta_blocks_prime_field_ranks_match(res):
     resp = BimoduleResolution(PrimeField(10007), max_n=6)
     for n in range(1, 6):
         assert delta_rank(resp, n) == delta_rank(res, n), n
-        assert resp.one_sided_rank(n) == res.one_sided_rank(n), n
+        assert eps_rank(PrimeField(10007), n) == eps_rank(QQ, n), n
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
@@ -344,7 +339,7 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
     # and each column also by the reference extension
     resf = BimoduleResolution(field, max_n=16)
     for n in range(1, 17):
-        for d in resf.intdegs(n):
+        for d in intdegs(n):
             src, (tgt, row_of) = comp_basis(n, d)[0], comp_basis(n - 1, d)
             entries = {}
             for col, key in enumerate(src):
@@ -359,16 +354,16 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
 def test_one_sided_blocks_equal_the_reduced_column_images(field):
     # the column omega_i x|u|1 of delta_n (x)_A k is delta_n(omega_i x|u|1)
-    # with every term whose right word is not 1 dropped
-    def keys(n, d):
-        return [(i, x, u) for i in range(n // 4 + 1)
-                for x, u in k_comp_basis(n - 4 * i, d - 6 * i)]
-
+    # with every term whose right word is not 1 dropped; the induced complex
+    # with coefficients eps A must have these columns, component by
+    # component (internal degree n + m), in its own basis order
+    eps = HomologyComplex(field, 13, "eps A")
     resf = BimoduleResolution(field, max_n=13)
+    compared = 0
     for n in range(1, 14):
-        for d in resf.intdegs(n):
-            src = keys(n, d)
-            row_of = {key: r for r, key in enumerate(keys(n - 1, d))}
+        for m in range(eps.max_m(n) + 1):
+            src = eps.basis(n, m)
+            row_of = {key: r for r, key in enumerate(eps.basis(n - 1, m + 1))}
             entries = {}
             for col, (i, x, u) in enumerate(src):
                 column = resf.delta_elem(n, {(i, x, u, ONE): 1})
@@ -376,21 +371,34 @@ def test_one_sided_blocks_equal_the_reduced_column_images(field):
                     if y2 == ONE:
                         entries[(row_of[(i2, x2, v)], col)] = c
             expect = SparseMat(len(row_of), len(src), entries, field)
-            assert resf.one_sided_block(n, d) == expect, (n, d)
+            assert eps.matrix(n, m) == expect, (n, m)
+            compared += bool(src)
+    assert compared == 101, compared
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_eps_class_ranks_equal_direct_ranks(field):
+    # rank() ranks one matrix per omega-layer class; with coefficients
+    # eps A every component's own matrix must have that rank, from one
+    # below to one above the support in m
+    eps = HomologyComplex(field, 41, "eps A")
+    for n in range(42):
+        for m in range(-1, eps.max_m(n) + 2):
+            assert eps.dim(n, m) == len(eps.basis(n, m)), (n, m)
+            assert eps.rank(n, m) == eps.matrix(n, m).rank(), (n, m)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
 def test_one_sided_and_bimodule_defects_vanish_together(field):
     resf = BimoduleResolution(field, max_n=12)
-    one_sided = [resf.exactness_defect(n) for n in range(13)]
+    one_sided = exactness_defects(field, 12)
     bimodule = [bimodule_defect(resf, n) for n in range(13)]
     assert one_sided == bimodule == [0] * 13
 
 
 def test_exactness_to_degree_40_over_f7():
     # over Q, test_report_cli.py runs the same check through hh resolution
-    res40 = BimoduleResolution(PrimeField(7), max_n=40)
-    assert [res40.exactness_defect(n) for n in range(41)] == [0] * 41
+    assert exactness_defects(PrimeField(7), 40) == [0] * 41
 
 
 def test_both_checks_fail_at_degree_3_without_the_comparison_maps(
@@ -401,7 +409,7 @@ def test_both_checks_fail_at_degree_3_without_the_comparison_maps(
     # degrees up.  The bimodule homology is twelve times as large
     monkeypatch.setattr(resolution, "fb_on_gen", lambda n, gen: {})
     bare = BimoduleResolution(QQ, max_n=10)
-    one_sided = [bare.exactness_defect(n) for n in range(10)]
+    one_sided = exactness_defects(QQ, 9)
     assert one_sided == [0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
     assert [bimodule_defect(bare, n) for n in range(10)] == \
         [12 * e for e in one_sided]

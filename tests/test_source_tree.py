@@ -6,7 +6,9 @@ name a dict, list or set also has (add, get, remove, ...) is a use of its
 own only when a call from src/fk3hh reaches it: every dict.get there would
 count otherwise.  Code that only the tests call belongs in tests/.
 
-The cochain complex has one source: `fk3hh.cohomology` reads its
+The induced complexes have one source: only `fk3hh.homology` calls
+`gen_image`, in the one pass over the generator images that serves the
+coefficients A, A_nu and eps A, and `fk3hh.cohomology` reads its
 codifferential off the dual chain complex and never touches the generator
 images itself.
 """
@@ -115,3 +117,17 @@ def test_cohomology_reads_no_generator_images():
             names.add(node.name)
     banned = {"gen_image", "triple_products", "transpose_images"}
     assert not names & banned, sorted(names & banned)
+
+
+def test_only_homology_calls_gen_image():
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name == "gen_image":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers and all(c.startswith("homology.py:") for c in callers), \
+        callers
