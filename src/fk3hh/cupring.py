@@ -2,14 +2,26 @@
 
 A degree-m cochain is a dict over the Q-basis keys (i, DualGen, word_idx):
 the bimodule map sending the free generator omega_i 1|gen|1 of the resolution
-to the stored element of A.  Lifting such a cocycle to a chain self-map of
-the resolution solves one small linear system per generator and internal
-degree, against cached factorizations of the augmentation and differential
-blocks (SparseMats of raw integer entries, in the resolution's comp_basis
-coordinates); existence is guaranteed by exactness, so an unsolvable stage
-signals a real bug.  Each stage is held in integers over one denominator
-(LiftStage), and every product is summed in integers and made a field
-scalar once.
+to the stored element of A.  A cocycle has one chain lift per ring, keyed by
+its content (CupRing.lift), built stage by stage on demand.  Two kinds of
+cocycle lift in closed form, with no solve:
+
+- degree 0: phi(1|eps|1) = z is central, so left multiplication by z is a
+  bimodule map; it commutes with delta (a bimodule map) and eps^b sends
+  z|eps|1 to z, so every stage sends omega_i 1|g|1 to omega_i z|g|1;
+- supported in layers i >= 1: phi = phi' S, where S: P_{n+4} -> P_n sends
+  omega_i to omega_{i-1} and omega_0 to 0.  S is a chain map, since
+  delta(omega_i rho) = sum_k omega_{i-k} f^(k)(rho) with strata that do
+  not depend on i, and phi' (phi's keys one layer down) is a cocycle as S
+  is onto; stage k of phi's lift is stage k of phi''s lift composed with S.
+
+Every other stage solves one small linear system per generator and
+internal degree, against cached factorizations of the augmentation and
+differential blocks (SparseMats of raw integer entries, in the
+resolution's comp_basis coordinates); existence is guaranteed by
+exactness, so an unsolvable stage signals a real bug.  Each stage is held
+in integers over one denominator (LiftStage), and every product is summed
+in integers and made a field scalar once.
 
 The cochain of f cup g composes f with stage deg(f) of g's lift
 (compose_with_lift), and class_coordinates reduces it to canonical class
@@ -130,31 +142,55 @@ class LiftStage:
 
 
 class ChainLift:
-    """Chain self-map of the resolution lifting a degree-m cocycle."""
+    """Chain self-map of the resolution lifting a degree-m cocycle; its
+    stages are built in closed form where the module docstring gives one,
+    and solved otherwise."""
 
     def __init__(self, ring: "CupRing", cochain: dict):
         self.ring = ring
         self.cochain = dict(cochain)
         self.m, self.intdeg = cochain_degrees(cochain)
+        self.grouped = _by_generator(cochain, ring.field)
+        # phi' with phi = phi' S, when phi is supported in layers i >= 1
+        self.lowered = None
+        if all(i for i, _, _ in cochain):
+            self.lowered = {(i - 1, g, w): c
+                            for (i, g, w), c in cochain.items()}
         self.stages = []  # stage k: a LiftStage on the generators of P^b_{k+m}
 
     def ensure(self, horizon: int):
+        res = self.ring.res
         while len(self.stages) <= horizon:
-            self._solve_stage(len(self.stages))
+            k = len(self.stages)
+            if k + self.m > res.max_n:
+                raise LiftError(
+                    f"lift horizon {k} needs the resolution to degree "
+                    f"{k + self.m}, built only to {res.max_n}")
+            if self.lowered is not None:
+                # stage k of phi' on omega_{i-1} g, moved to omega_i g
+                low = self.ring.lift(self.lowered, k).stages[k]
+                stage = LiftStage({(i + 1, g): img for (i, g), img
+                                   in low.images.items()}, low.den)
+            elif self.m == 0:
+                # left multiplication by z = phi(1|eps|1), over e
+                by_gen, e = self.grouped
+                z = by_gen.get((0, DualGen(0, "eps")), ())
+                stage = LiftStage({(i, g): {(i, w, g, W[""]): c
+                                            for w, c in z}
+                                   for i, g in res.pb_gens(k)}, e)
+            else:
+                stage = self._solve_stage(k)
+            self.stages.append(stage)
 
-    def _solve_stage(self, k: int):
-        """Solve stage k generator by generator.  For k >= 1 the right-hand
-        side is stage k - 1 on delta(1|g|1), an integer vector over a
-        denominator d; it is solved as it is and the solution divided by d
-        (the solver is linear)."""
+    def _solve_stage(self, k: int) -> LiftStage:
+        """Solve stage k generator by generator.  The right-hand side is
+        phi(1|g|1) for k = 0 and stage k - 1 on delta(1|g|1) for k >= 1, an
+        integer vector over a denominator d; it is solved as it is and the
+        solution divided by d (the solver is linear)."""
         ring = self.ring
         res = ring.res
         F = ring.field
         m = self.m
-        if k + m > res.max_n:
-            raise LiftError(
-                f"lift horizon {k} needs the resolution to degree {k + m}, "
-                f"built only to {res.max_n}")
         values = {}
         # group by the internal degree of the solved component
         by_deg = {}
@@ -169,7 +205,7 @@ class ChainLift:
             for i, g in batch:
                 if k == 0:
                     rhs = ring.evaluate_cochain(
-                        self.cochain, {(i, W[""], g, W[""]): 1})
+                        self.cochain, {(i, W[""], g, W[""]): 1}, self.grouped)
                     d = 1
                 else:
                     acc, d = self._image(k - 1, ring.gen_delta(k + m, i, g))
@@ -181,7 +217,7 @@ class ChainLift:
                 if d != 1:
                     sol = scalars(sol, F, d)
                 values[(i, g)] = res.comp_element(k, tgt_int, sol)
-        self.stages.append(LiftStage.of_scalars(values, F))
+        return LiftStage.of_scalars(values, F)
 
     def _image(self, k: int, elem: dict):
         """Stage k on elem, as (integer sums, their denominator)."""
@@ -258,11 +294,13 @@ class CupRing:
                 SparseMat.from_rows(rows, len(keys), self.field))
         return self._aug_solvers[intdeg]
 
-    def evaluate_cochain(self, cochain: dict, elem: dict) -> dict:
+    def evaluate_cochain(self, cochain: dict, elem: dict,
+                         grouped=None) -> dict:
         """Apply a cochain to a resolution element; value in A as {word: c},
         a right-hand side of augmentation_solver as it stands.  Coefficients
-        must be ints or field scalars, as in ChainLift.apply."""
-        by_gen, e = _by_generator(cochain, self.field)
+        must be ints or field scalars, as in ChainLift.apply.  grouped is
+        _by_generator(cochain), when the caller holds it."""
+        by_gen, e = grouped or _by_generator(cochain, self.field)
         elem, e2 = to_integers(elem, self.field)
         table = mul_table()
         acc = {}
@@ -276,32 +314,36 @@ class CupRing:
 
     # ----- lifts and products -----
 
-    def lift(self, key, cochain: dict, horizon: int) -> ChainLift:
-        """Chain lift of a cocycle, cached under a hashable key, solved at
-        least to stage `horizon`."""
-        if key not in self._lifts:
+    def lift(self, cochain: dict, horizon: int) -> ChainLift:
+        """The chain lift of a cocycle, built at least to stage `horizon`:
+        one per cochain, cached under its content as field scalars, so
+        that equal cochains share it whatever their coefficients' types."""
+        key = frozenset(scalars(cochain, self.field).items())
+        lift = self._lifts.get(key)
+        if lift is None:
             n, _ = cochain_degrees(cochain)
             if self.cox.diff_elem(n, cochain):
                 raise ValueError("lift requested for a non-cocycle")
-            self._lifts[key] = ChainLift(self, cochain)
-        lift = self._lifts[key]
+            lift = self._lifts[key] = ChainLift(self, cochain)
         lift.ensure(horizon)
         return lift
 
     def generator_lift(self, idx: int, horizon: int) -> ChainLift:
-        return self.lift(("X", idx), self.generators[idx], horizon)
+        return self.lift(self.generators[idx], horizon)
 
-    def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int):
+    def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int,
+                          grouped=None):
         """The cochain f . g_stage as a cochain on degree stage + deg(g).
 
         On a generator 1|g|1 the bimodule extension of the stage is the
         stage's stored value, so that value is read, not applied: a term
         c x|g2|y of it, in layer j, adds c x.f(1|g2|1).y at (i, g).  Only the
         terms on the generators where f is nonzero are visited (through
-        the stage's by_target index), and the sums are kept in integers."""
+        the stage's by_target index), and the sums are kept in integers.
+        grouped is _by_generator(f), when the caller holds it."""
         lift.ensure(stage)
         st = lift.stages[stage]
-        by_gen, e = _by_generator(cochain, self.field)
+        by_gen, e = grouped or _by_generator(cochain, self.field)
         index = st.by_target()
         table = mul_table()
         acc = {}
@@ -384,17 +426,17 @@ class CupRing:
         """
         F = self.field
         report = {"degrees": {}, "ok": True}
-        # span bases per degree as (cochain, class-vector) pairs
+        # span representatives per degree, each with its _by_generator
         unit = {(0, DualGen(0, "eps"), W[""]): 1}
-        spans = {0: [unit]}
+        spans = {0: [(unit, _by_generator(unit, F))]}
         for n in range(1, max_degree + 1):
             cands = []
             for idx, (d, _) in GENERATOR_BIDEGREES.items():
                 if d == 0 or d > n:
                     continue
                 lift = self.generator_lift(idx, horizon=n - d)
-                for s in spans.get(n - d, []):
-                    cands.append(self.compose_with_lift(s, lift, n - d))
+                for s, gs in spans.get(n - d, []):
+                    cands.append(self.compose_with_lift(s, lift, n - d, gs))
             # independent representatives of the span, in order
             span = EchelonBasis(F)
             keep = [c for c in cands
@@ -403,10 +445,11 @@ class CupRing:
             frontier = list(cands)
             while frontier:
                 more = []
+                grouped = [_by_generator(s, F) for s in frontier]
                 for idx in (1, 2, 3):
                     lift = self.generator_lift(idx, horizon=n)
-                    for s in frontier:
-                        more.append(self.compose_with_lift(s, lift, n))
+                    for s, gs in zip(frontier, grouped):
+                        more.append(self.compose_with_lift(s, lift, n, gs))
                 # keep only products enlarging the span
                 frontier = [c for c in more
                             if span.add(self.cox.class_coordinates(n, c))]
@@ -415,7 +458,7 @@ class CupRing:
             report["degrees"][n] = {"spanned": len(span), "dim": want}
             if len(span) != want:
                 report["ok"] = False
-            spans[n] = keep
+            spans[n] = [(s, _by_generator(s, F)) for s in keep]
         return report
 
     def verify_minimality(self):
@@ -479,14 +522,13 @@ class CupRing:
         checked = 0
         classes = {n: [dict(cv) for _, cv in self.cox.cocycle_basis(n)]
                    for n in range(max_total + 1)}
-        # build lifts lazily per class
+        # each class's lift, built lazily; it holds the class grouped too
         lifts = {}
 
         def lift_of(n, idx):
-            key = ("cls", n, idx)
-            if key not in lifts:
-                lifts[key] = self.lift(key, classes[n][idx], horizon=0)
-            return lifts[key]
+            if (n, idx) not in lifts:
+                lifts[(n, idx)] = self.lift(classes[n][idx], horizon=0)
+            return lifts[(n, idx)]
 
         for n1 in range(0, max_total + 1):
             for n2 in range(n1, max_total + 1 - n1):
@@ -495,12 +537,9 @@ class CupRing:
                     for i2, g in enumerate(classes[n2]):
                         if n1 == n2 and i2 < i1:
                             continue
-                        lg = lift_of(n2, i2)
-                        lg.ensure(n1)
-                        fg = self.compose_with_lift(f, lg, n1)
-                        lf = lift_of(n1, i1)
-                        lf.ensure(n2)
-                        gf = self.compose_with_lift(g, lf, n2)
+                        lg, lf = lift_of(n2, i2), lift_of(n1, i1)
+                        fg = self.compose_with_lift(f, lg, n1, lf.grouped)
+                        gf = self.compose_with_lift(g, lf, n2, lg.grouped)
                         c1 = self.cox.class_coordinates(n1 + n2, fg)
                         c2 = self.cox.class_coordinates(n1 + n2, gf)
                         want = {k: F.mul(F.of(sign), v) for k, v in c2.items()}

@@ -237,7 +237,12 @@ def _echelon(rows_in, pivot_limit, field, reduced=True):
         holders = colrows.pop(pc)
         if not holders:
             continue
-        pi = min(holders, key=lambda i: (len(rows[i]), i))
+        # the shortest holder, the lowest index among equals
+        pi, plen = -1, 0
+        for i in holders:
+            n = len(rows[i])
+            if pi < 0 or n < plen or n == plen and i < pi:
+                pi, plen = i, n
         holders.discard(pi)
         prow = rows.pop(pi)
         for c in prow.keys() & colrows.keys():

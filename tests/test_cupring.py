@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from fk3hh import cli
-from fk3hh.exactmath import QQ, PrimeField, scalars
+from fk3hh.exactmath import QQ, LinearSolver, PrimeField, _echelon, scalars
 from fk3hh.fk3core import (
     BASIS_WORDS,
     WORD_DEGREE,
@@ -19,6 +20,7 @@ from fk3hh.cupring import (
     ChainLift,
     CupRing,
     GENERATOR_BIDEGREES,
+    LiftError,
     LiftStage,
     cochain_degrees,
     ring_generators,
@@ -41,12 +43,12 @@ def stage_value(stage, gen, field) -> dict:
     return scalars(stage.images.get(gen, {}), field, stage.den)
 
 
-def cup(ring, f: dict, g_key, g: dict) -> dict:
+def cup(ring, f: dict, g: dict) -> dict:
     """Class coordinates of f cup g in the canonical cocycle basis: f
-    composed with stage deg(f) of g's lift, cached under g_key."""
+    composed with stage deg(f) of g's lift."""
     nf, _ = cochain_degrees(f)
     ng, _ = cochain_degrees(g)
-    lift = ring.lift(g_key, g, horizon=nf)
+    lift = ring.lift(g, horizon=nf)
     return ring.cox.class_coordinates(nf + ng,
                                       ring.compose_with_lift(f, lift, nf))
 
@@ -107,37 +109,38 @@ def test_generators_are_cocycles_and_independent(ring):
         assert ring.cox.class_coordinates(n, c), i  # nonzero class
 
 
+class SolvedLift(ChainLift):
+    """A chain lift whose every stage goes through the solver, closed forms
+    or not: the lift the engine built for every cocycle before it had
+    closed forms, held outside the ring's cache."""
+
+    def ensure(self, horizon: int):
+        while len(self.stages) <= horizon:
+            self.stages.append(self._solve_stage(len(self.stages)))
+
+
 def test_multiplication_lift_of_abac(ring):
-    # left multiplication by abac is a valid chain lift of eps|abac:
-    # delta commutes with it (bimodule morphism) and the stage-0 condition
-    # reproduces the cocycle under the augmentation
+    # the engine lifts eps|abac as left multiplication by abac: every stage
+    # sends omega_i 1|g|1 to omega_i abac|g|1, delta commutes with it (a
+    # bimodule morphism, as abac is central) and eps^b gives back abac
     res = ring.res
     z = W["abac"]
-    for n in (1, 2, 5):
+    lift = ring.generator_lift(3, horizon=5)
+    assert len(lift.stages) == 6
+    for n in (0, 1, 2, 5):
         for i, g in res.pb_gens(n):
             e = {(i, W[""], g, W[""]): 1}
-            img = res.delta_elem(n, e)
-            ze = {(i, z, g, W[""]): 1}
-            lhs = res.delta_elem(n, ze)
-            rhs = {}
-            for (j, x, g2, y), c in img.items():
-                for x2, cx in mul_words(z, x).items():
-                    key = (j, x2, g2, y)
-                    rhs[key] = rhs.get(key, 0) + c * cx
-                    if rhs[key] == 0:
-                        del rhs[key]
-            assert lhs == rhs, (n, i, g)
-    # the class of alpha_2|1 cup eps|abac via the multiplication lift agrees
-    # with the solver-based product
+            assert lift.apply(n, e) == {(i, z, g, W[""]): 1}, (n, i, g)
+            if n:
+                assert res.delta_elem(n, lift.apply(n, e)) == \
+                    lift.apply(n - 1, res.delta_elem(n, e)), (n, i, g)
+    assert ring.evaluate_cochain({(0, EPS, W[""]): 1}, lift.apply(
+        0, {(0, W[""], EPS, W[""]): 1})) == {z: 1}
+    # alpha_2|1 cup eps|abac through it is the product through the solver
     f = ring.generators[9]  # alpha_2|1
-    m_abac = {}
-    for i, g in res.pb_gens(2):
-        m_abac[(i, g)] = {(i, z, g, W[""]): 1}
-    lift = ChainLift(ring, ring.generators[3])
-    lift.stages = [None, None, LiftStage(m_abac)]  # only stage 2 is used
-    prod = ring.compose_with_lift(f, lift, 2)
-    cls = ring.cox.class_coordinates(2, prod)
-    assert cls == ring.word_class((9, 3))
+    solved = SolvedLift(ring, ring.generators[3])
+    assert ring.cox.class_coordinates(2, ring.compose_with_lift(
+        f, solved, 2)) == ring.word_class((9, 3))
 
 
 def test_published_chain_map_values_consistent(ring):
@@ -278,7 +281,132 @@ def test_lift_of_non_cocycle_rejected(ring):
     bad = {(0, dgen("a", 1), W["b"]): 1}  # alpha|b is not a cocycle
     assert ring.cox.diff_elem(1, bad)
     with pytest.raises(ValueError):
-        ring.lift(("bad",), bad, horizon=0)
+        ring.lift(bad, horizon=0)
+    # eps|a is a degree-0 cochain on a non-central element: rejected as a
+    # non-cocycle before the closed form for degree 0 could be chosen
+    lifts = dict(ring._lifts)
+    noncentral = {(0, EPS, W["a"]): 1}
+    assert ring.cox.diff_elem(0, noncentral)
+    with pytest.raises(ValueError):
+        ring.lift(noncentral, horizon=0)
+    assert ring._lifts == lifts
+
+
+def test_lifts_are_shared_by_cochain_content():
+    # a cocycle has one lift per ring whatever its coefficients' types, and
+    # the lift of an upper-layer cocycle reads the lift one layer down
+    for field in (QQ, PrimeField(7)):
+        fresh = CupRing(field, max_n=8)
+        x13 = fresh.generator_lift(13, horizon=1)
+        same = {key: field.of(c) for key, c in fresh.generators[13].items()}
+        assert fresh.lift(same, horizon=0) is x13
+        shifted = {(i + 1, g, w): -c
+                   for (i, g, w), c in fresh.generators[13].items()}
+        up = fresh.lift(shifted, horizon=1)
+        assert up.lowered is not None
+        down = fresh.lift({key: -c for key, c in fresh.generators[13].items()},
+                          horizon=1)
+        assert len(fresh._lifts) == 3
+        for k in (0, 1):
+            for i, g in fresh.res.pb_gens(k + 7):
+                want = stage_value(down.stages[k], (i - 1, g), field) \
+                    if i else {}
+                assert stage_value(up.stages[k], (i, g), field) == want
+
+
+def test_every_kind_of_lift_stops_at_the_resolution():
+    # a lift of a degree-m cocycle reaches stage k only if k + m <= max_n;
+    # beyond, LiftError, with no stage added, for a degree-0 (central) lift,
+    # a solved one and a shifted one, even where the lift one layer down
+    # could go deeper
+    fresh = CupRing(QQ, max_n=6)
+    x9_up = {(1, dgen("a", 2), W[""]): 1}  # X9 moved up one layer
+    cases = [(fresh.generators[1], 0), (fresh.generators[9], 2),
+             (fresh.generators[14], 4), (x9_up, 6)]
+    for cochain, m in cases:
+        lift = fresh.lift(cochain, horizon=6 - m)
+        assert lift.m == m
+        with pytest.raises(LiftError):
+            lift.ensure(7 - m)
+        assert len(lift.stages) == 7 - m
+        with pytest.raises(LiftError):
+            fresh.lift(cochain, horizon=7 - m)
+    # the lifts one layer down of X14 (the unit) and of X9 moved up reach
+    # the stages that the shifted lifts may not
+    assert fresh.lift({(0, EPS, W[""]): 1}, horizon=3)
+    assert fresh.lift(fresh.generators[9], horizon=1)
+    assert fresh.lift(fresh.generators[14], 2).lowered is not None
+    assert fresh.lift(x9_up, 0).lowered is not None
+
+
+def closed_form_cochains(ring, top=8):
+    """X3, X14, every degree-0 class and every class of degree n <= top
+    supported in layers i >= 1: the cocycles whose lifts are built in
+    closed form, as (name, cochain)."""
+    out = [("X3", ring.generators[3]), ("X14", ring.generators[14])]
+    for n in range(top + 1):
+        for idx, (_, cv) in enumerate(ring.cox.cocycle_basis(n)):
+            if n == 0 or all(i for i, _, _ in cv):
+                out.append(((n, idx), dict(cv)))
+    return out
+
+
+def test_closed_form_lifts_are_chain_lifts(ring):
+    # for every closed-form lift, stage 0 gives back the cocycle under the
+    # augmentation and delta phi_k = phi_{k-1} delta on every generator of
+    # P^b_{k+m}, k <= 4
+    res = ring.res
+    one = W[""]
+    cases = closed_form_cochains(ring)
+    assert len(cases) == 2 + 4 + 47
+    for name, phi in cases:
+        lift = ring.lift(phi, horizon=4)
+        assert lift.m == 0 or lift.lowered is not None, name
+        for i, g in res.pb_gens(lift.m):
+            gen = {(i, one, g, one): 1}
+            assert ring.evaluate_cochain({(0, EPS, one): 1},
+                                         lift.apply(0, gen)) == \
+                ring.evaluate_cochain(phi, gen), (name, i, g)
+        for k in range(1, 5):
+            for i, g in res.pb_gens(k + lift.m):
+                gen = {(i, one, g, one): 1}
+                assert res.delta_elem(k, lift.apply(k, gen)) == \
+                    lift.apply(k - 1, res.delta_elem(k + lift.m, gen)), \
+                    (name, k, i, g)
+
+
+def test_closed_form_products_equal_the_solved_ones(ring):
+    # every generator cup every closed-form cocycle: the class through the
+    # engine's lift of the cocycle is the class through a lift solved stage
+    # by stage
+    for name, phi in closed_form_cochains(ring):
+        lift, solved = ring.lift(phi, horizon=0), SolvedLift(ring, phi)
+        n = lift.m
+        for j, f in ring.generators.items():
+            d = GENERATOR_BIDEGREES[j][0]
+            want = ring.cox.class_coordinates(
+                n + d, ring.compose_with_lift(f, solved, d))
+            assert ring.cox.class_coordinates(
+                n + d, ring.compose_with_lift(f, lift, d)) == want, (name, j)
+
+
+def test_cup_defaults_factorise_at_most_45_delta_blocks(
+        tmp_path, capsys, monkeypatch):
+    # the closed-form lifts ask for no delta-block: hh cup's default checks
+    # factorise at most 45 blocks (60 when every stage was solved; the nine
+    # deepest were asked for by degree-0 lifts only)
+    rings = []
+
+    class Recorded(CupRing):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            rings.append(self)
+
+    monkeypatch.setattr(cli, "CupRing", Recorded)
+    assert cli.main(["cup", "--out", str(tmp_path)]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    (ring,) = rings
+    assert len(ring._delta_solvers) <= 45
 
 
 def test_generator_stage_applied_to_a_generator_is_its_stored_value(ring):
@@ -322,7 +450,7 @@ def test_lifts_and_cochains_with_denominators(ring):
         nf = GENERATOR_BIDEGREES[i][0]
         f3 = {key: third * c for key, c in f.items()}
         g25 = {key: two_fifths * c for key, c in g.items()}
-        lift = ring.lift(("2/5", j), g25, horizon=nf)
+        lift = ring.lift(g25, horizon=nf)
         assert lift.stages[0].den % 5 == 0
         for cochain in (f, f3):
             got = ring.compose_with_lift(cochain, lift, nf)
@@ -330,12 +458,24 @@ def test_lifts_and_cochains_with_denominators(ring):
         got = ring.compose_with_lift(f3, ring.generator_lift(j, nf), nf)
         assert got == compose_reference(
             ring, f3, ring.generator_lift(j, nf), nf), (i, j)
-        fg = cup(ring, f, ("X", j), g)
+        fg = cup(ring, f, g)
         assert fg, (i, j)
-        assert cup(ring, f3, ("X", j), g) == \
+        assert cup(ring, f3, g) == \
             {k: third * v for k, v in fg.items()}
-        assert cup(ring, f, ("2/5", j), g25) == \
+        assert cup(ring, f, g25) == \
             {k: two_fifths * v for k, v in fg.items()}
+
+
+def delta_blocks(field):
+    """The delta-blocks (k, d) of P^b_k, k <= 8, and over F_7 the block
+    (13, 15), whose raw entries include nonzero multiples of 7."""
+    blocks = [(k, d) for k in range(1, 9) for d in intdegs(k)]
+    return blocks + [(13, 15)] if field.characteristic else blocks
+
+
+def dense_sized(block, kd) -> bool:
+    """Whether the dense oracle checks the block kd."""
+    return block.rows * block.cols <= 12000 or kd == (13, 15)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
@@ -350,16 +490,14 @@ def test_delta_solver_matches_the_dense_oracle(field):
     ring = CupRing(field, max_n=8)
     res = ring.res
     rng = random.Random(8)
-    blocks = [(k, d) for k in range(1, 9) for d in intdegs(k)]
     if field.characteristic:
         raw = BimoduleResolution(QQ, max_n=8).delta_block(13, 15)
         sevens = [(i, j) for i, j, v in raw.triplets() if v % 7 == 0]
         assert sevens
         held = {(i, j) for i, j, _ in res.delta_block(13, 15).triplets()}
         assert not held.intersection(sevens)
-        blocks.append((13, 15))
     inconsistent = 0
-    for k, d in blocks:
+    for k, d in delta_blocks(field):
         block = res.delta_block(k, d)
         solver = ring.delta_solver(k, d)
         rhs = []  # images of a random x (consistent), then random vectors
@@ -370,7 +508,7 @@ def test_delta_solver_matches_the_dense_oracle(field):
             sol = solver.solve(b)
             assert sol is not None and apply(block, sol) == b, (k, d)
             rhs.append(b)
-        if block.rows * block.cols > 12000 and (k, d) != (13, 15):
+        if not dense_sized(block, (k, d)):
             continue
         for _ in range(4):
             rhs.append({r: field.of(rng.randint(1, 4))
@@ -388,6 +526,43 @@ def test_delta_solver_matches_the_dense_oracle(field):
                 assert sol == {p: row[t] for row, p in zip(rows, pivots)
                                if row[t]}, (k, d)
     assert inconsistent
+
+
+def elimination_digest(field) -> str:
+    """sha256 of every elimination result on the dense-oracle blocks: the
+    pivot rows and leftovers of _echelon, reduced and forward-only, and the
+    pivot columns, denominators, transforms and checks of LinearSolver."""
+    res = BimoduleResolution(field, max_n=8)
+    h = hashlib.sha256()
+    for kd in delta_blocks(field):
+        block = res.delta_block(*kd)
+        if not dense_sized(block, kd):
+            continue
+        for reduced in (True, False):
+            piv, left = _echelon(block._r, block.cols, field, reduced)
+            h.update(repr(([(pc, sorted(r.items())) for pc, r in piv],
+                           [sorted(r.items()) for r in left])).encode())
+        sv = LinearSolver(block)
+        h.update(repr((sv._pcols, sv._dens, sorted(sv._transform.items()),
+                       sorted(sv._checks.items()))).encode())
+    return h.hexdigest()
+
+
+# elimination_digest with the pivot of each column taken as
+# min(holders, key=lambda i: (len(rows[i]), i)), the shortest holder row
+# and the lowest index among equals
+ELIMINATION_DIGESTS = {
+    "q": "96a861ca9de8fec6b3c25104e5dbb1393c309daf6a9bcc285a0fbcc0125f908f",
+    "prime:7":
+        "849ed94cc926c83859c56de0087fa4dd43f43c776f151f78ceed5b673f04245a",
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_pivot_rows_and_solver_transforms_are_pinned(field):
+    # _echelon takes the shortest holder of a column as its pivot row, the
+    # lowest index among equals; every pivot row and transform follows
+    assert elimination_digest(field) == ELIMINATION_DIGESTS[field.name()]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
