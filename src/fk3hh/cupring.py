@@ -26,7 +26,12 @@ in integers and made a field scalar once.
 The cochain of f cup g composes f with stage deg(f) of g's lift
 (compose_with_lift), and class_coordinates reduces it to canonical class
 coordinates.  Longer products evaluate words x_{i_1} ... x_{i_r} as
-f = X_{i_1} composed with successive lift stages.
+f = X_{i_1} composed with successive lift stages; by associativity the
+cochain of u + v represents [u] cup [v], so only the fourteen generators
+are ever lifted.  The ring checks read one basis of generator words per
+degree (word_bases): the span check counts it, and since the cup product
+is bilinear, graded commutativity on those bases is graded commutativity
+on all of HH^*.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .exactmath import (
     EchelonBasis,
     LinearSolver,
     SparseMat,
+    add_term,
     scalars,
     to_integers,
 )
@@ -257,10 +263,12 @@ class CupRing:
         self.res = BimoduleResolution(field, max_n=max_n)
         self.cox = CohomologyComplex(field, max_n=max_n)
         self._lifts = {}
+        self._generator_lifts = {}
         self._gen_deltas = {}
         self._delta_solvers = {}
         self._aug_solvers = {}
         self._product_cache = {}
+        self._word_bases = []
         self.generators = ring_generators()
 
     # ----- solver plumbing -----
@@ -329,21 +337,25 @@ class CupRing:
         return lift
 
     def generator_lift(self, idx: int, horizon: int) -> ChainLift:
-        return self.lift(self.generators[idx], horizon)
+        """lift(X_idx, horizon), found by index after the first call."""
+        lift = self._generator_lifts.get(idx)
+        if lift is None:
+            lift = self._generator_lifts[idx] = self.lift(
+                self.generators[idx], horizon)
+        lift.ensure(horizon)
+        return lift
 
-    def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int,
-                          grouped=None):
+    def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int):
         """The cochain f . g_stage as a cochain on degree stage + deg(g).
 
         On a generator 1|g|1 the bimodule extension of the stage is the
         stage's stored value, so that value is read, not applied: a term
         c x|g2|y of it, in layer j, adds c x.f(1|g2|1).y at (i, g).  Only the
         terms on the generators where f is nonzero are visited (through
-        the stage's by_target index), and the sums are kept in integers.
-        grouped is _by_generator(f), when the caller holds it."""
+        the stage's by_target index), and the sums are kept in integers."""
         lift.ensure(stage)
         st = lift.stages[stage]
-        by_gen, e = grouped or _by_generator(cochain, self.field)
+        by_gen, e = _by_generator(cochain, self.field)
         index = st.by_target()
         table = mul_table()
         acc = {}
@@ -359,19 +371,22 @@ class CupRing:
         return scalars(acc, self.field, st.den * e)
 
     def evaluate_word(self, word) -> dict:
-        """Cochain of X_{i_1} ... X_{i_r} (tuple of generator indices)."""
+        """Cochain of X_{i_1} ... X_{i_r} (tuple of generator indices); the
+        empty word is the unit eps|1.  Every word is cached, and a new one
+        is its longest proper prefix composed with one lift stage: the same
+        cochain as composing left to right, one stage per letter."""
         word = tuple(word)
-        if not word:
-            raise ValueError("empty product")
-        if word in self._product_cache:
-            return self._product_cache[word]
-        f = self.generators[word[0]]
-        deg = GENERATOR_BIDEGREES[word[0]][0]
-        for idx in word[1:]:
-            lift = self.generator_lift(idx, horizon=deg)
-            f = self.compose_with_lift(f, lift, deg)
-            deg += GENERATOR_BIDEGREES[idx][0]
-        self._product_cache[word] = f
+        f = self._product_cache.get(word)
+        if f is None:
+            if len(word) <= 1:
+                f = self.generators[word[0]] if word else _unit()
+            else:
+                prefix = word[:-1]
+                deg = sum(GENERATOR_BIDEGREES[i][0] for i in prefix)
+                f = self.compose_with_lift(
+                    self.evaluate_word(prefix),
+                    self.generator_lift(word[-1], horizon=deg), deg)
+            self._product_cache[word] = f
         return f
 
     def word_class(self, word):
@@ -415,50 +430,48 @@ class CupRing:
         return {"checked": len(relations), "failures": failures,
                 "ok": not failures}
 
-    def verify_generating_set(self, max_degree=8):
-        """Span check: products of the generators exhaust HH^n for n <= bound.
+    def word_bases(self, top: int):
+        """[words of degree n, for n <= top]: generator words whose classes
+        form a basis of HH^n when the generators span it, built once per
+        ring and extended on demand.
 
         Follows the inductive argument: the span at degree n is generated by
-        X_i cup (span at degree n - deg X_i) for deg X_i >= 1 together with
-        the degree-0 generators acting on degree n itself.  Each candidate
-        is reduced once against the span found so far, and kept if it
-        enlarges it.
-        """
+        u X_i for u in the basis at degree n - deg X_i >= 0, deg X_i >= 1
+        (the unit at n = 0), closed under the degree-0 generators X1, X2,
+        X3 acting on degree n itself.  Each candidate is reduced once
+        against the span found so far, and kept if it enlarges it; the
+        closure multiplies the kept words only, since the cup product is
+        bilinear on classes."""
         F = self.field
-        report = {"degrees": {}, "ok": True}
-        # span representatives per degree, each with its _by_generator
-        unit = {(0, DualGen(0, "eps"), W[""]): 1}
-        spans = {0: [(unit, _by_generator(unit, F))]}
-        for n in range(1, max_degree + 1):
-            cands = []
-            for idx, (d, _) in GENERATOR_BIDEGREES.items():
-                if d == 0 or d > n:
-                    continue
-                lift = self.generator_lift(idx, horizon=n - d)
-                for s, gs in spans.get(n - d, []):
-                    cands.append(self.compose_with_lift(s, lift, n - d, gs))
-            # independent representatives of the span, in order
+        bases = self._word_bases
+        for n in range(len(bases), top + 1):
             span = EchelonBasis(F)
-            keep = [c for c in cands
-                    if span.add(self.cox.class_coordinates(n, c))]
-            # close under the degree-0 generators
-            frontier = list(cands)
+
+            def enlarges(word):
+                return span.add(self.cox.class_coordinates(
+                    n, self.evaluate_word(word)))
+
+            cands = [u + (idx,) for idx, (d, _) in GENERATOR_BIDEGREES.items()
+                     if 1 <= d <= n for u in bases[n - d]] if n else [()]
+            keep = [w for w in cands if enlarges(w)]
+            frontier = keep
             while frontier:
-                more = []
-                grouped = [_by_generator(s, F) for s in frontier]
-                for idx in (1, 2, 3):
-                    lift = self.generator_lift(idx, horizon=n)
-                    for s, gs in zip(frontier, grouped):
-                        more.append(self.compose_with_lift(s, lift, n, gs))
-                # keep only products enlarging the span
-                frontier = [c for c in more
-                            if span.add(self.cox.class_coordinates(n, c))]
-                keep.extend(frontier)
+                frontier = [w + (idx,) for idx in (1, 2, 3) for w in frontier
+                            if enlarges(w + (idx,))]
+                keep += frontier
+            bases.append(keep)
+        return bases[:top + 1]
+
+    def verify_generating_set(self, max_degree=8):
+        """Span check: products of the generators exhaust HH^n for n <= bound,
+        read off the word bases."""
+        report = {"degrees": {}, "ok": True}
+        bases = self.word_bases(max_degree)
+        for n in range(1, max_degree + 1):
             want = len(self.cox.cocycle_basis(n))
-            report["degrees"][n] = {"spanned": len(span), "dim": want}
-            if len(span) != want:
+            report["degrees"][n] = {"spanned": len(bases[n]), "dim": want}
+            if len(bases[n]) != want:
                 report["ok"] = False
-            spans[n] = [(s, _by_generator(s, F)) for s in keep]
         return report
 
     def verify_minimality(self):
@@ -512,41 +525,58 @@ class CupRing:
         return table
 
     def verify_graded_commutativity(self, max_total=7):
-        """f cup g = (-1)^{deg f deg g} g cup f for all basis-class pairs.
+        """f cup g = (-1)^{deg f deg g} g cup f on HH^* to total degree
+        max_total.
 
-        Checks every ordered pair of canonical basis classes with total
-        degree <= max_total; returns a report with any violating pairs.
+        The cup product is bilinear, so checking a basis of each HH^n is the
+        same as checking every pair of classes: the word bases serve, and a
+        basis short of dim HH^n is a failure of its own.  For words u and v,
+        evaluate_word(u + v) represents [u] cup [v] by associativity, so the
+        check is that uv - sign vu is a coboundary, one class solve per
+        ordered pair (u, v) with deg u <= deg v (u before or at v within a
+        degree).  The difference is formed in integers, over the product of
+        the two denominators, which does not change whether it is a
+        coboundary.  Failures name the two words and their degrees.
         """
         F = self.field
+        bases = self.word_bases(max_total)
         failures = []
+        for n, words in enumerate(bases):
+            dim = len(self.cox.cocycle_basis(n))
+            if len(words) != dim:
+                failures.append({"degree": n, "basis": len(words),
+                                 "dim": dim})
         checked = 0
-        classes = {n: [dict(cv) for _, cv in self.cox.cocycle_basis(n)]
-                   for n in range(max_total + 1)}
-        # each class's lift, built lazily; it holds the class grouped too
-        lifts = {}
-
-        def lift_of(n, idx):
-            if (n, idx) not in lifts:
-                lifts[(n, idx)] = self.lift(classes[n][idx], horizon=0)
-            return lifts[(n, idx)]
-
         for n1 in range(0, max_total + 1):
             for n2 in range(n1, max_total + 1 - n1):
                 sign = -1 if (n1 % 2 and n2 % 2) else 1
-                for i1, f in enumerate(classes[n1]):
-                    for i2, g in enumerate(classes[n2]):
+                for i1, u in enumerate(bases[n1]):
+                    for i2, v in enumerate(bases[n2]):
                         if n1 == n2 and i2 < i1:
                             continue
-                        lg, lf = lift_of(n2, i2), lift_of(n1, i1)
-                        fg = self.compose_with_lift(f, lg, n1, lf.grouped)
-                        gf = self.compose_with_lift(g, lf, n2, lg.grouped)
-                        c1 = self.cox.class_coordinates(n1 + n2, fg)
-                        c2 = self.cox.class_coordinates(n1 + n2, gf)
-                        want = {k: F.mul(F.of(sign), v) for k, v in c2.items()}
+                        uv, a = to_integers(self.evaluate_word(u + v), F)
+                        vu, b = to_integers(self.evaluate_word(v + u), F)
+                        diff = {}
+                        for key, c in uv.items():
+                            add_term(diff, key, c * b)
+                        for key, c in vu.items():
+                            add_term(diff, key, -sign * c * a)
                         checked += 1
-                        if c1 != want:
-                            failures.append((n1, i1, n2, i2))
+                        if not self.cox.is_zero_class(n1 + n2, diff):
+                            failures.append({"words": [_word_name(u),
+                                                       _word_name(v)],
+                                             "degrees": [n1, n2]})
         return {"checked": checked, "failures": failures, "ok": not failures}
+
+
+def _word_name(word) -> str:
+    """A generator word as the product it names, e.g. "X8 X4"; "1" if empty."""
+    return " ".join(f"X{i}" for i in word) or "1"
+
+
+def _unit() -> dict:
+    """The unit of HH^*: the degree-0 cochain eps|1."""
+    return {(0, DualGen(0, "eps"), W[""]): 1}
 
 
 def _by_generator(cochain: dict, field):

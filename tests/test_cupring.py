@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import random
@@ -5,8 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from fk3hh import cli
-from fk3hh.exactmath import QQ, LinearSolver, PrimeField, _echelon, scalars
+from fk3hh import cli, cupring
+from fk3hh.exactmath import (
+    QQ,
+    EchelonBasis,
+    LinearSolver,
+    PrimeField,
+    _echelon,
+    scalars,
+)
 from fk3hh.fk3core import (
     BASIS_WORDS,
     WORD_DEGREE,
@@ -267,6 +275,107 @@ def test_graded_commutativity_low_degrees(ring):
     assert rep["ok"], rep["failures"]
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_word_bases_are_bases_of_hh(field):
+    # one generator word per dimension of HH^n, n <= 9, with independent
+    # classes; the empty word is the unit
+    fresh = CupRing(field, max_n=9)
+    bases = fresh.word_bases(9)
+    assert len(bases) == 10 and bases[0][0] == ()
+    for n, words in enumerate(bases):
+        assert len(words) == len(fresh.cox.cocycle_basis(n)), n
+        span = EchelonBasis(field)
+        for w in words:
+            assert sum(GENERATOR_BIDEGREES[i][0] for i in w) == n, w
+            assert span.add(fresh.cox.class_coordinates(
+                n, fresh.evaluate_word(w))), (n, w)
+    assert fresh.word_bases(4) == bases[:5]
+
+
+def test_evaluate_word_equals_the_left_to_right_loop(ring):
+    # evaluate_word composes a word's cached prefix with one lift stage; the
+    # cochain is the one composing X_{i_1} with a stage per letter
+    alg = ring_algebra()
+    words = {w for poly in load_commutation_relations(alg) +
+             load_ideal_relations(alg) for w in poly}
+    assert len(words) > 160
+    for word in sorted(words):
+        f, deg = ring.generators[word[0]], GENERATOR_BIDEGREES[word[0]][0]
+        for idx in word[1:]:
+            f = ring.compose_with_lift(
+                f, ring.generator_lift(idx, horizon=deg), deg)
+            deg += GENERATOR_BIDEGREES[idx][0]
+        assert ring.evaluate_word(word) == f, word
+    assert ring.evaluate_word(()) == {(0, EPS, W[""]): 1}
+
+
+def double_x9_stage_1(monkeypatch):
+    """Make every product u X9 with deg u = 1 twice what it is: X9's stage-1
+    compose is doubled, as a broken lift would make it."""
+    compose = CupRing.compose_with_lift
+
+    def doubled(self, cochain, lift, stage):
+        out = compose(self, cochain, lift, stage)
+        if stage == 1 and lift.cochain == self.generators[9]:
+            out = {key: 2 * c for key, c in out.items()}
+        return out
+
+    monkeypatch.setattr(CupRing, "compose_with_lift", doubled)
+
+
+def test_commutativity_names_the_pair_of_a_broken_product(monkeypatch):
+    # u X9 doubled for deg u = 1: X4 X9 = 2 X9 X4 no longer holds, and the
+    # failure names the two words and their degrees
+    double_x9_stage_1(monkeypatch)
+    fresh = CupRing(QQ, max_n=6)
+    rep = fresh.verify_graded_commutativity(max_total=4)
+    assert not rep["ok"]
+    assert {"words": ["X4", "X9"], "degrees": [1, 2]} in rep["failures"]
+    for record in rep["failures"]:
+        assert set(record) == {"words", "degrees"}
+        left, right = (w.split() for w in record["words"])
+        assert "X9" in left + right, record
+        assert record["degrees"] == [
+            sum(GENERATOR_BIDEGREES[int(x[1:])][0] for x in w)
+            for w in (left, right)]
+
+
+def test_commutativity_names_a_short_basis(monkeypatch):
+    # with X13 left out of the letters the bases grow by, HH^3 has no basis
+    # of words (X13 is no product of the others), and the sweep says so
+    monkeypatch.delitem(cupring.GENERATOR_BIDEGREES, 13)
+    fresh = CupRing(QQ, max_n=6)
+    rep = fresh.verify_graded_commutativity(max_total=3)
+    assert not rep["ok"]
+    assert rep["failures"] == [{"degree": 3, "basis": 11, "dim": 12}]
+
+
+def test_commutativity_failures_in_failures_json(tmp_path, capsys,
+                                                 monkeypatch):
+    # hh cup writes each commutativity failure as the two generator words
+    # and their degrees
+    double_x9_stage_1(monkeypatch)
+    assert cli.main(["cup", "--commutativity-degree", "4",
+                     "--out", str(tmp_path)]) == 1
+    assert "[FAIL] graded commutativity to total degree 4" in \
+        capsys.readouterr().out
+    records = json.loads((tmp_path / "failures.json").read_text())
+    (comm,) = [r for r in records["failures"]
+               if r["check"].startswith("graded commutativity")]
+    detail = ast.literal_eval(comm["detail"])
+    assert {"words": ["X4", "X9"], "degrees": [1, 2]} in detail
+    assert all(set(r) == {"words", "degrees"} for r in detail)
+
+
+def test_span_report_at_the_verify_all_bounds():
+    # hh verify-all's span check on a max-n 16 ring: the dimensions of
+    # HH^1..HH^12 (len(cocycle_basis(n))), each spanned
+    dims = [7, 10, 12, 14, 17, 20, 22, 24, 27, 30, 32, 34]
+    rep = CupRing(QQ, max_n=16).verify_generating_set(12)
+    assert rep == {"ok": True, "degrees": {
+        n: {"spanned": d, "dim": d} for n, d in enumerate(dims, start=1)}}
+
+
 def test_generating_set_and_minimality():
     ring = CupRing(QQ, max_n=12)
     rep = ring.verify_generating_set(max_degree=6)
@@ -390,11 +499,11 @@ def test_closed_form_products_equal_the_solved_ones(ring):
                 n + d, ring.compose_with_lift(f, lift, d)) == want, (name, j)
 
 
-def test_cup_defaults_factorise_at_most_45_delta_blocks(
-        tmp_path, capsys, monkeypatch):
-    # the closed-form lifts ask for no delta-block: hh cup's default checks
-    # factorise at most 45 blocks (60 when every stage was solved; the nine
-    # deepest were asked for by degree-0 lifts only)
+def test_cup_defaults_lift_only_the_generators(tmp_path, capsys, monkeypatch):
+    # every product is a composite of generator lifts: hh cup's default
+    # checks build 15 lifts (the 14 generators and the unit, which X14's
+    # shifted lift reads) and factorise at most 32 delta-blocks (109 and 45
+    # when commutativity lifted every basis class)
     rings = []
 
     class Recorded(CupRing):
@@ -406,7 +515,8 @@ def test_cup_defaults_factorise_at_most_45_delta_blocks(
     assert cli.main(["cup", "--out", str(tmp_path)]) == 0
     assert "all checks passed" in capsys.readouterr().out
     (ring,) = rings
-    assert len(ring._delta_solvers) <= 45
+    assert len(ring._lifts) <= 15
+    assert len(ring._delta_solvers) <= 32
 
 
 def test_generator_stage_applied_to_a_generator_is_its_stored_value(ring):
