@@ -70,9 +70,6 @@ class RationalField:
     def __hash__(self):
         return hash("QQ")
 
-    def name(self):
-        return "q"
-
 
 class PrimeField:
     """F_p for a prime p not in {2, 3}; scalars are ints in [0, p)."""
@@ -122,9 +119,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("GF", self.p))
-
-    def name(self):
-        return f"prime:{self.p}"
 
 
 QQ = RationalField()
@@ -492,10 +486,6 @@ class SparseMat:
         """Canonical (RREF) basis of the column space."""
         rref_rows, _ = self.transpose().rref()
         return Subspace(self.rows, rref_rows, self.field)
-
-    def solve(self, rhs):
-        """One particular solution of M x = rhs, or None if inconsistent."""
-        return self.solve_many([rhs])[0]
 
     def solve_many(self, rhs_list):
         """Solve M x = rhs for several right-hand sides (dicts row ->

@@ -177,12 +177,12 @@ def _comb(*pairs):
     return out
 
 
-@cache
 def dual_left_action(letter: str, f: DualGen) -> dict:
     """Left action of a dual letter (A, B or C given as 'a'/'b'/'c') on a basis tag.
 
-    Returns {DualGen: int}; degree drops by one.  Results are memoised: the
-    returned dict is shared between calls and must be treated as read-only.
+    Returns a new {DualGen: int}; degree drops by one.  Not memoised: the
+    one caller in fk3hh is resolution.koszul_on_gen, whose memo keeps the
+    Koszul differential on each generator.
     """
     n, tag = f.n, f.tag
     if n < 1:
@@ -224,10 +224,9 @@ def dual_left_action(letter: str, f: DualGen) -> dict:
     raise ValueError(f"unknown letter {letter!r}")
 
 
-@cache
 def dual_right_action(f: DualGen, letter: str) -> dict:
-    """Right action mirror of dual_left_action (memoised the same way: the
-    returned dict is shared and read-only)."""
+    """Right action mirror of dual_left_action (a new dict on each call;
+    resolution.koszul_on_gen keeps the memo)."""
     n, tag = f.n, f.tag
     if n < 1:
         raise ValueError("right action needs degree >= 1")

@@ -32,8 +32,13 @@ The differential of the glued resolution is a homotopy tower
 
     delta(omega_i rho) = sum_k omega_{i-k} f^(k)(rho),
 
-with f^(0) = d (the Koszul differential) and f^(1) = f (the published
-comparison maps).  The published data satisfies d f + f d = 0 but *not*
+with f^(0) = d (the Koszul differential, d = (-1)^n i_l + i_r) and
+f^(1) = f (the published comparison maps).  Each of the two is defined
+once, by its value on a generator 1|u|1 (koszul_on_gen, fb_on_gen, memoised
+for the whole module and filled on first use), and reaches every other
+element only through the bimodule extension stratum_elem; the term-by-term
+i_l, i_r and d are kept in the tests as the reference they are checked
+against.  The published data satisfies d f + f d = 0 but *not*
 f f = 0 (the composite of an even-degree map after an odd-degree one is a
 nonzero chain map), so the two-term differential printed in the source
 squares to zero only below homological degree 9.  The higher strata
@@ -74,50 +79,28 @@ from .fk3core import (
     dual_left_action,
     dual_right_action,
     mul_table,
-    mul_words,
 )
 
 W = WORD_INDEX  # short alias used by the comparison-map tables
 
 
-def i_left(elem: dict) -> dict:
-    """x|u|y -> sum_L xL | uL | y  (integer coefficients)."""
+@cache
+def koszul_on_gen(n: int, gen: DualGen) -> dict:
+    """d^b_n(1|gen|1) = (-1)^n sum_L L|gen.L|1 + sum_L 1|L.gen|L over the
+    letters L = a, b, c, as a sparse K^b_{n-1} element with integer
+    coefficients (empty at n = 0), the i_l terms first.
+
+    Memoised: every caller shares the returned dict, which is read-only."""
     out = {}
-    for (i, x, u, y), c in elem.items():
-        if u.n == 0:
-            continue  # the dual action lands in the zero space
-        for letter_idx, letter in ((1, "a"), (2, "b"), (3, "c")):
-            xl = mul_words(x, letter_idx)
-            ul = dual_right_action(u, letter)
-            for x2, cx in xl.items():
-                for u2, cu in ul.items():
-                    add_term(out, (i, x2, u2, y), c * cx * cu)
-    return out
-
-
-def i_right(elem: dict) -> dict:
-    """x|u|y -> sum_L x | Lu | Ly."""
-    out = {}
-    for (i, x, u, y), c in elem.items():
-        if u.n == 0:
-            continue
-        for letter_idx, letter in ((1, "a"), (2, "b"), (3, "c")):
-            ly = mul_words(letter_idx, y)
-            lu = dual_left_action(letter, u)
-            for y2, cy in ly.items():
-                for u2, cu in lu.items():
-                    add_term(out, (i, x, u2, y2), c * cy * cu)
-    return out
-
-
-def koszul_diff_elem(n: int, elem: dict) -> dict:
-    """d^b_n = (-1)^n i_l + i_r on a sparse K^b_n element."""
-    sign = -1 if n % 2 else 1
-    out = {}
-    for key, c in i_left(elem).items():
-        add_term(out, key, sign * c)
-    for key, c in i_right(elem).items():
-        add_term(out, key, c)
+    if n == 0:
+        return out
+    one, sign = W[""], -1 if n % 2 else 1
+    for letter in "abc":
+        for v, c in dual_right_action(gen, letter).items():
+            add_term(out, (0, W[letter], v, one), sign * c)
+    for letter in "abc":
+        for v, c in dual_left_action(letter, gen).items():
+            add_term(out, (0, one, v, W[letter]), c)
     return out
 
 
@@ -342,9 +325,10 @@ def _put_outer(outer, x, y, tc):
 
 
 def gen_image(k: int, n: int, gen: DualGen) -> dict:
-    """f^(k)_n(1|gen|1) for the closed-form strata k = 0 (d) and k = 1 (f)."""
+    """f^(k)_n(1|gen|1) for the closed-form strata k = 0 (d) and k = 1 (f),
+    the memoised koszul_on_gen and fb_on_gen (shared and read-only)."""
     if k == 0:
-        return koszul_diff_elem(n, {(0, W[""], gen, W[""]): 1})
+        return koszul_on_gen(n, gen)
     if k == 1:
         return fb_on_gen(n, gen)
     raise ValueError(f"stratum {k} has no closed form; it is solved per "
@@ -393,27 +377,25 @@ class BimoduleResolution:
         self.field = field
         self.max_n = max_n
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
-        self._homotopy = {}  # (k, n) -> {tag: {basis key: int}}, k != 1
+        self._homotopy = {}  # (k, n) -> {tag: {basis key: coeff}}, k = 2, 3
 
     # ----- the homotopy tower f^(k) -----
 
     def stratum_on_gen(self, k: int, n: int, gen: DualGen) -> dict:
         """f^(k)_n(1|gen|1) as a sparse K^b_{n+4k-1} element.
 
-        The returned dict is shared and read-only: the Koszul stratum k = 0
-        is kept per resolution, like the solved strata k = 2, 3; the strata
+        The returned dict is shared and read-only: the closed-form strata
+        k = 0, 1 are the module-wide memos koszul_on_gen and fb_on_gen, the
+        strata k = 2, 3 are solved once per resolution, and the strata
         k >= 4 vanish by degree (see the module docstring)."""
+        if k == 0:
+            return koszul_on_gen(n, gen)
         if k == 1:
             return fb_on_gen(n, gen)
         if k >= 4:
             return {}
         if (k, n) not in self._homotopy:
-            if k == 0:
-                self._homotopy[(0, n)] = {
-                    g.tag: koszul_diff_elem(n, {(0, W[""], g, W[""]): 1})
-                    for g in dual_basis(n)}
-            else:
-                self._solve_homotopy(k, n)
+            self._solve_homotopy(k, n)
         return self._homotopy[(k, n)].get(gen.tag, {})
 
     def stratum_elem(self, k: int, n: int, elem: dict) -> dict:
@@ -468,10 +450,9 @@ class BimoduleResolution:
                 for key, c in self.stratum_elem(a, n + 4 * b - 1, inner).items():
                     add_term(rhs, key, -c)
             # previous homotopy of the same stratum: f^(k)_{n-1} d_n
-            if n >= 1:
-                de = koszul_diff_elem(n, e)
-                for key, c in self.stratum_elem(k, n - 1, de).items():
-                    add_term(rhs, key, -c)
+            de = koszul_on_gen(n, g)
+            for key, c in self.stratum_elem(k, n - 1, de).items():
+                add_term(rhs, key, -c)
             rhs_by_gen[g] = rhs
         # one linear solve per generator against the Koszul differential,
         # restricted to the single internal degree n + 6k of the images
@@ -577,7 +558,8 @@ class BimoduleResolution:
 
     def square_zero_defects(self) -> list:
         """Degrees n <= max_n at which d_{n-1} d_n or d_{n+3} f_n + f_{n-1} d_n
-        is nonzero on a generator 1|u|1 of K^b_n (none may be).
+        is nonzero on a generator 1|u|1 of K^b_n (none may be); the outer
+        d and f act on the generator's images through stratum_elem.
 
         These are the tower equations of strata 0 and 1.  Where they hold,
         this solves every f^(k), k = 2, 3, that delta_n applies for
@@ -587,11 +569,11 @@ class BimoduleResolution:
         bad = []
         for n in range(self.max_n + 1):
             for g in dual_basis(n):
-                de = self.stratum_on_gen(0, n, g)
-                anti = koszul_diff_elem(n + 3, fb_on_gen(n, g))
+                de = koszul_on_gen(n, g)
+                anti = self.stratum_elem(0, n + 3, fb_on_gen(n, g))
                 for key, c in self.stratum_elem(1, n - 1, de).items():
                     add_term(anti, key, c)
-                if koszul_diff_elem(n - 1, de) or anti:
+                if self.stratum_elem(0, n - 1, de) or anti:
                     bad.append(n)
                     break
         if not bad:

@@ -10,6 +10,7 @@ import pytest
 from fk3_reference import AlgElem, dual_word_left_action
 from image_tables import tables_agree_with_maps
 from paper_data import HOMOLOGY_GRID, HOMOLOGY_TOTALS
+from resolution_reference import koszul_diff_elem
 
 from fk3hh import ncgroebner as ncg
 from fk3hh.cohomology import CohomologyComplex
@@ -31,10 +32,7 @@ from fk3hh.paperdata import (
     cyclic_series_formula,
     homology_series_formula,
 )
-from fk3hh.resolution import (
-    BimoduleResolution,
-    koszul_diff_elem,
-)
+from fk3hh.resolution import BimoduleResolution
 
 FP = PrimeField(10007)
 ONE = WORD_INDEX[""]

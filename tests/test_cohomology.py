@@ -13,10 +13,11 @@ from fk3hh.fk3core import (
 )
 from fk3hh.cohomology import CohomologyComplex
 from fk3hh.paperdata import cohomology_series_formula, cohomology_total_formula
-from fk3hh.resolution import fb_on_gen, koszul_diff_elem
+from fk3hh.resolution import fb_on_gen
 from image_tables import tables_agree_with_maps
 from induced_reference import cochain_columns
 from matrix_helpers import from_cols, is_zero, matmul
+from resolution_reference import koszul_diff_elem
 
 W = WORD_INDEX
 EPS = DualGen(0, "eps")
@@ -283,7 +284,7 @@ def reference_class_coordinates(cx, n, elem):
                if mm == m]
         mat = from_cols([{pos[k]: c for k, c in cv.items()}
                                    for _, cv in cls], len(basis), F)
-        sol = mat.solve(resid)
+        sol = mat.solve_many([resid])[0]
         if sol is None:
             raise ValueError("element is not a cocycle modulo coboundaries")
         for j, (idx, _) in enumerate(cls):

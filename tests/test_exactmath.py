@@ -103,10 +103,10 @@ def test_image_trivial():
 def test_solve_trivial():
     ident = mh.identity(3)
     rhs = {0: Fraction(2), 2: Fraction(-1)}
-    assert ident.solve(rhs) == rhs
+    assert ident.solve_many([rhs])[0] == rhs
     zero = mh.zero(2, 2)
-    assert zero.solve({0: Fraction(1)}) is None
-    assert zero.solve({}) == {}
+    assert zero.solve_many([{0: Fraction(1)}])[0] is None
+    assert zero.solve_many([{}])[0] == {}
 
 
 def test_solve_exact_property():
@@ -115,7 +115,7 @@ def test_solve_exact_property():
         m = random_sparse(rng, rng.randint(1, 12), rng.randint(1, 12))
         x0 = {j: Fraction(rng.randint(-3, 3)) for j in range(m.cols) if rng.random() < 0.5}
         rhs = apply(m, x0)
-        sol = m.solve(rhs)
+        sol = m.solve_many([rhs])[0]
         assert sol is not None
         assert apply(m, sol) == rhs
 
@@ -353,7 +353,7 @@ def test_solve_many_and_solver_equal_dense_oracle(data):
     assert m.solve_many(given_rhs) == want
     solver = LinearSolver(m)
     for b, given_b, sol in zip(rhs, given_rhs, want):
-        assert solver.solve(given_b) == m.solve(given_b) == sol
+        assert solver.solve(given_b) == m.solve_many([given_b])[0] == sol
         if sol is not None:
             assert apply(m, sol) == {i: v for i, v in b.items() if v != F.zero}
 

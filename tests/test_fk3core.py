@@ -105,7 +105,7 @@ class QuotientOracle:
         cols = [ {tindex(w): QQ.one} for w in basis_words ]
         cols += self.slices[m]
         mat = from_cols(cols, 3**m)
-        sol = mat.solve(vec)
+        sol = mat.solve_many([vec])[0]
         if sol is None:
             return None
         return {j: sol.get(j, QQ.zero) for j in range(len(basis_words))}

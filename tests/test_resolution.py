@@ -18,14 +18,20 @@ from fk3hh.resolution import (
     BimoduleResolution,
     comp_basis,
     fb_on_gen,
-    i_left,
-    i_right,
     kb_comp_basis,
-    koszul_diff_elem,
+    koszul_on_gen,
     layer_starts,
 )
 from induced_reference import coreduce, reduce_image, transpose_images
-from resolution_reference import bimodule_defect, delta_rank, intdegs, pb_dim
+from resolution_reference import (
+    bimodule_defect,
+    delta_rank,
+    i_left,
+    i_right,
+    intdegs,
+    koszul_diff_elem,
+    pb_dim,
+)
 
 W = WORD_INDEX
 ONE = W[""]
@@ -140,6 +146,37 @@ def test_koszul_diff_squares_to_zero():
             for x, y in ((ONE, ONE), (W["a"], W["bc"]), (W["abac"], ONE)):
                 e = {(0, x, g, y): 1}
                 assert koszul_diff_elem(n - 1, koszul_diff_elem(n, e)) == {}
+
+
+def test_koszul_on_gen_equals_the_term_by_term_reference():
+    # the engine's one d, on each generator 1|u|1, is the reference's
+    # (-1)^n i_l + i_r, term for term and in the same order
+    for n in range(41):
+        for u in dual_basis(n):
+            want = koszul_diff_elem(n, {(0, ONE, u, ONE): 1})
+            assert list(koszul_on_gen(n, u).items()) == list(want.items()), \
+                (n, u)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_stratum_elem_applies_d_as_the_reference(field):
+    # d on any element is the bimodule extension of its value on the
+    # generators; elements over every tag, with outer words of all degrees
+    # and terms spread over three layers
+    resf = BimoduleResolution(field, max_n=16)
+    rng = random.Random(23)
+    for n in range(17):
+        gens = dual_basis(n)
+        for u in gens:
+            for _ in range(4):
+                elem = {(rng.randrange(3), rng.randrange(12), u,
+                         rng.randrange(12)): 1}
+                for _ in range(rng.randrange(20)):
+                    key = (rng.randrange(3), rng.randrange(12),
+                           rng.choice(gens), rng.randrange(12))
+                    elem[key] = rng.choice((-3, -1, 1, 2, 5))
+                assert resf.stratum_elem(0, n, elem) == \
+                    koszul_diff_elem(n, elem), (n, u)
 
 
 def test_fb0_on_eps_value():
@@ -486,3 +523,28 @@ def test_square_zero_defects_find_a_perturbed_coefficient(monkeypatch):
                 == []
     finally:
         fb_on_gen.cache_clear()
+
+
+def test_square_zero_defects_find_a_perturbed_koszul_coefficient(monkeypatch):
+    published = resolution.koszul_on_gen
+
+    def perturbed(n, gen):
+        image = published(n, gen)
+        if (n, gen.tag) == (6, "g"):
+            key = next(iter(image))  # c|g_5|1
+            image = {**image, key: -image[key]}
+        return image
+
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr(resolution, "koszul_on_gen", perturbed)
+            koszul_on_gen.cache_clear()
+            # d_6 enters d_6 f_3 at degree 3, d_5 d_6 and f_5 d_6 at 6, and
+            # d_6 d_7 at 7
+            assert BimoduleResolution(QQ, max_n=13).square_zero_defects() \
+                == [3, 6, 7]
+            assert BimoduleResolution(QQ, max_n=5).square_zero_defects() \
+                == [3]
+    finally:
+        koszul_on_gen.cache_clear()
+    assert BimoduleResolution(QQ, max_n=13).square_zero_defects() == []

@@ -1,7 +1,9 @@
 """Every function and method defined in fk3hh has a use in fk3hh.
 
-A name counts as used when src/fk3hh references it (as a name or an
-attribute) or when perfbench/tracer.py wraps it by name.  A method whose
+A function counts as used when src/fk3hh references it (as a name or an
+attribute) or when perfbench/tracer.py wraps it by name; a method only
+through an attribute (obj.name) or a wrapped name, so that a local variable
+of the same name does not count as a call.  A method whose
 name a dict, list or set also has (add, get, remove, ...) is a use of its
 own only when a call from src/fk3hh reaches it: every dict.get there would
 count otherwise.  Code that only the tests call belongs in tests/.
@@ -41,19 +43,27 @@ def traced_names():
 
 
 def test_every_function_in_src_is_used():
-    defined, used = {}, set()
+    functions, methods, names, attrs = {}, {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        in_class = {id(f) for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) for f in node.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if not (node.name.startswith("__")
                         and node.name.endswith("__")):
-                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                    where = methods if id(node) in in_class else functions
+                    where.setdefault(
+                        node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    dead = {name: where for name, where in defined.items()
-            if name not in used | traced_names()}
+                attrs.add(node.attr)
+    traced = traced_names()
+    dead = {name: where for name, where in functions.items()
+            if name not in names | attrs | traced}
+    dead.update((name, where) for name, where in methods.items()
+                if name not in attrs | traced)
     assert not dead, f"defined in src/fk3hh but used nowhere there: {dead}"
 
 
