@@ -28,17 +28,18 @@ block, which is unimodular, so B^-1 and every row are integral.
 raw integer rows in a SparseMat as they are, and the class solvers factor
 such rows too.  Nothing assembled is kept.
 
-`cocycle_basis` returns canonical coset representatives (kernel vectors
-reduced against the RREF of the coboundaries).  `class_coordinates` and
-`is_zero_class` solve each component against one integer factorisation of
-its raw columns [coboundaries | classes] and read the class part.
+`cocycle_basis` returns canonical coset representatives: the RREF basis
+of the cocycles that vanish at the pivot columns of the coboundaries'
+RREF, one kernel.  `class_coordinates` and `is_zero_class` solve each
+component against one integer factorisation of its raw columns
+[coboundaries | classes] and read the class part.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .exactmath import QQ, LinearSolver, SparseMat, Subspace, add_term
+from .exactmath import QQ, LinearSolver, SparseMat, add_term
 from .fk3core import BASIS_BY_DEGREE, DIM, WORD_DEGREE, dual_basis, mul_table
 from .homology import HomologyComplex, InducedComplex
 
@@ -172,23 +173,23 @@ class CohomologyComplex(InducedComplex):
     def cocycle_basis(self, n: int):
         """Canonical cocycle representatives spanning degree-n cohomology.
 
-        Returns a list of (m, {basis key: scalar}) with each vector a cocycle
-        reduced against the RREF basis of the coboundaries at (n, m).
+        Returns a list of (m, {basis key: scalar}): at each (n, m), the RREF
+        basis of the cocycles that vanish at the pivot columns of the
+        coboundaries' RREF, which are the cocycles reduced against it: one
+        per class.
         """
         if n in self._classes:
             return self._classes[n]
-        F = self.field
         out = []
         for m in range(self.min_m(n), 5):
             basis = self.basis(n, m)
             if not basis:
                 continue
-            ker = self.matrix(n, m).kernel()
-            img = (self.matrix(n - 1, m - 1).image()
-                   if self.basis(n - 1, m - 1) else Subspace(len(basis), [], F))
-            reduced = [img.reduce(vec) for vec in ker.basis_dicts()]
-            canon = Subspace.span(len(basis), reduced, F)
-            for row in canon.basis_dicts():
+            rows, ncols = self.rows(n, m)
+            _, pivots = self.matrix(n - 1, m - 1).transpose().rref()
+            rows += [{p: 1} for p in pivots]
+            ker = SparseMat.from_rows(rows, ncols, self.field).kernel()
+            for row in ker.basis_dicts():
                 out.append((m, {basis[p]: c for p, c in row.items()}))
         self._classes[n] = out
         return out

@@ -15,13 +15,14 @@ cocycle lift in closed form, with no solve:
   not depend on i, and phi' (phi's keys one layer down) is a cocycle as S
   is onto; stage k of phi's lift is stage k of phi''s lift composed with S.
 
-Every other stage solves one small linear system per generator and
-internal degree, against cached factorizations of the augmentation and
-differential blocks (SparseMats of raw integer entries, in the
-resolution's comp_basis coordinates); existence is guaranteed by
-exactness, so an unsolvable stage signals a real bug.  Each stage is held
-in integers over one denominator (LiftStage), and every product is summed
-in integers and made a field scalar once.
+Stage 0 of every other lift is closed-form too: it sends omega_i 1|g|1 to
+1|eps|phi(omega_i 1|g|1), since eps^b(1|eps|w) = w.  Each stage k >= 1
+solves one small linear system per generator and internal degree, against
+cached factorizations of the differential blocks (SparseMats of raw
+integer entries, in the resolution's comp_basis coordinates); existence
+is guaranteed by exactness, so an unsolvable stage signals a real bug.
+Each stage is held in integers over one denominator (LiftStage), and
+every product is summed in integers and made a field scalar once.
 
 The cochain of f cup g composes f with stage deg(f) of g's lift
 (compose_with_lift), and class_coordinates reduces it to canonical class
@@ -31,7 +32,8 @@ cochain of u + v represents [u] cup [v], so only the fourteen generators
 are ever lifted.  The ring checks read one basis of generator words per
 degree (word_bases): the span check counts it, and since the cup product
 is bilinear, graded commutativity on those bases is graded commutativity
-on all of HH^*.
+on all of HH^*; minimality reads them for the products of two or more
+generators.
 """
 
 from __future__ import annotations
@@ -43,22 +45,13 @@ from .exactmath import (
     QQ,
     EchelonBasis,
     LinearSolver,
-    SparseMat,
     add_term,
     scalars,
     to_integers,
 )
-from .fk3core import (
-    DIM,
-    WORD_DEGREE,
-    WORD_INDEX,
-    DualGen,
-    dgen,
-    mul_table,
-    mul_words,
-)
+from .fk3core import WORD_DEGREE, WORD_INDEX, DualGen, dgen, mul_table
 from .ncgroebner import RING_BIDEGREES
-from .resolution import BimoduleResolution, comp_basis
+from .resolution import BimoduleResolution
 
 W = WORD_INDEX
 
@@ -154,7 +147,6 @@ class ChainLift:
 
     def __init__(self, ring: "CupRing", cochain: dict):
         self.ring = ring
-        self.cochain = dict(cochain)
         self.m, self.intdeg = cochain_degrees(cochain)
         self.grouped = _by_generator(cochain, ring.field)
         # phi' with phi = phi' S, when phi is supported in layers i >= 1
@@ -184,15 +176,22 @@ class ChainLift:
                 stage = LiftStage({(i, g): {(i, w, g, W[""]): c
                                             for w, c in z}
                                    for i, g in res.pb_gens(k)}, e)
+            elif k == 0:
+                # 1|eps|phi(1|g|1), over e: eps^b(1|eps|w) = w
+                by_gen, e = self.grouped
+                eps = DualGen(0, "eps")
+                stage = LiftStage({gen: {(0, W[""], eps, w): c
+                                         for w, c in terms}
+                                   for gen, terms in by_gen.items()}, e)
             else:
                 stage = self._solve_stage(k)
             self.stages.append(stage)
 
     def _solve_stage(self, k: int) -> LiftStage:
-        """Solve stage k generator by generator.  The right-hand side is
-        phi(1|g|1) for k = 0 and stage k - 1 on delta(1|g|1) for k >= 1, an
-        integer vector over a denominator d; it is solved as it is and the
-        solution divided by d (the solver is linear)."""
+        """Solve stage k >= 1 generator by generator.  The right-hand side
+        is stage k - 1 on delta(1|g|1), an integer vector over a denominator
+        d; it is solved as it is and the solution divided by d (the solver
+        is linear)."""
         ring = self.ring
         res = ring.res
         F = ring.field
@@ -204,19 +203,10 @@ class ChainLift:
             tgt_int = g.n + 6 * i + self.intdeg
             by_deg.setdefault(tgt_int, []).append((i, g))
         for tgt_int, batch in by_deg.items():
-            if k == 0:
-                solver = ring.augmentation_solver(tgt_int)
-            else:
-                solver = ring.delta_solver(k, tgt_int)
+            solver = ring.delta_solver(k, tgt_int)
             for i, g in batch:
-                if k == 0:
-                    rhs = ring.evaluate_cochain(
-                        self.cochain, {(i, W[""], g, W[""]): 1}, self.grouped)
-                    d = 1
-                else:
-                    acc, d = self._image(k - 1, ring.gen_delta(k + m, i, g))
-                    rhs = res.comp_vector(k - 1, tgt_int, acc)
-                sol = solver.solve(rhs)
+                acc, d = self._image(k - 1, ring.gen_delta(k + m, i, g))
+                sol = solver.solve(res.comp_vector(k - 1, tgt_int, acc))
                 if sol is None:
                     raise LiftError(
                         f"stage {k} unsolvable on generator omega_{i} {g}")
@@ -266,7 +256,6 @@ class CupRing:
         self._generator_lifts = {}
         self._gen_deltas = {}
         self._delta_solvers = {}
-        self._aug_solvers = {}
         self._product_cache = {}
         self._word_bases = []
         self.generators = ring_generators()
@@ -288,27 +277,10 @@ class CupRing:
                 n, {(i, W[""], g, W[""]): 1})
         return self._gen_deltas[key]
 
-    def augmentation_solver(self, intdeg: int):
-        """Solver of eps^b on the internal-degree component of P^b_0,
-        factorised from its raw integer rows: one row per basis word, keyed
-        by word index, so that a word of another degree is inconsistent."""
-        if intdeg not in self._aug_solvers:
-            keys = comp_basis(0, intdeg)[0]
-            rows = [{} for _ in range(DIM)]
-            for col, (_, x, _, y) in enumerate(keys):
-                for w, c in mul_words(x, y).items():
-                    rows[w][col] = c
-            self._aug_solvers[intdeg] = LinearSolver(
-                SparseMat.from_rows(rows, len(keys), self.field))
-        return self._aug_solvers[intdeg]
-
-    def evaluate_cochain(self, cochain: dict, elem: dict,
-                         grouped=None) -> dict:
-        """Apply a cochain to a resolution element; value in A as {word: c},
-        a right-hand side of augmentation_solver as it stands.  Coefficients
-        must be ints or field scalars, as in ChainLift.apply.  grouped is
-        _by_generator(cochain), when the caller holds it."""
-        by_gen, e = grouped or _by_generator(cochain, self.field)
+    def evaluate_cochain(self, cochain: dict, elem: dict) -> dict:
+        """Apply a cochain to a resolution element; value in A as {word: c}.
+        Coefficients must be ints or field scalars, as in ChainLift.apply."""
+        by_gen, e = _by_generator(cochain, self.field)
         elem, e2 = to_integers(elem, self.field)
         table = mul_table()
         acc = {}
@@ -397,8 +369,7 @@ class CupRing:
     def evaluate_poly(self, poly: dict):
         """Evaluate an NcPoly {word: coeff}; returns (degree, cochain)."""
         F = self.field
-        degs = {tuple(sum(GENERATOR_BIDEGREES[i][j] for i in w) for j in (0, 1))
-                for w in poly}
+        degs = {_bidegree(w) for w in poly}
         if len(degs) != 1:
             raise ValueError("relation is not bihomogeneous")
         n = degs.pop()[0]
@@ -410,12 +381,7 @@ class CupRing:
         return n, scalars(total, F)
 
     def poly_is_zero_class(self, poly: dict) -> bool:
-        n, total = self.evaluate_poly(poly)
-        if not total:
-            return True
-        if self.cox.diff_elem(n, total):
-            return False
-        return self.cox.is_zero_class(n, total)
+        return self.cox.is_zero_class(*self.evaluate_poly(poly))
 
     # ----- the published verifications -----
 
@@ -475,46 +441,31 @@ class CupRing:
         return report
 
     def verify_minimality(self):
-        """No generator lies in the span of same-bidegree products of others."""
+        """No generator lies in the span of same-bidegree products of others.
+
+        A product of two or more generators is u X_j with u a product of
+        degree deg X_i - deg X_j.  The class of u is in the span of the
+        words of word_bases() of u's bidegree, which span the products of
+        each bidegree, and those words are nonempty: the empty word, the
+        unit, has bidegree (0, 0), and no product has it, since no
+        generator has.  So the u X_j with u a nonempty basis word span
+        every product of two or more generators.  For the same reason no
+        product that contains X_i has X_i's bidegree, so X_i is minimal
+        when its class is not in the span of the other generators and the
+        u X_j of its bidegree.  No word length is capped."""
         report = {}
-        for i in range(1, 15):
-            d, intd = GENERATOR_BIDEGREES[i]
-            others = [j for j in range(1, 15) if j != i]
-            words = self._words_of_bidegree(others, d, intd)
+        for i, (d, _) in GENERATOR_BIDEGREES.items():
+            bases = self.word_bases(d)
+            words = [(j,) for j in GENERATOR_BIDEGREES if j != i]
+            words += [u + (j,) for j, (dj, _) in GENERATOR_BIDEGREES.items()
+                      if dj <= d for u in bases[d - dj] if u]
             span = EchelonBasis(self.field)
             for w in words:
-                span.add(self.cox.class_coordinates(d, self.evaluate_word(w)))
-            xi = self.cox.class_coordinates(d, self.generators[i])
-            report[i] = span.add(xi)
+                if _bidegree(w) == GENERATOR_BIDEGREES[i]:
+                    span.add(self.word_class(w))
+            report[i] = span.add(
+                self.cox.class_coordinates(d, self.generators[i]))
         return report
-
-    def _words_of_bidegree(self, letters, hom, intd, max_len=5):
-        """The nonempty words of at most max_len letters with bidegree
-        (hom, intd), in depth-first order.  A branch is cut once its
-        homological degree passes hom or its internal degree can no longer
-        come down to intd: letters of homological degree 0 only raise the
-        internal degree, and the others lower it by at most num/den per
-        unit of homological degree."""
-        bidegrees = [GENERATOR_BIDEGREES[j] for j in letters]
-        assert all(ij >= 0 for dj, ij in bidegrees if dj == 0)
-        num, den = max(((-ij, dj) for dj, ij in bidegrees if dj),
-                       key=lambda s: s[0] / s[1], default=(0, 1))
-        out = []
-
-        def rec(word, h, d):
-            if h == hom and d == intd and word:
-                out.append(tuple(word))
-            if len(word) >= max_len:
-                return
-            for j, (dj, ij) in zip(letters, bidegrees):
-                h2, d2 = h + dj, d + ij
-                if h2 <= hom and den * (d2 - intd) <= num * (hom - h2):
-                    word.append(j)
-                    rec(word, h2, d2)
-                    word.pop()
-
-        rec([], 0, 0)
-        return out
 
     def multiplication_table(self):
         """Classes of all pairwise products X_i cup X_j."""
@@ -567,6 +518,11 @@ class CupRing:
                                                        _word_name(v)],
                                              "degrees": [n1, n2]})
         return {"checked": checked, "failures": failures, "ok": not failures}
+
+
+def _bidegree(word):
+    """(homological, internal) degree of a generator word."""
+    return tuple(sum(GENERATOR_BIDEGREES[i][j] for i in word) for j in (0, 1))
 
 
 def _word_name(word) -> str:

@@ -107,11 +107,6 @@ def triple_products() -> dict:
     return out
 
 
-def mul_words(i: int, j: int) -> dict:
-    """Product of two basis words as {basis index: integer coefficient}."""
-    return mul_table()[(i, j)]
-
-
 # ---------------------------------------------------------------------------
 # the graded dual of the quadratic dual: basis tags and the letter actions
 # ---------------------------------------------------------------------------

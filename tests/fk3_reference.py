@@ -12,7 +12,7 @@ from fk3hh.fk3core import (
     WORD_INDEX,
     dual_left_action,
     dual_right_action,
-    mul_words,
+    mul_table,
 )
 
 
@@ -21,7 +21,7 @@ def mul_elems(x: dict, y: dict, field=QQ) -> dict:
     out = {}
     for i, ci in x.items():
         for j, cj in y.items():
-            for k, s in mul_words(i, j).items():
+            for k, s in mul_table()[(i, j)].items():
                 out[k] = field.add(out.get(k, field.zero),
                                    field.mul(field.mul(ci, cj), field.of(s)))
     return {k: v for k, v in out.items() if v != field.zero}

@@ -22,7 +22,7 @@ from fk3hh.fk3core import (
     dual_dim,
     dual_left_action,
     dual_right_action,
-    mul_words,
+    mul_table,
 )
 
 
@@ -33,7 +33,7 @@ def i_left(elem: dict) -> dict:
         if u.n == 0:
             continue  # the dual action lands in the zero space
         for letter_idx, letter in ((1, "a"), (2, "b"), (3, "c")):
-            xl = mul_words(x, letter_idx)
+            xl = mul_table()[(x, letter_idx)]
             ul = dual_right_action(u, letter)
             for x2, cx in xl.items():
                 for u2, cu in ul.items():
@@ -48,7 +48,7 @@ def i_right(elem: dict) -> dict:
         if u.n == 0:
             continue
         for letter_idx, letter in ((1, "a"), (2, "b"), (3, "c")):
-            ly = mul_words(letter_idx, y)
+            ly = mul_table()[(letter_idx, y)]
             lu = dual_left_action(letter, u)
             for y2, cy in ly.items():
                 for u2, cu in lu.items():

@@ -12,7 +12,7 @@ from itertools import product
 import pytest
 
 from fk3hh.exactmath import QQ, SparseMat
-from fk3hh.fk3core import BASIS_WORDS, WORD_DEGREE, mul_words
+from fk3hh.fk3core import BASIS_WORDS, WORD_DEGREE, mul_table
 from fk3hh.homology import HomologyComplex
 from matrix_helpers import is_zero, matmul
 
@@ -46,11 +46,11 @@ def bar_diff(key):
 
     for i in range(n):
         sign = 1 if i % 2 == 0 else -1
-        for w, c in mul_words(key[i], key[i + 1]).items():
+        for w, c in mul_table()[(key[i], key[i + 1])].items():
             if i == 0 or WORD_DEGREE[w] >= 1:
                 add(key[:i] + (w,) + key[i + 2:], sign * c)
     sign = 1 if n % 2 == 0 else -1
-    for w, c in mul_words(key[n], key[0]).items():
+    for w, c in mul_table()[(key[n], key[0])].items():
         add((w,) + key[1:n], sign * c)
     return out
 

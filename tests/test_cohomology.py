@@ -9,7 +9,7 @@ from fk3hh.fk3core import (
     DualGen,
     dgen,
     dual_basis,
-    mul_words,
+    mul_table,
 )
 from fk3hh.cohomology import CohomologyComplex
 from fk3hh.paperdata import cohomology_series_formula, cohomology_total_formula
@@ -78,8 +78,8 @@ def _dualize_d(n, gen, x):
         for (_, lw, v, rw), c in img.items():
             if v != gen:
                 continue
-            for m1, c1 in mul_words(lw, x).items():
-                for m2, c2 in mul_words(m1, rw).items():
+            for m1, c1 in mul_table()[(lw, x)].items():
+                for m2, c2 in mul_table()[(m1, rw)].items():
                     acc[m2] = acc.get(m2, 0) + c * c1 * c2
         for w2, c in acc.items():
             if c:
@@ -96,8 +96,8 @@ def _dualize_f(j, gen, x):
         for (_, lw, v, rw), c in img.items():
             if v != gen:
                 continue
-            for m1, c1 in mul_words(lw, x).items():
-                for m2, c2 in mul_words(m1, rw).items():
+            for m1, c1 in mul_table()[(lw, x)].items():
+                for m2, c2 in mul_table()[(m1, rw)].items():
                     acc[m2] = acc.get(m2, 0) + c * c1 * c2
         for w2, c in acc.items():
             if c:
@@ -374,7 +374,7 @@ def pairing_matrix(co, n, m):
     ent = {}
     for r, (i, g, x) in enumerate(src):
         for x2 in range(12):
-            b = mul_words(x, x2).get(W["abac"])
+            b = mul_table()[(x, x2)].get(W["abac"])
             if b:
                 ent[(r, pos[(i, x2, g)])] = b
     return SparseMat(len(src), len(pos), ent, co.field)

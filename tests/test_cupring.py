@@ -12,6 +12,7 @@ from fk3hh.exactmath import (
     EchelonBasis,
     LinearSolver,
     PrimeField,
+    SparseMat,
     _echelon,
     scalars,
 )
@@ -22,7 +23,7 @@ from fk3hh.fk3core import (
     DualGen,
     dgen,
     dual_basis,
-    mul_words,
+    mul_table,
 )
 from fk3hh.cupring import (
     ChainLift,
@@ -38,7 +39,7 @@ from fk3hh.ncgroebner import (
     load_ideal_relations,
     ring_algebra,
 )
-from fk3hh.resolution import BimoduleResolution
+from fk3hh.resolution import BimoduleResolution, comp_basis
 from matrix_helpers import apply, dense, gauss_jordan
 from resolution_reference import intdegs
 
@@ -117,10 +118,43 @@ def test_generators_are_cocycles_and_independent(ring):
         assert ring.cox.class_coordinates(n, c), i  # nonzero class
 
 
+def augmentation_solver(field, intdeg: int):
+    """Solver of eps^b on the internal-degree component of P^b_0,
+    factorised from its raw integer rows: one row per basis word, keyed by
+    word index, so that a word of another degree is inconsistent."""
+    keys = comp_basis(0, intdeg)[0]
+    rows = [{} for _ in BASIS_WORDS]
+    for col, (_, x, _, y) in enumerate(keys):
+        for w, c in mul_table()[(x, y)].items():
+            rows[w][col] = c
+    return LinearSolver(SparseMat.from_rows(rows, len(keys), field))
+
+
+def augmentation_stage(ring, cochain) -> LiftStage:
+    """Stage 0 of a cochain's lift solved against the augmentation: on each
+    generator omega_i 1|g|1 of P^b_m, the particular solution x of
+    eps^b(x) = phi(omega_i 1|g|1)."""
+    F = ring.field
+    m, intdeg = cochain_degrees(cochain)
+    values = {}
+    for i, g in ring.res.pb_gens(m):
+        d = g.n + 6 * i + intdeg
+        sol = augmentation_solver(F, d).solve(ring.evaluate_cochain(
+            cochain, {(i, W[""], g, W[""]): 1}))
+        assert sol is not None, (i, g)
+        values[(i, g)] = ring.res.comp_element(0, d, sol)
+    return LiftStage.of_scalars(values, F)
+
+
 class SolvedLift(ChainLift):
-    """A chain lift whose every stage goes through the solver, closed forms
+    """A chain lift whose every stage goes through a solver, closed forms
     or not: the lift the engine built for every cocycle before it had
-    closed forms, held outside the ring's cache."""
+    closed forms, held outside the ring's cache.  Stage 0 solves the
+    augmentation system, the later stages the delta-blocks."""
+
+    def __init__(self, ring, cochain: dict):
+        super().__init__(ring, cochain)
+        self.stages = [augmentation_stage(ring, cochain)]
 
     def ensure(self, horizon: int):
         while len(self.stages) <= horizon:
@@ -184,8 +218,8 @@ def test_published_chain_map_values_consistent(ring):
         for (i, x, u, y), c in elem.items():
             assert i == 0
             for (j, x2, v, y2), s in stage_fn(u).items():
-                for x3, cx in mul_words(x, x2).items():
-                    for y3, cy in mul_words(y2, y).items():
+                for x3, cx in mul_table()[(x, x2)].items():
+                    for y3, cy in mul_table()[(y2, y)].items():
                         key = (j, x3, v, y3)
                         out[key] = out.get(key, 0) + c * s * cx * cy
                         if out[key] == 0:
@@ -316,7 +350,7 @@ def double_x9_stage_1(monkeypatch):
 
     def doubled(self, cochain, lift, stage):
         out = compose(self, cochain, lift, stage)
-        if stage == 1 and lift.cochain == self.generators[9]:
+        if stage == 1 and lift is self.generator_lift(9, stage):
             out = {key: 2 * c for key, c in out.items()}
         return out
 
@@ -384,6 +418,16 @@ def test_generating_set_and_minimality():
         assert row["spanned"] == row["dim"], n
     minrep = ring.verify_minimality()
     assert all(minrep.values()), minrep
+
+
+def test_minimality_flags_a_repeated_generator():
+    # with X5's cochain replaced by X4's, each of the two lies in the span
+    # of the other, and no other generator is affected
+    fresh = CupRing(QQ, max_n=6)
+    fresh.generators[5] = fresh.generators[4]
+    rep = fresh.verify_minimality()
+    assert sorted(rep) == list(range(1, 15))
+    assert {i for i, ok in rep.items() if not ok} == {4, 5}
 
 
 def test_lift_of_non_cocycle_rejected(ring):
@@ -541,8 +585,8 @@ def compose_reference(ring, cochain, lift, stage):
             for (j2, g3, w), cc in cochain.items():
                 if (j2, g3) != (j, g2):
                     continue
-                for w2, c2 in mul_words(x, w).items():
-                    for w3, c3 in mul_words(w2, y).items():
+                for w2, c2 in mul_table()[(x, w)].items():
+                    for w3, c3 in mul_table()[(w2, y)].items():
                         key = (i, g, w3)
                         out[key] = F.add(out.get(key, F.zero),
                                          F.mul(F.of(c), F.of(cc * c2 * c3)))
@@ -682,7 +726,7 @@ def test_augmentation_solver_solves_exactly_the_words_of_its_degree(field):
     ring = CupRing(field, max_n=4)
     solved = 0
     for d in range(9):
-        solver = ring.augmentation_solver(d)
+        solver = augmentation_solver(field, d)
         for w in range(len(BASIS_WORDS)):
             sol = solver.solve({w: field.one})
             if WORD_DEGREE[w] != d:
@@ -695,6 +739,24 @@ def test_augmentation_solver_solves_exactly_the_words_of_its_degree(field):
             assert value == {w: field.one}, (d, w)
             solved += 1
     assert solved == len(BASIS_WORDS)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_generator_lifts_equal_the_solved_lifts(field):
+    # stage 0 of a lift of positive degree is 1|eps|phi(1|g|1), built with
+    # no solve: it is the particular solution of the augmentation system,
+    # and every later stage, to degree 8, is the one solved on top of it
+    # (X1, X2, X3 lift as multiplication by their central values instead)
+    ring = CupRing(field, max_n=8)
+    for idx in range(4, 15):
+        top = 8 - GENERATOR_BIDEGREES[idx][0]
+        lift = ring.generator_lift(idx, horizon=top)
+        solved = SolvedLift(ring, ring.generators[idx])
+        solved.ensure(top)
+        for k in range(top + 1):
+            for gen in ring.res.pb_gens(k + lift.m):
+                assert stage_value(lift.stages[k], gen, field) == \
+                    stage_value(solved.stages[k], gen, field), (idx, k, gen)
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from fk3hh.fk3core import (
     dual_left_action,
     dual_right_action,
     mul_table,
-    mul_words,
     triple_products,
 )
 from fk3_reference import (
@@ -142,7 +141,7 @@ def test_mul_table_against_oracle(fk_oracle):
     for i, wi in enumerate(BASIS_WORDS):
         for j, wj in enumerate(BASIS_WORDS):
             m = len(wi) + len(wj)
-            got = mul_words(i, j)
+            got = mul_table()[(i, j)]
             if m > 4:
                 assert got == {}
                 continue
@@ -160,19 +159,19 @@ def test_frozen_products():
     a, b, c = (WORD_INDEX[w] for w in "abc")
     ab, ba = WORD_INDEX["ab"], WORD_INDEX["ba"]
     bc, ac = WORD_INDEX["bc"], WORD_INDEX["ac"]
-    assert mul_words(a, b) == {ab: 1}
+    assert mul_table()[(a, b)] == {ab: 1}
     # c*a = -ab - bc (forced by ab+bc+ca = 0)
-    assert mul_words(c, a) == {ab: -1, bc: -1}
+    assert mul_table()[(c, a)] == {ab: -1, bc: -1}
     # c*b = -ba - ac
-    assert mul_words(c, b) == {ba: -1, ac: -1}
+    assert mul_table()[(c, b)] == {ba: -1, ac: -1}
     # degree-4 products, as computed by the tensor oracle
     top = WORD_INDEX["abac"]
-    assert mul_words(ab, ab) == {}
-    assert mul_words(ab, ac) == {top: 1}
-    assert mul_words(bc, ba) == {top: 1}
-    assert mul_words(bc, ac) == {top: -1}
-    assert mul_words(ac, ab) == {top: 1}
-    assert mul_words(c, WORD_INDEX["aba"]) == {top: -1}
+    assert mul_table()[(ab, ab)] == {}
+    assert mul_table()[(ab, ac)] == {top: 1}
+    assert mul_table()[(bc, ba)] == {top: 1}
+    assert mul_table()[(bc, ac)] == {top: -1}
+    assert mul_table()[(ac, ab)] == {top: 1}
+    assert mul_table()[(c, WORD_INDEX["aba"])] == {top: -1}
 
 
 def test_mul_table_entries_ascend():
@@ -193,9 +192,9 @@ def test_triple_products_are_the_nonzero_products_a_x_b():
             assert c, (a, x, b, y)
             got.setdefault(x, {})[y] = QQ.of(c)
         for x in range(DIM):
-            want = mul_elems(mul_words(a, x), {b: 1})
+            want = mul_elems(mul_table()[(a, x)], {b: 1})
             assert got.get(x, {}) == want, (a, x, b)
-            assert want == mul_elems({a: 1}, mul_words(x, b)), (a, x, b)
+            assert want == mul_elems({a: 1}, mul_table()[(x, b)]), (a, x, b)
 
 
 def test_defining_relations_vanish():
@@ -225,7 +224,7 @@ def test_adams_degree_additive():
     for i in range(DIM):
         for j in range(DIM):
             m = WORD_DEGREE[i] + WORD_DEGREE[j]
-            for k in mul_words(i, j):
+            for k in mul_table()[(i, j)]:
                 assert WORD_DEGREE[k] == m
 
 

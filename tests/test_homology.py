@@ -13,7 +13,7 @@ from fk3hh.paperdata import (
     homology_total_formula,
 )
 from fk3hh.resolution import fb_on_gen, gen_image
-from fk3hh.fk3core import mul_words
+from fk3hh.fk3core import mul_table
 from homology_reference import (
     NotTranscribed,
     dim_one_stratum_homology,
@@ -81,8 +81,8 @@ def test_tilde_f_consistency_with_bimodule_maps():
             for x in range(12):
                 derived = {}
                 for (_, l, v, r), c in fb_on_gen(n, g).items():
-                    for m1, c1 in mul_words(r, x).items():
-                        for m2, c2 in mul_words(m1, l).items():
+                    for m1, c1 in mul_table()[(r, x)].items():
+                        for m2, c2 in mul_table()[(m1, l)].items():
                             k = (m2, v)
                             derived[k] = derived.get(k, 0) + c * c1 * c2
                             if derived[k] == 0:

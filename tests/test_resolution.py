@@ -236,7 +236,6 @@ def test_f_reduced_matches_trivial_module_values():
         expect = {(dgen("a", n + 3), W["bac"]): 2,
                   (dgen("ab2", n + 3), W["bac"]): -1}
         if n % 2 == 0:
-            expect[(dgen("b", n + 3), W["abc"])] = 2 if False else 1
             expect[(dgen("b", n + 3), W["abc"])] = 1
             expect[(dgen("g", n + 3), W["aba"])] = -1
         assert v == expect, n
