@@ -195,9 +195,13 @@ class CohomologyComplex(InducedComplex):
         return out
 
     def is_zero_class(self, n: int, elem: dict) -> bool:
-        """True when a degree-n cochain is a coboundary (per bidegree)."""
-        return all(sol is not None and all(c < ncob for c in sol)
-                   for sol, ncob, _ in self._class_solutions(n, elem))
+        """True when a degree-n cochain is a coboundary (per bidegree): no
+        class column is in the support of its particular solution."""
+        for solver, b, ncob, _ in self._class_parts(n, elem):
+            cols = solver.support(b)
+            if cols is None or any(c >= ncob for c in cols):
+                return False
+        return True
 
     def class_coordinates(self, n: int, elem: dict):
         """Coordinates of a cocycle's class in the canonical cocycle basis.
@@ -206,7 +210,8 @@ class CohomologyComplex(InducedComplex):
         {(m, index within that m's classes): scalar}.
         """
         coords = {}
-        for sol, ncob, idxs in self._class_solutions(n, elem):
+        for solver, b, ncob, idxs in self._class_parts(n, elem):
+            sol = solver.solve(b)
             if sol is None:
                 raise ValueError("element is not a cocycle modulo coboundaries")
             for j, idx in enumerate(idxs):
@@ -215,15 +220,16 @@ class CohomologyComplex(InducedComplex):
                     coords[idx] = v
         return coords
 
-    def _class_solutions(self, n: int, elem: dict):
-        """(sol, ncob, idxs) for each m of elem's support: sol solves elem's
-        part at m by _class_solver(n, m), None outside the solver's span."""
+    def _class_parts(self, n: int, elem: dict):
+        """(solver, b, ncob, idxs) for each m of elem's support: b is elem's
+        part at m in the positions of _class_solver(n, m), whose other
+        fields follow it."""
         by_m = {}
         for (i, g, x), c in elem.items():
             by_m.setdefault(WORD_DEGREE[x] - 2 * i, {})[(i, g, x)] = c
         for m, part in by_m.items():
             solver, pos, ncob, idxs = self._class_solver(n, m)
-            yield solver.solve({pos[k]: c for k, c in part.items()}), ncob, idxs
+            yield solver, {pos[k]: c for k, c in part.items()}, ncob, idxs
 
     def _class_solver(self, n: int, m: int):
         """(solver, pos, ncob, idxs), cached: one factorisation of the raw

@@ -22,7 +22,9 @@ cached factorizations of the differential blocks (SparseMats of raw
 integer entries, in the resolution's comp_basis coordinates); existence
 is guaranteed by exactness, so an unsolvable stage signals a real bug.
 Each stage is held in integers over one denominator (LiftStage), and
-every product is summed in integers and made a field scalar once.
+every product is summed in integers and made a field scalar once; over Q
+a product over denominator 1 is left as its integer sums, since an int
+is a Q scalar, so its class solve scales nothing back.
 
 The cochain of f cup g composes f with stage deg(f) of g's lift
 (compose_with_lift), and class_coordinates reduces it to canonical class
@@ -33,7 +35,8 @@ are ever lifted.  The ring checks read one basis of generator words per
 degree (word_bases): the span check counts it, and since the cup product
 is bilinear, graded commutativity on those bases is graded commutativity
 on all of HH^*; minimality reads them for the products of two or more
-generators.
+generators.  A basis tries X14 times the basis four degrees down first,
+which costs no solved stage, and stops once it reaches dim HH^n.
 """
 
 from __future__ import annotations
@@ -324,7 +327,9 @@ class CupRing:
         stage's stored value, so that value is read, not applied: a term
         c x|g2|y of it, in layer j, adds c x.f(1|g2|1).y at (i, g).  Only the
         terms on the generators where f is nonzero are visited (through
-        the stage's by_target index), and the sums are kept in integers."""
+        the stage's by_target index), and the sums are kept in integers:
+        over Q they are returned as they are when their denominator is 1,
+        and divided into field scalars otherwise."""
         lift.ensure(stage)
         st = lift.stages[stage]
         by_gen, e = _by_generator(cochain, self.field)
@@ -340,7 +345,10 @@ class CupRing:
                         for w3, c3 in table[(w2, y)].items():
                             key = (i, g, w3)
                             acc[key] = acc.get(key, 0) + ccc * c2 * c3
-        return scalars(acc, self.field, st.den * e)
+        den = st.den * e
+        if den == 1 and not self.field.characteristic:
+            return {key: v for key, v in acc.items() if v}
+        return scalars(acc, self.field, den)
 
     def evaluate_word(self, word) -> dict:
         """Cochain of X_{i_1} ... X_{i_r} (tuple of generator indices); the
@@ -407,17 +415,28 @@ class CupRing:
         X3 acting on degree n itself.  Each candidate is reduced once
         against the span found so far, and kept if it enlarges it; the
         closure multiplies the kept words only, since the cup product is
-        bilinear on classes."""
+        bilinear on classes.
+
+        The candidates come by the degree of X_i, highest first: X14 times
+        the basis of degree n - 4 first, whose lift is the omega-shift, and
+        then the others, each needing stage n - deg X_i of X_i's lift, so
+        the lowest stages are asked for first.  The search stops once the
+        span reaches dim HH^n.  Every candidate lies in HH^n, so reaching
+        dim HH^n is exactly the span check's verdict, and the stop hides no
+        failure: a span that stays short tries every candidate and the
+        whole closure."""
         F = self.field
         bases = self._word_bases
+        letters = sorted(GENERATOR_BIDEGREES.items(), key=lambda x: -x[1][0])
         for n in range(len(bases), top + 1):
+            dim = len(self.cox.cocycle_basis(n))
             span = EchelonBasis(F)
 
             def enlarges(word):
-                return span.add(self.cox.class_coordinates(
-                    n, self.evaluate_word(word)))
+                return len(span) < dim and span.add(
+                    self.cox.class_coordinates(n, self.evaluate_word(word)))
 
-            cands = [u + (idx,) for idx, (d, _) in GENERATOR_BIDEGREES.items()
+            cands = [u + (idx,) for idx, (d, _) in letters
                      if 1 <= d <= n for u in bases[n - d]] if n else [()]
             keep = [w for w in cands if enlarges(w)]
             frontier = keep

@@ -537,18 +537,32 @@ class LinearSolver:
         so each coordinate is one integer dot product, made a scalar once:
         x[p] = (t . e b) / (den e) over Q, (t . b) mod p over F_p.
         """
+        dots, e = self._particular(rhs)
+        if dots is None:
+            return None
+        if self.field.characteristic:
+            return {self._pcols[t]: dots[t] for t in sorted(dots)}
+        return {self._pcols[t]: Fraction(dots[t], self._dens[t] * e)
+                for t in sorted(dots)}
+
+    def support(self, rhs):
+        """The pivot columns where solve(rhs) is nonzero, or None where it
+        is None, from the same dot products and with no scalar made."""
+        dots, _ = self._particular(rhs)
+        return None if dots is None else [self._pcols[t] for t in dots]
+
+    def _particular(self, rhs):
+        """(dots, e): b = e rhs in integers and {t: t-th transform row . b},
+        reduced mod p, for the nonzero dots; dots is None when a check row
+        does not vanish on b."""
         p = self.field.characteristic
         b, e = to_integers(rhs, self.field)
         if any(v % p if p else v for v in _dots(self._checks, b).values()):
-            return None
-        sol = {}
+            return None, e
         dots = _dots(self._transform, b)
-        for t in sorted(dots):
-            v = dots[t] % p if p else dots[t]
-            if v:
-                sol[self._pcols[t]] = (v if p else
-                                       Fraction(v, self._dens[t] * e))
-        return sol
+        if p:
+            return {t: r for t, v in dots.items() if (r := v % p)}, e
+        return {t: v for t, v in dots.items() if v}, e
 
 
 def _by_entry(rows):

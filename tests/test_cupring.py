@@ -324,6 +324,31 @@ def test_word_bases_are_bases_of_hh(field):
             assert span.add(fresh.cox.class_coordinates(
                 n, fresh.evaluate_word(w))), (n, w)
     assert fresh.word_bases(4) == bases[:5]
+    # X14 times the basis of degree n - 4 is tried first and all of it is
+    # kept: X14 is injective on HH^{<= 5}
+    for n in range(4, 10):
+        assert bases[n][:len(bases[n - 4])] == \
+            [u + (14,) for u in bases[n - 4]], n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_word_basis_products_are_composed_in_integers(field):
+    # every word of the bases to degree 8 is the left-to-right composition
+    # of its letters, and over Q, where every lift stage of the generators
+    # has denominator 1, its cochain holds plain ints
+    fresh = CupRing(field, max_n=8)
+    words = [w for ws in fresh.word_bases(8) for w in ws]
+    assert len(words) == 4 + 7 + 10 + 12 + 14 + 17 + 20 + 22 + 24
+    for word in words[1:]:
+        f, deg = fresh.generators[word[0]], GENERATOR_BIDEGREES[word[0]][0]
+        for idx in word[1:]:
+            f = fresh.compose_with_lift(
+                f, fresh.generator_lift(idx, horizon=deg), deg)
+            deg += GENERATOR_BIDEGREES[idx][0]
+        got = fresh.evaluate_word(word)
+        assert got == f, word
+        if not field.characteristic:
+            assert all(type(c) is int for c in got.values()), word
 
 
 def test_evaluate_word_equals_the_left_to_right_loop(ring):
@@ -382,6 +407,17 @@ def test_commutativity_names_a_short_basis(monkeypatch):
     rep = fresh.verify_graded_commutativity(max_total=3)
     assert not rep["ok"]
     assert rep["failures"] == [{"degree": 3, "basis": 11, "dim": 12}]
+
+
+def test_span_check_names_a_short_basis(monkeypatch):
+    # the word bases stop at dim HH^n, so a span that stays short must
+    # still be reported short: without X13, HH^3 is spanned to 11 of 12,
+    # and the degrees around it in full
+    monkeypatch.delitem(cupring.GENERATOR_BIDEGREES, 13)
+    rep = CupRing(QQ, max_n=6).verify_generating_set(4)
+    assert rep == {"ok": False, "degrees": {
+        1: {"spanned": 7, "dim": 7}, 2: {"spanned": 10, "dim": 10},
+        3: {"spanned": 11, "dim": 12}, 4: {"spanned": 14, "dim": 14}}}
 
 
 def test_commutativity_failures_in_failures_json(tmp_path, capsys,
@@ -546,21 +582,48 @@ def test_closed_form_products_equal_the_solved_ones(ring):
 def test_cup_defaults_lift_only_the_generators(tmp_path, capsys, monkeypatch):
     # every product is a composite of generator lifts: hh cup's default
     # checks build 15 lifts (the 14 generators and the unit, which X14's
-    # shifted lift reads) and factorise at most 32 delta-blocks (109 and 45
-    # when commutativity lifted every basis class)
+    # shifted lift reads), solve at most 58 stages and factorise at most 28
+    # delta-blocks (109 lifts and 45 blocks when commutativity lifted every
+    # basis class, 64 stages and 32 blocks when the word bases tried their
+    # candidates by generator index); the word bases make at most 400 class
+    # solves (1,368 when they reduced every candidate)
     rings = []
+    counts = {"stages": 0, "class solves": 0}
+    solve_stage = ChainLift._solve_stage
+
+    def counted_stage(self, k):
+        counts["stages"] += 1
+        return solve_stage(self, k)
 
     class Recorded(CupRing):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             rings.append(self)
+            coordinates = self.cox.class_coordinates
+            self.building = False
 
+            def counted_coordinates(n, elem):
+                counts["class solves"] += self.building
+                return coordinates(n, elem)
+
+            self.cox.class_coordinates = counted_coordinates
+
+        def word_bases(self, top):
+            self.building = True
+            try:
+                return super().word_bases(top)
+            finally:
+                self.building = False
+
+    monkeypatch.setattr(ChainLift, "_solve_stage", counted_stage)
     monkeypatch.setattr(cli, "CupRing", Recorded)
     assert cli.main(["cup", "--out", str(tmp_path)]) == 0
     assert "all checks passed" in capsys.readouterr().out
     (ring,) = rings
     assert len(ring._lifts) <= 15
-    assert len(ring._delta_solvers) <= 32
+    assert len(ring._delta_solvers) <= 28
+    assert counts["stages"] <= 58
+    assert counts["class solves"] <= 400
 
 
 def test_generator_stage_applied_to_a_generator_is_its_stored_value(ring):

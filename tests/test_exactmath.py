@@ -354,6 +354,9 @@ def test_solve_many_and_solver_equal_dense_oracle(data):
     solver = LinearSolver(m)
     for b, given_b, sol in zip(rhs, given_rhs, want):
         assert solver.solve(given_b) == m.solve_many([given_b])[0] == sol
+        # the support query: None with solve, else its nonzero columns
+        cols = solver.support(given_b)
+        assert cols is None if sol is None else sorted(cols) == sorted(sol)
         if sol is not None:
             assert apply(m, sol) == {i: v for i, v in b.items() if v != F.zero}
 
