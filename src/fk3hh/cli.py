@@ -136,6 +136,10 @@ def _max_n(args, cfg, default, least=0):
 
 
 class Runner:
+    """The checks of one command.  Its failure records are the list
+    args.failure_log when hh verify-all sets one for all its subcommands,
+    and a list of its own otherwise."""
+
     def __init__(self, args, cfg):
         self.field = field_from_name(_merge(args, cfg, "field", "q"))
         self.out = _merge(args, cfg, "out", "out")
@@ -144,7 +148,7 @@ class Runner:
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise UsageError(f"unknown format(s) {bad}; choose from {FORMATS}")
-        self.failures = []
+        self.failures = getattr(args, "failure_log", [])
 
     def check(self, label, ok, detail=""):
         print(f"[{'pass' if ok else 'FAIL'}] {label}" +
@@ -376,6 +380,9 @@ def cmd_verify_all(args, cfg):
     cfg = {**cfg, **dict.fromkeys(VERIFY_ALL_FLAGS, "1")}
     rc = 0
     wide_cup = functools.partial(cmd_cup, defaults=VERIFY_ALL_CUP)
+    # one failure log for every subcommand: failures.json lists them all,
+    # and once a check has failed no subcommand reports "all checks passed"
+    args = argparse.Namespace(**vars(args), failure_log=[])
     for fn in (cmd_homology, cmd_cohomology, wide_cup, cmd_gb, cmd_resolution):
         rc = max(rc, fn(args, cfg))
     if rc == 0 and field.characteristic == 0:

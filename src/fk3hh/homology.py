@@ -26,16 +26,40 @@ generator g over the terms of g's d and f images and, through M's action
 table of the nonzero products r.x.l, fills the twelve columns (x, g)
 together.  `diff_key` and `diff_elem` read those columns, shifted by i, and
 `rows` assembles a component's differential from them as raw integer rows,
-which `matrix` wraps in a SparseMat as they are and `rank` ranks
-(`InducedComplex` holds diff_key, diff_elem and rows, for the cochain
-complex too).  Nothing assembled is kept: only the ranks are memoised, once
-per omega-layer class.  Above m = 4 the (n, m) component has no omega_0
-layer and is the (n - 4, m - 2) component one layer up, differential
-included; at m = 4 its omega_0 columns map into M_5 = 0, so the rank is
-still that of (n - 4, 2), and `rank` ranks only components with m <= 3.
-`dim` counts the keys layer by layer without building a basis (memoised
-per n), so bases are built only for the components that are assembled;
-`fk3core.dual_basis` is memoised and read-only.
+which `matrix` wraps in a SparseMat as they are (`InducedComplex` holds
+diff_key, diff_elem and rows, for the cochain complex too).  Above m = 4
+the (n, m) component has no omega_0 layer and is the (n - 4, m - 2)
+component one layer up, differential included; at m = 4 its omega_0
+columns map into M_5 = 0, so the rank is still that of (n - 4, 2), and
+`rank` ranks only components with m <= 3, memoised once per omega-layer
+class.  `dim` counts the keys layer by layer without building a basis
+(memoised per n), so bases are built only for the components that are
+assembled; `fk3core.dual_basis` is memoised and read-only.
+
+Up to the samples below, `rank` ranks `matrix(n, m)`.  Above them it
+ranks `template_rows(n, m)`: the same rows, evaluated from a template of
+entries a + b n, one per (n mod 2, m) for m = 0..3, by this lemma:
+
+    For n >= 12 and m <= 3 the source (n, m) has the layers i = 0, 1 and
+    the target (n - 1, m + 1) the layers i = 0, 1, 2, of dual degrees
+    n - 4i >= 8 and n - 1 - 4i >= 3, and every dual degree >= 3 carries
+    all six tags; so the key positions do not depend on n.  Each entry is
+    a sum of action-table constants times coefficients of
+    koszul_on_gen(deg, g), which depend on the parity of deg alone for
+    deg >= 4, and of fb_on_gen(deg, g), affine in deg per parity for
+    deg >= 3 (chi, (-1)^deg, deg - 1, deg - 2, constants), at
+    deg = n - 4i.  So each entry is affine in n per parity, and
+    STABLE_N = 12.
+
+The template is fitted from `rows` at the samples n0 = STABLE_N + parity
+and n0 + 2, and confirmed against `rows` at n0 + 4 before it is used; a
+fit that does not reproduce the third sample raises ArithmeticError.  The
+samples are the degrees STABLE_N..STABLE_N + 5, and `rank` reads the
+templates from STABLE_N + 6 on, so a complex ranked only below that fits
+none, and `rank` derives columns only for degrees below it.  `rows` and
+`columns` stay the one source of the differential (the cochain side and
+`diff_elem` read them at every degree).  Nothing assembled is kept but the
+templates.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 published representative families; `fk3hh.paperdata` checks those against
@@ -58,6 +82,11 @@ from .fk3core import (
 )
 from .resolution import gen_image
 
+# the degree from which the rank matrices are affine in n per parity (the
+# lemma in the module docstring): the templates are fitted at the degrees
+# STABLE_N..STABLE_N + 5, and rank() reads them from STABLE_N + 6 on
+STABLE_N = 12
+
 
 @cache
 def action_table(coefficients: str) -> dict:
@@ -76,6 +105,12 @@ def action_table(coefficients: str) -> dict:
         return {(r, l): () if WORD_DEGREE[r] else t
                 for (r, l), t in table.items()}
     raise ValueError(f"no coefficient bimodule {coefficients!r}")
+
+
+def _evaluate(template, n: int) -> list:
+    """The raw integer rows of an affine template at n, zeros dropped."""
+    return [{j: v for j, (a, b) in row.items() if (v := a + b * n)}
+            for row in template]
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +170,7 @@ class HomologyComplex(InducedComplex):
         self.coefficients = coefficients
         self._dim = {}
         self._rank = {}
+        self._templates = {}
 
     def max_m(self, n=None) -> int:
         n = self.max_n if n is None else n
@@ -218,8 +254,47 @@ class HomologyComplex(InducedComplex):
         if n < 1 or m < 0 or not self.dim(n, m):
             return 0
         if (n, m) not in self._rank:
-            self._rank[(n, m)] = self.matrix(n, m).rank()
+            if n < STABLE_N + 6:
+                mat = self.matrix(n, m)
+            else:
+                mat = SparseMat.from_rows(*self.template_rows(n, m),
+                                          self.field)
+            self._rank[(n, m)] = mat.rank()
         return self._rank[(n, m)]
+
+    def template_rows(self, n: int, m: int):
+        """rows(n, m) for n >= STABLE_N and 0 <= m <= 3, evaluated from the
+        affine template of n's parity, fitted and confirmed on first use."""
+        key = (n % 2, m)
+        if key not in self._templates:
+            self._templates[key] = self._fit_template(*key)
+        template, ncols = self._templates[key]
+        return _evaluate(template, n), ncols
+
+    def _fit_template(self, parity: int, m: int):
+        """([{column: (a, b)}], ncols): the rows of rows(n, m) as a + b n
+        for the n >= STABLE_N of this parity, through the samples n0 and
+        n0 + 2, n0 = STABLE_N + parity; raises ArithmeticError unless it
+        reproduces rows(n0 + 4, m) exactly."""
+        n0 = STABLE_N + parity
+        (rows0, ncols), (rows2, ncols2) = self.rows(n0, m), self.rows(n0 + 2, m)
+        if (len(rows0), ncols) != (len(rows2), ncols2):
+            raise ArithmeticError(f"the (n, {m}) shape varies with n")
+        template = []
+        for row0, row2 in zip(rows0, rows2):
+            row = {}
+            for j in sorted(row0.keys() | row2.keys()):
+                b, odd = divmod(row2.get(j, 0) - row0.get(j, 0), 2)
+                if odd:
+                    raise ArithmeticError(f"the (n, {m}) entries are not "
+                                          "integral affine in n")
+                row[j] = (row0.get(j, 0) - b * n0, b)
+            template.append(row)
+        n4 = n0 + 4
+        if (_evaluate(template, n4), ncols) != self.rows(n4, m):
+            raise ArithmeticError(f"the affine fit of the (n, {m}) rows "
+                                  f"through n = {n0}, {n0 + 2} misses n = {n4}")
+        return template, ncols
 
     def dim_boundaries(self, n: int, m: int) -> int:
         return self.rank(n + 1, m - 1)

@@ -5,7 +5,8 @@ import pytest
 from fk3hh.cohomology import CohomologyComplex
 from fk3hh.exactmath import QQ, PrimeField, SparseMat
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
-from fk3hh.homology import HomologyComplex
+from fk3hh import cli, resolution
+from fk3hh.homology import STABLE_N, HomologyComplex
 from fk3hh.paperdata import (
     cyclic_series_formula,
     homology_representatives,
@@ -341,6 +342,53 @@ def test_layer_class_ranks_equal_direct_ranks(field, top):
             assert co.dim(n, m) == len(co.basis(n, m)), ("cohomology", n, m)
             assert co.rank(n, m) == co.matrix(n, m).rank(), \
                 ("cohomology", n, m)
+
+
+@pytest.mark.parametrize("coefficients", ["A", "A_nu", "eps A"])
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["f7", "q"])
+def test_template_rows_equal_assembled_rows(field, coefficients):
+    """From STABLE_N on, the affine template gives the raw integer rows
+    that rows() assembles, entry for entry, to degree 100."""
+    hom = HomologyComplex(field, 100, coefficients)
+    for n in range(STABLE_N, 101):
+        for m in range(4):
+            assert hom.template_rows(n, m) == hom.rows(n, m), (n, m)
+
+
+@pytest.fixture
+def squared_fb_coefficient(monkeypatch):
+    """f_n on the tag ab with (n - 1)^2 in place of its first coefficient
+    n - 1: a differential that is not affine in n."""
+    fb_terms = resolution._fb_terms
+
+    def skewed(n, tag):
+        terms = fb_terms(n, tag)
+        if tag == "ab" and terms:
+            terms = [((n - 1) ** 2,) + terms[0][1:]] + terms[1:]
+        return terms
+
+    monkeypatch.setattr(resolution, "_fb_terms", skewed)
+    resolution.fb_on_gen.cache_clear()
+    resolution.koszul_on_gen.cache_clear()
+    yield
+    monkeypatch.undo()
+    resolution.fb_on_gen.cache_clear()
+    resolution.koszul_on_gen.cache_clear()
+
+
+def test_template_fit_that_misses_raises(squared_fb_coefficient, tmp_path,
+                                         capsys):
+    # the (n, 2) rows of odd n carry the tag ab of f at degree n - 4: the
+    # fit through n = 13, 15 misses n = 17, so the first odd rank above the
+    # samples raises, and the even ones do not
+    hom = HomologyComplex(QQ, 30)
+    assert hom.rank(STABLE_N + 6, 2) == hom.matrix(STABLE_N + 6, 2).rank()
+    with pytest.raises(ArithmeticError):
+        hom.rank(STABLE_N + 7, 2)
+    rc = cli.main(["homology", "--max-n", "30", "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "internal error" in captured.err and "[pass]" not in captured.out
 
 
 @pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["f7", "q"])

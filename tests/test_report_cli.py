@@ -4,6 +4,7 @@ import os
 import pytest
 
 from fk3hh import cli, paperdata
+from fk3hh import ncgroebner as ncg
 from fk3hh.report import UsageError, emit_table, write_outputs
 
 
@@ -153,6 +154,50 @@ def test_verify_all_runs_printed_basis_and_representative_checks(
                   "leading words equal the published ones",
                   "mutual reduction vanishes"):
         assert f"[pass] {label}" in lines
+
+
+def test_verify_all_reports_the_failures_of_every_subcommand(
+        tmp_path, capsys, monkeypatch):
+    # one closed-formula term of the cohomology series is wrong, and the
+    # published basis lacks one element, so one lead word is missing; the
+    # cup command and its degree check are stubbed out, as --max-n 4 is
+    # below what the cup checks need
+    series = paperdata.cohomology_series_formula
+    monkeypatch.setattr(paperdata, "cohomology_series_formula", lambda n: (
+        {**series(n), 0: series(n).get(0, 0) + 1} if n == 3 else series(n)))
+    published = ncg.load_published_basis
+    monkeypatch.setattr(ncg, "load_published_basis",
+                        lambda alg: published(alg)[1:])
+    monkeypatch.setattr(cli, "cmd_cup", lambda args, cfg, defaults: 0)
+    monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
+    out = tmp_path / "o"
+    rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    failed = [line[len("[FAIL] "):] for line in lines
+              if line.startswith("[FAIL] ")]
+    assert "cohomology series match the closed formulas" in failed
+    assert "leading words equal the published ones" in failed
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith("[FAIL]"))
+    assert "all checks passed" not in lines[first:]
+    assert "[pass] exactness by rank at degree 4" in lines  # resolution ran
+    assert lines[-1] == f"{len(failed)} check(s) failed; report at " \
+        f"{out / 'failures.json'}"
+    records = json.loads((out / "failures.json").read_text())["failures"]
+    assert [r["check"] for r in records] == failed
+
+
+def test_cli_homology_and_cohomology_to_degree_200(tmp_path, capsys):
+    # the closed formulas hold through the affine template far above where
+    # the assembled matrices are compared with it
+    for argv in (["homology"], ["cohomology", "--field", "prime:10007"]):
+        rc = cli.main([*argv, "--max-n", "200", "--out", str(tmp_path / "o")])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 0, argv
+        checks = [line for line in lines if line.startswith("[")]
+        assert len(checks) == 2 and all(
+            line.startswith("[pass] ") for line in checks), argv
 
 
 def test_cli_representative_check_can_fail(tmp_path, capsys, monkeypatch):
