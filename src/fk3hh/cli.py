@@ -4,15 +4,20 @@ Commands recompute their objects from scratch, verify them against the
 published closed formulas, write machine/human-readable tables under the
 output directory, and exit 0 only when every requested check passes
 (1 on a verification failure, 2 on usage errors, among them a --max-n that
-leaves an empty degree range, a cup degree beyond --max-n or a --gb-bound
-below the longest relation word, rejected before any work or output; 3 on
-an internal error of the engine).
+leaves an empty degree range, a cup degree beyond --max-n, a --gb-bound
+below the longest relation word or cyclic homology asked of a prime field,
+rejected before any work or output; 3 on an internal error of the engine).
+
+Every check prints a [pass]/[FAIL] line; a run closes with one line, "all
+checks passed" or the count of failures and the path of <out>/failures.json
+(each record: command, check, detail).  hh verify-all runs every command,
+cyclic over Q only, even after a failed check, and writes each one's
+tables under <out>/<command>/ as that command alone writes them to --out.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -136,42 +141,51 @@ def _max_n(args, cfg, default, least=0):
 
 
 class Runner:
-    """The checks of one command.  Its failure records are the list
-    args.failure_log when hh verify-all sets one for all its subcommands,
-    and a list of its own otherwise."""
+    """The check log of one hh run, with the field and formats it asks for.
+    Tables go to `out`: --out, or <out>/<command> in a step of hh
+    verify-all; failures.json always goes to --out."""
 
     def __init__(self, args, cfg):
         self.field = field_from_name(_merge(args, cfg, "field", "q"))
-        self.out = _merge(args, cfg, "out", "out")
+        self.root = self.out = _merge(args, cfg, "out", "out")
+        self.report = os.path.join(self.root, "failures.json")
         fmts = _merge(args, cfg, "formats", "json,csv,markdown")
         self.formats = tuple(f.strip() for f in fmts.split(","))
         bad = [f for f in self.formats if f not in FORMATS]
         if bad:
             raise UsageError(f"unknown format(s) {bad}; choose from {FORMATS}")
-        self.failures = getattr(args, "failure_log", [])
+        self.command = args.command
+        self.failures = []
+
+    def step(self, command, handler, *args):
+        """handler(self, *args) as the step `command` of hh verify-all: its
+        failures name that command and its tables go to <out>/<command>."""
+        self.command = command
+        self.out = os.path.join(self.root, command)
+        handler(self, *args)
 
     def check(self, label, ok, detail=""):
         print(f"[{'pass' if ok else 'FAIL'}] {label}" +
               (f": {detail}" if detail and not ok else ""))
-        if not ok:
-            self.failures.append({"check": label, "detail": str(detail)})
+        if not ok:  # written at once, so that a later fault keeps it
+            self.failures.append({"command": self.command, "check": label,
+                                  "detail": str(detail)})
+            os.makedirs(self.root, exist_ok=True)
+            with open(self.report, "w", encoding="utf-8") as fh:
+                json.dump({"failures": self.failures}, fh, indent=1,
+                          sort_keys=True)
         return ok
 
     def finish(self):
         if self.failures:
-            os.makedirs(self.out, exist_ok=True)
-            path = os.path.join(self.out, "failures.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"failures": self.failures}, fh, indent=1,
-                          sort_keys=True)
-            print(f"{len(self.failures)} check(s) failed; report at {path}")
+            print(f"{len(self.failures)} check(s) failed; report at "
+                  f"{self.report}")
             return 1
         print("all checks passed")
         return 0
 
 
-def cmd_homology(args, cfg):
-    r = Runner(args, cfg)
+def cmd_homology(r, args, cfg):
     max_n = _max_n(args, cfg, 60)
     verify_reps = _flag(args, cfg, "verify-representatives")
     cx = HomologyComplex(r.field, max_n=max_n)
@@ -191,11 +205,9 @@ def cmd_homology(args, cfg):
     write_outputs(r.out, "hh-dims", {"grid": grid, "totals": totals},
                   r.formats)
     write_outputs(r.out, "hilbert", {"series": series}, r.formats)
-    return r.finish()
 
 
-def cmd_cohomology(args, cfg):
-    r = Runner(args, cfg)
+def cmd_cohomology(r, args, cfg):
     max_n = _max_n(args, cfg, 60)
     cx = CohomologyComplex(r.field, max_n=max_n)
     grid, totals = cx.cohomology_dims(max_n)
@@ -209,22 +221,18 @@ def cmd_cohomology(args, cfg):
     write_outputs(r.out, "hhco-dims", {"grid": grid, "totals": totals},
                   r.formats)
     write_outputs(r.out, "hilbert", {"series": series}, r.formats)
-    return r.finish()
 
 
-def cmd_cyclic(args, cfg):
-    r = Runner(args, cfg)
+def cmd_cyclic(r, args, cfg):
     max_n = _max_n(args, cfg, 12)
     if r.field.characteristic != 0:
-        print("cyclic homology needs characteristic zero", file=sys.stderr)
-        return 2
+        raise UsageError("cyclic homology needs characteristic zero")
     cx = HomologyComplex(r.field, max_n=max_n)
     gs = cx.cyclic_series(max_n)
     ok = all(gs[n] == paperdata.cyclic_series_formula(n)
              for n in range(max_n + 1))
     r.check("cyclic series match the closed formulas", ok)
     write_outputs(r.out, "cyclic", {"series": dict(enumerate(gs))}, r.formats)
-    return r.finish()
 
 
 # hh cup's default bounds, and the wider ones hh verify-all checks
@@ -261,8 +269,7 @@ def _cup_degrees(args, cfg, defaults, rels):
     return gen_degree, comm_degree, max_n
 
 
-def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
-    r = Runner(args, cfg)
+def cmd_cup(r, args, cfg, defaults=CUP_DEFAULTS):
     alg = ncg.ring_algebra(r.field)
     comm_rels = ncg.load_commutation_relations(alg)
     ideal_rels = ncg.load_ideal_relations(alg)
@@ -290,7 +297,6 @@ def cmd_cup(args, cfg, defaults=CUP_DEFAULTS):
             minrep)
     table = ring.multiplication_table()
     write_outputs(r.out, "cup-table", {"pairs": table}, r.formats)
-    return r.finish()
 
 
 def _ring_relations(field):
@@ -310,8 +316,7 @@ def _gb_bound(args, cfg, rels):
     return bound
 
 
-def cmd_gb(args, cfg):
-    r = Runner(args, cfg)
+def cmd_gb(r, args, cfg):
     alg, rels = _ring_relations(r.field)
     bound = _gb_bound(args, cfg, rels)
     verify_printed = _flag(args, cfg, "verify-printed")
@@ -327,10 +332,10 @@ def cmd_gb(args, cfg):
         ok = all(ncg.normal_form(p, gb) == {} for p in pub) and \
             all(ncg.normal_form(p, pub_basis) == {} for p in gb.polys)
         r.check("mutual reduction vanishes", ok)
-    counts = ncg.standard_word_counts(gb, up_to_hom_degree=20)
-    words = ncg.standard_words(gb, up_to_hom_degree=16)
-    by_len = {}
-    for w in words:
+    counts, by_len = {}, {}  # by bidegree, and by length
+    for w in ncg.standard_words(gb, up_to_hom_degree=20):
+        bd = alg.word_bidegree(w)
+        counts[bd] = counts.get(bd, 0) + 1
         by_len[len(w)] = by_len.get(len(w), 0) + 1
     r.check("46 standard words of length 2", by_len.get(2) == 46, by_len)
     r.check("68 standard words of length 3", by_len.get(3) == 68, by_len)
@@ -347,11 +352,9 @@ def cmd_gb(args, cfg):
         "input": len(rels), "basis": len(gb),
         "std_words": {k: by_len.get(k, 0) for k in (2, 3, 4)},
     }, r.formats)
-    return r.finish()
 
 
-def cmd_resolution(args, cfg):
-    r = Runner(args, cfg)
+def cmd_resolution(r, args, cfg):
     max_n = _max_n(args, cfg, 40, least=1)
     # P is exact in degrees 0..n exactly when P (x)_A k is (homology.py)
     bad = []
@@ -367,27 +370,22 @@ def cmd_resolution(args, cfg):
     bad = res.square_zero_defects()
     r.check(f"delta^2 = 0 (d^2 = 0 and d f + f d = 0 on every generator to "
             f"degree {res.max_n})", not bad, f"fails at degrees {bad}")
-    return r.finish()
 
 
-def cmd_verify_all(args, cfg):
-    field = Runner(args, cfg).field  # a bad field or format fails first
-    rels = _ring_relations(field)[1]
-    _gb_bound(args, cfg, rels)
-    _cup_degrees(args, cfg, VERIFY_ALL_CUP, rels)  # and so do bad cup degrees
+def cmd_verify_all(r, args, cfg):
+    rels = _ring_relations(r.field)[1]
+    _gb_bound(args, cfg, rels)  # a bad bound fails before any work,
+    _cup_degrees(args, cfg, VERIFY_ALL_CUP, rels)  # so do bad cup degrees
     for key in VERIFY_ALL_FLAGS:  # and so does a bad on/off value
         _flag(args, cfg, key)
     cfg = {**cfg, **dict.fromkeys(VERIFY_ALL_FLAGS, "1")}
-    rc = 0
-    wide_cup = functools.partial(cmd_cup, defaults=VERIFY_ALL_CUP)
-    # one failure log for every subcommand: failures.json lists them all,
-    # and once a check has failed no subcommand reports "all checks passed"
-    args = argparse.Namespace(**vars(args), failure_log=[])
-    for fn in (cmd_homology, cmd_cohomology, wide_cup, cmd_gb, cmd_resolution):
-        rc = max(rc, fn(args, cfg))
-    if rc == 0 and field.characteristic == 0:
-        rc = max(rc, cmd_cyclic(args, cfg))
-    return rc
+    r.step("homology", cmd_homology, args, cfg)
+    r.step("cohomology", cmd_cohomology, args, cfg)
+    r.step("cup", cmd_cup, args, cfg, VERIFY_ALL_CUP)
+    r.step("gb", cmd_gb, args, cfg)
+    r.step("resolution", cmd_resolution, args, cfg)
+    if r.field.characteristic == 0:
+        r.step("cyclic", cmd_cyclic, args, cfg)
 
 
 def main(argv=None):
@@ -416,7 +414,8 @@ def main(argv=None):
         "verify-all": cmd_verify_all,
     }
     try:
-        return handlers[args.command](args, cfg)
+        r = Runner(args, cfg)
+        handlers[args.command](r, args, cfg)
     except (FieldError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -425,6 +424,7 @@ def main(argv=None):
         traceback.print_exc()
         print("internal error", file=sys.stderr)
         return 3
+    return r.finish()
 
 
 if __name__ == "__main__":

@@ -146,12 +146,13 @@ class LiftStage:
 class ChainLift:
     """Chain self-map of the resolution lifting a degree-m cocycle; its
     stages are built in closed form where the module docstring gives one,
-    and solved otherwise."""
+    and solved otherwise.  It keeps no reference to its ring, so that a ring
+    is freed without a cycle collection: ensure takes the ring instead."""
 
-    def __init__(self, ring: "CupRing", cochain: dict):
-        self.ring = ring
+    def __init__(self, field, cochain: dict):
+        self.field = field
         self.m, self.intdeg = cochain_degrees(cochain)
-        self.grouped = _by_generator(cochain, ring.field)
+        self.grouped = _by_generator(cochain, field)
         # phi' with phi = phi' S, when phi is supported in layers i >= 1
         self.lowered = None
         if all(i for i, _, _ in cochain):
@@ -159,8 +160,8 @@ class ChainLift:
                             for (i, g, w), c in cochain.items()}
         self.stages = []  # stage k: a LiftStage on the generators of P^b_{k+m}
 
-    def ensure(self, horizon: int):
-        res = self.ring.res
+    def ensure(self, ring: "CupRing", horizon: int):
+        res = ring.res
         while len(self.stages) <= horizon:
             k = len(self.stages)
             if k + self.m > res.max_n:
@@ -169,7 +170,7 @@ class ChainLift:
                     f"{k + self.m}, built only to {res.max_n}")
             if self.lowered is not None:
                 # stage k of phi' on omega_{i-1} g, moved to omega_i g
-                low = self.ring.lift(self.lowered, k).stages[k]
+                low = ring.lift(self.lowered, k).stages[k]
                 stage = LiftStage({(i + 1, g): img for (i, g), img
                                    in low.images.items()}, low.den)
             elif self.m == 0:
@@ -187,17 +188,16 @@ class ChainLift:
                                          for w, c in terms}
                                    for gen, terms in by_gen.items()}, e)
             else:
-                stage = self._solve_stage(k)
+                stage = self._solve_stage(ring, k)
             self.stages.append(stage)
 
-    def _solve_stage(self, k: int) -> LiftStage:
+    def _solve_stage(self, ring: "CupRing", k: int) -> LiftStage:
         """Solve stage k >= 1 generator by generator.  The right-hand side
         is stage k - 1 on delta(1|g|1), an integer vector over a denominator
         d; it is solved as it is and the solution divided by d (the solver
         is linear)."""
-        ring = self.ring
         res = ring.res
-        F = ring.field
+        F = self.field
         m = self.m
         values = {}
         # group by the internal degree of the solved component
@@ -223,7 +223,7 @@ class ChainLift:
         stage = self.stages[k]
         images = stage.images
         table = mul_table()
-        elem, e = to_integers(elem, self.ring.field)
+        elem, e = to_integers(elem, self.field)
         acc = {}
         for (i, x, g, y), c in elem.items():
             val = images.get((i, g))
@@ -245,7 +245,7 @@ class ChainLift:
         integers over a common denominator, the products are summed in
         integers and each output coefficient is made a scalar once."""
         acc, den = self._image(k, elem)
-        return scalars(acc, self.ring.field, den)
+        return scalars(acc, self.field, den)
 
 
 class CupRing:
@@ -307,8 +307,8 @@ class CupRing:
             n, _ = cochain_degrees(cochain)
             if self.cox.diff_elem(n, cochain):
                 raise ValueError("lift requested for a non-cocycle")
-            lift = self._lifts[key] = ChainLift(self, cochain)
-        lift.ensure(horizon)
+            lift = self._lifts[key] = ChainLift(self.field, cochain)
+        lift.ensure(self, horizon)
         return lift
 
     def generator_lift(self, idx: int, horizon: int) -> ChainLift:
@@ -317,7 +317,7 @@ class CupRing:
         if lift is None:
             lift = self._generator_lifts[idx] = self.lift(
                 self.generators[idx], horizon)
-        lift.ensure(horizon)
+        lift.ensure(self, horizon)
         return lift
 
     def compose_with_lift(self, cochain: dict, lift: ChainLift, stage: int):
@@ -330,7 +330,7 @@ class CupRing:
         the stage's by_target index), and the sums are kept in integers:
         over Q they are returned as they are when their denominator is 1,
         and divided into field scalars otherwise."""
-        lift.ensure(stage)
+        lift.ensure(self, stage)
         st = lift.stages[stage]
         by_gen, e = _by_generator(cochain, self.field)
         index = st.by_target()

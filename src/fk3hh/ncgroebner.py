@@ -436,15 +436,6 @@ def standard_words(basis: GBasis, up_to_hom_degree, max_len=None):
     return out
 
 
-def standard_word_counts(basis: GBasis, up_to_hom_degree):
-    """Counts of standard words per bidegree (hom, internal)."""
-    counts = {}
-    for w in standard_words(basis, up_to_hom_degree):
-        bd = basis.algebra.word_bidegree(w)
-        counts[bd] = counts.get(bd, 0) + 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # the cohomology-ring presentation data
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ rewrite and subtracts scaled copies of the monic basis elements.  Its
 instead of the default one; on a confluent basis the remainder is the same.
 `complete_all_pairs` is the completion loop that seeks the overlaps of every
 new element against every lead, with S-polynomials in field scalars.
-`brute_force_standard_words` enumerates every word of a length;
+`brute_force_standard_words` enumerates every word of a length, and
+`standard_word_counts` counts the standard words per bidegree;
 `format_poly` writes a polynomial in the relation files' text format.
 """
 
@@ -119,6 +120,15 @@ def brute_force_standard_words(basis: GBasis, length):
                    for i in range(length) for j in range(i + 1, length + 1)):
             out.append(w)
     return out
+
+
+def standard_word_counts(basis: GBasis, up_to_hom_degree):
+    """Counts of standard words per bidegree (hom, internal)."""
+    counts = {}
+    for w in ncg.standard_words(basis, up_to_hom_degree):
+        bd = basis.algebra.word_bidegree(w)
+        counts[bd] = counts.get(bd, 0) + 1
+    return counts
 
 
 def poly_bidegree(algebra, p):

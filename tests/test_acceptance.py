@@ -9,6 +9,7 @@ import pytest
 
 from fk3_reference import AlgElem, dual_word_left_action
 from image_tables import tables_agree_with_maps
+from nc_reference import standard_word_counts
 from paper_data import HOMOLOGY_GRID, HOMOLOGY_TOTALS
 from resolution_reference import koszul_diff_elem
 
@@ -177,7 +178,7 @@ def test_criterion_8_groebner(coh_q):
     # and the x*x14 periodicity: 68 + 20 = 88.
     ok = ok and by_len.get(2) == 46 and by_len.get(3) == 68 \
         and by_len.get(4) == 88
-    counts = ncg.standard_word_counts(gb, up_to_hom_degree=20)
+    counts = standard_word_counts(gb, up_to_hom_degree=20)
     for n in range(0, 21):
         gbrow = {d: c for (h, d), c in counts.items() if h == n}
         if gbrow != coh_q.hilbert_series(n):

@@ -1,7 +1,9 @@
 import ast
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -62,17 +64,16 @@ def cup(ring, f: dict, g: dict) -> dict:
                                       ring.compose_with_lift(f, lift, nf))
 
 
-def perturb_stage(lift, k: int, seed: int = 0):
-    """Replace stage k of a ChainLift by another valid solution (adds a
-    kernel vector).
+def perturb_stage(ring, lift, k: int, seed: int = 0):
+    """Replace stage k of a ChainLift of ring by another valid solution
+    (adds a kernel vector).
 
     Later stages are discarded and re-solved; the class of any product
     computed through the lift must not change (lift independence).
     """
-    ring = lift.ring
     res = ring.res
     F = ring.field
-    lift.ensure(k)
+    lift.ensure(ring, k)
     stage = {gen: stage_value(lift.stages[k], gen, F)
              for gen in lift.stages[k].images}
     changed = False
@@ -153,12 +154,12 @@ class SolvedLift(ChainLift):
     augmentation system, the later stages the delta-blocks."""
 
     def __init__(self, ring, cochain: dict):
-        super().__init__(ring, cochain)
+        super().__init__(ring.field, cochain)
         self.stages = [augmentation_stage(ring, cochain)]
 
-    def ensure(self, horizon: int):
+    def ensure(self, ring, horizon: int):
         while len(self.stages) <= horizon:
-            self.stages.append(self._solve_stage(len(self.stages)))
+            self.stages.append(self._solve_stage(ring, len(self.stages)))
 
 
 def test_multiplication_lift_of_abac(ring):
@@ -270,18 +271,33 @@ def test_internal_degree_additivity(ring):
         assert intd == GENERATOR_BIDEGREES[i][1] + GENERATOR_BIDEGREES[j][1]
 
 
+def test_a_ring_is_freed_by_reference_counting():
+    # no lift refers back to the ring that caches it, so a ring that has
+    # built lifts is freed once its last name goes, with no cycle collection
+    gc.disable()
+    try:
+        fresh = CupRing(QQ, max_n=6)
+        assert fresh.verify_generating_set(4)["ok"]
+        assert fresh._lifts
+        freed = weakref.ref(fresh)
+        del fresh
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_lift_independence(ring):
     # perturbing a lift stage by kernel vectors must not change any class
     fresh = CupRing(QQ, max_n=12)
     lift = fresh.generator_lift(9, horizon=2)
     base = fresh.word_class((9, 9))
-    changed = perturb_stage(lift, 2, seed=1)
+    changed = perturb_stage(fresh, lift, 2, seed=1)
     assert changed
-    lift.ensure(2)
+    lift.ensure(fresh, 2)
     prod = fresh.compose_with_lift(fresh.generators[9], lift, 2)
     assert fresh.cox.class_coordinates(4, prod) == base
     # deeper stages rebuilt on top of the perturbed one stay consistent
-    lift.ensure(3)
+    lift.ensure(fresh, 3)
     prod = fresh.compose_with_lift(fresh.generators[13], lift, 3)
     assert fresh.cox.class_coordinates(5, prod) == fresh.word_class((13, 9))
 
@@ -516,7 +532,7 @@ def test_every_kind_of_lift_stops_at_the_resolution():
         lift = fresh.lift(cochain, horizon=6 - m)
         assert lift.m == m
         with pytest.raises(LiftError):
-            lift.ensure(7 - m)
+            lift.ensure(fresh, 7 - m)
         assert len(lift.stages) == 7 - m
         with pytest.raises(LiftError):
             fresh.lift(cochain, horizon=7 - m)
@@ -591,9 +607,9 @@ def test_cup_defaults_lift_only_the_generators(tmp_path, capsys, monkeypatch):
     counts = {"stages": 0, "class solves": 0}
     solve_stage = ChainLift._solve_stage
 
-    def counted_stage(self, k):
+    def counted_stage(self, ring, k):
         counts["stages"] += 1
-        return solve_stage(self, k)
+        return solve_stage(self, ring, k)
 
     class Recorded(CupRing):
         def __init__(self, *args, **kwargs):
@@ -815,7 +831,7 @@ def test_generator_lifts_equal_the_solved_lifts(field):
         top = 8 - GENERATOR_BIDEGREES[idx][0]
         lift = ring.generator_lift(idx, horizon=top)
         solved = SolvedLift(ring, ring.generators[idx])
-        solved.ensure(top)
+        solved.ensure(ring, top)
         for k in range(top + 1):
             for gen in ring.res.pb_gens(k + lift.m):
                 assert stage_value(lift.stages[k], gen, field) == \
@@ -847,16 +863,17 @@ def test_compose_with_lift_equals_reference(request, which):
             assert all(v != F.zero and F.of(v) == v for v in got.values())
 
 
-def run_cup_over_prime_field(ring, argv, out, capsys):
+def run_cup_over_prime_field(ring, argv, out, capsys, tables=""):
     """Run hh with argv over F_10007; check that every cup check passed and
-    that the table is the rational one reduced mod p.  Returns the lines."""
+    that the table, under out/tables, is the rational one reduced mod p.
+    Returns the lines."""
     F = PrimeField(10007)
     rc = cli.main([*argv, "--field", "prime:10007", "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert sum(line.startswith("[pass]") for line in lines) == 5
     assert not any(line.startswith("[FAIL]") for line in lines)
-    got = json.loads((out / "cup-table.json").read_text())["products"]
+    got = json.loads((out / tables / "cup-table.json").read_text())["products"]
     want = {f"{i},{j}": {str(k): str(F.of(v)) for k, v in cls.items()}
             for (i, j), cls in ring.multiplication_table().items()}
     assert got == want
@@ -871,12 +888,13 @@ def test_cli_cup_over_prime_field_reduces_the_rational_table(
 def test_verify_all_checks_the_cup_products_wider(
         ring, tmp_path, capsys, monkeypatch):
     # hh verify-all runs the cup checks with --max-n 16, the span to degree
-    # 12 and commutativity to 9 (hh cup's own defaults are 12, 8 and 7);
-    # the other commands are stubbed out here
+    # 12 and commutativity to 9 (hh cup's own defaults are 12, 8 and 7),
+    # and writes the table under <out>/cup; the other commands are stubbed
+    # out here
     for name in ("cmd_homology", "cmd_cohomology", "cmd_gb",
                  "cmd_resolution"):
-        monkeypatch.setattr(cli, name, lambda args, cfg: 0)
+        monkeypatch.setattr(cli, name, lambda r, args, cfg: None)
     lines = run_cup_over_prime_field(ring, ["verify-all"], tmp_path / "o",
-                                     capsys)
+                                     capsys, tables="cup")
     assert "[pass] graded commutativity to total degree 9" in lines
     assert "[pass] generator span to degree 12" in lines

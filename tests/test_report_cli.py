@@ -144,9 +144,9 @@ def test_verify_all_runs_printed_basis_and_representative_checks(
         tmp_path, capsys, monkeypatch):
     # the cup and resolution commands are stubbed out here, and so is the
     # cup's degree check, which rejects --max-n 4 up front
-    monkeypatch.setattr(cli, "cmd_cup", lambda args, cfg, defaults: 0)
+    monkeypatch.setattr(cli, "cmd_cup", lambda r, args, cfg, defaults: None)
     monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
-    monkeypatch.setattr(cli, "cmd_resolution", lambda args, cfg: 0)
+    monkeypatch.setattr(cli, "cmd_resolution", lambda r, args, cfg: None)
     rc = cli.main(["verify-all", "--max-n", "4", "--out", str(tmp_path / "o")])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0
@@ -156,19 +156,24 @@ def test_verify_all_runs_printed_basis_and_representative_checks(
         assert f"[pass] {label}" in lines
 
 
+def break_cohomology_series(monkeypatch):
+    """Make one closed-formula term of the cohomology series wrong."""
+    series = paperdata.cohomology_series_formula
+    monkeypatch.setattr(paperdata, "cohomology_series_formula", lambda n: (
+        {**series(n), 0: series(n).get(0, 0) + 1} if n == 3 else series(n)))
+
+
 def test_verify_all_reports_the_failures_of_every_subcommand(
         tmp_path, capsys, monkeypatch):
     # one closed-formula term of the cohomology series is wrong, and the
     # published basis lacks one element, so one lead word is missing; the
     # cup command and its degree check are stubbed out, as --max-n 4 is
     # below what the cup checks need
-    series = paperdata.cohomology_series_formula
-    monkeypatch.setattr(paperdata, "cohomology_series_formula", lambda n: (
-        {**series(n), 0: series(n).get(0, 0) + 1} if n == 3 else series(n)))
+    break_cohomology_series(monkeypatch)
     published = ncg.load_published_basis
     monkeypatch.setattr(ncg, "load_published_basis",
                         lambda alg: published(alg)[1:])
-    monkeypatch.setattr(cli, "cmd_cup", lambda args, cfg, defaults: 0)
+    monkeypatch.setattr(cli, "cmd_cup", lambda r, args, cfg, defaults: None)
     monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
     out = tmp_path / "o"
     rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
@@ -178,14 +183,80 @@ def test_verify_all_reports_the_failures_of_every_subcommand(
               if line.startswith("[FAIL] ")]
     assert "cohomology series match the closed formulas" in failed
     assert "leading words equal the published ones" in failed
-    first = next(i for i, line in enumerate(lines)
-                 if line.startswith("[FAIL]"))
-    assert "all checks passed" not in lines[first:]
+    last = max(i for i, line in enumerate(lines) if line.startswith("[FAIL]"))
+    assert "all checks passed" not in lines
     assert "[pass] exactness by rank at degree 4" in lines  # resolution ran
-    assert lines[-1] == f"{len(failed)} check(s) failed; report at " \
-        f"{out / 'failures.json'}"
+    # and so did cyclic, the last command, after the failures
+    assert lines.index("[pass] cyclic series match the closed formulas") > \
+        last
+    closing = [line for line in lines if not line.startswith("[")]
+    assert closing == [lines[-1]] == [
+        f"{len(failed)} check(s) failed; report at {out / 'failures.json'}"]
     records = json.loads((out / "failures.json").read_text())["failures"]
     assert [r["check"] for r in records] == failed
+    assert [r["command"] for r in records] == \
+        ["cohomology"] + ["gb"] * (len(failed) - 1)
+
+
+def test_verify_all_keeps_a_failure_through_a_later_internal_error(
+        tmp_path, capsys, monkeypatch):
+    # a cohomology check fails, then the completion of hh gb raises: the
+    # run is an internal error, and failures.json still lists the failure
+    break_cohomology_series(monkeypatch)
+
+    def broken(*args, **kwargs):
+        raise ValueError("completion broke")
+
+    monkeypatch.setattr(ncg, "buchberger_complete", broken)
+    monkeypatch.setattr(cli, "cmd_cup", lambda r, args, cfg, defaults: None)
+    monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
+    out = tmp_path / "o"
+    rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert "internal error" in captured.err
+    assert "[FAIL] cohomology series match the closed formulas" in \
+        captured.out.splitlines()
+    records = json.loads((out / "failures.json").read_text())["failures"]
+    assert records == [{"command": "cohomology", "check": "cohomology series "
+                        "match the closed formulas", "detail": ""}]
+
+
+# the commands of hh verify-all that write tables, each with the options
+# that it runs them with (hh resolution writes none)
+VERIFY_ALL_TABLES = {
+    "homology": ["--verify-representatives"],
+    "cohomology": [],
+    "cup": ["--max-n", "16", "--gen-degree", "12",
+            "--commutativity-degree", "9"],
+    "gb": ["--verify-printed"],
+    "cyclic": [],
+}
+
+
+def files(path):
+    """{relative path: bytes} of every file under path."""
+    return {p.relative_to(path): p.read_bytes() for p in path.rglob("*")
+            if p.is_file()}
+
+
+def test_verify_all_over_q_closes_once_with_every_table(tmp_path, capsys):
+    # the whole run, unstubbed: every check passes, the run closes once,
+    # and each command's tables under <out>/<command> are those that the
+    # command writes alone with verify-all's options; so both hilbert
+    # tables, of homology and of cohomology, are kept
+    out = tmp_path / "all"
+    assert cli.main(["verify-all", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[pass] ") for line in lines) == 61
+    assert len(lines) == 62 and lines[-1] == "all checks passed"
+    assert sorted(p.name for p in out.iterdir()) == sorted(VERIFY_ALL_TABLES)
+    for command, flags in VERIFY_ALL_TABLES.items():
+        alone = tmp_path / command
+        assert cli.main([command, *flags, "--out", str(alone)]) == 0
+        assert files(out / command) == files(alone), command
+    assert (out / "homology" / "hilbert.json").read_bytes() != \
+        (out / "cohomology" / "hilbert.json").read_bytes()
 
 
 def test_cli_homology_and_cohomology_to_degree_200(tmp_path, capsys):

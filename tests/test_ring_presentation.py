@@ -15,11 +15,11 @@ from fk3hh.ncgroebner import (
     load_published_basis,
     normal_form,
     ring_algebra,
-    standard_word_counts,
     standard_words,
     RING_BIDEGREES,
 )
-from nc_reference import format_poly, poly_bidegree, reference_normal_form
+from nc_reference import (format_poly, poly_bidegree, reference_normal_form,
+                          standard_word_counts)
 
 # the published standard-word lists (token sequences as printed; the
 # length-4 list prints x9^3*x12 twice, giving 89 tokens but 88 distinct)
