@@ -25,7 +25,7 @@ import sys
 from . import ncgroebner as ncg
 from . import paperdata
 from .cohomology import CohomologyComplex
-from .cupring import GENERATOR_BIDEGREES, CupRing
+from .cupring import GENERATOR_BIDEGREES, CupRing, _bidegree
 from .exactmath import FieldError, field_from_name
 from .homology import HomologyComplex, exactness_defects
 from .report import FORMATS, UsageError, write_outputs
@@ -185,50 +185,50 @@ class Runner:
         return 0
 
 
-def cmd_homology(r, args, cfg):
+def _bigraded(r, args, cfg, name):
+    """The body of hh homology and hh cohomology (`name`): the (n, m) grid,
+    the totals and the Hilbert series of the complex to --max-n, checked
+    against paperdata's closed formulas, and written to the dims table of
+    `name` and to "hilbert"."""
     max_n = _max_n(args, cfg, 60)
-    verify_reps = _flag(args, cfg, "verify-representatives")
-    cx = HomologyComplex(r.field, max_n=max_n)
-    grid, totals = cx.homology_dims(max_n)
-    ok = all(totals[n] == paperdata.homology_total_formula(n)
-             for n in range(max_n + 1))
-    r.check("homology totals match the closed formula", ok)
+    verify_reps = name == "homology" and _flag(args, cfg,
+                                                "verify-representatives")
+    complex_cls, table, total, formula = {
+        "homology": (HomologyComplex, "hh-dims",
+                     paperdata.homology_total_formula,
+                     paperdata.homology_series_formula),
+        "cohomology": (CohomologyComplex, "hhco-dims",
+                       paperdata.cohomology_total_formula,
+                       paperdata.cohomology_series_formula)}[name]
+    cx = complex_cls(r.field)
+    grid, totals = cx.dims(max_n)
     series = {n: cx.hilbert_series(n) for n in range(max_n + 1)}
-    ok = all(series[n] == paperdata.homology_series_formula(n)
-             for n in range(max_n + 1))
-    r.check("homology series match the closed formulas", ok)
+    r.check(f"{name} totals match the closed formula",
+            all(totals[n] == total(n) for n in totals))
+    r.check(f"{name} series match the closed formulas",
+            all(series[n] == formula(n) for n in series))
     if verify_reps:
         reports = (paperdata.verify_homology_representatives(cx, n, m)
                    for n in range(min(max_n, 13) + 1) for m in range(5))
         bad = [rep for rep in reports if not rep["ok"]]
         r.check("published homology representatives verify", not bad, bad)
-    write_outputs(r.out, "hh-dims", {"grid": grid, "totals": totals},
-                  r.formats)
+    write_outputs(r.out, table, {"grid": grid, "totals": totals}, r.formats)
     write_outputs(r.out, "hilbert", {"series": series}, r.formats)
+
+
+def cmd_homology(r, args, cfg):
+    _bigraded(r, args, cfg, "homology")
 
 
 def cmd_cohomology(r, args, cfg):
-    max_n = _max_n(args, cfg, 60)
-    cx = CohomologyComplex(r.field, max_n=max_n)
-    grid, totals = cx.cohomology_dims(max_n)
-    ok = all(totals[n] == paperdata.cohomology_total_formula(n)
-             for n in range(max_n + 1))
-    r.check("cohomology totals match the closed formula", ok)
-    series = {n: cx.hilbert_series(n) for n in range(max_n + 1)}
-    ok = all(series[n] == paperdata.cohomology_series_formula(n)
-             for n in range(max_n + 1))
-    r.check("cohomology series match the closed formulas", ok)
-    write_outputs(r.out, "hhco-dims", {"grid": grid, "totals": totals},
-                  r.formats)
-    write_outputs(r.out, "hilbert", {"series": series}, r.formats)
+    _bigraded(r, args, cfg, "cohomology")
 
 
 def cmd_cyclic(r, args, cfg):
     max_n = _max_n(args, cfg, 12)
     if r.field.characteristic != 0:
         raise UsageError("cyclic homology needs characteristic zero")
-    cx = HomologyComplex(r.field, max_n=max_n)
-    gs = cx.cyclic_series(max_n)
+    gs = HomologyComplex(r.field).cyclic_series(max_n)
     ok = all(gs[n] == paperdata.cyclic_series_formula(n)
              for n in range(max_n + 1))
     r.check("cyclic series match the closed formulas", ok)
@@ -254,8 +254,7 @@ def _cup_degrees(args, cfg, defaults, rels):
     comm_degree = _merge(args, cfg, "commutativity-degree",
                          defaults["commutativity-degree"])
     max_n = _merge(args, cfg, "max-n", defaults["max-n"])
-    rel_degree = max(sum(GENERATOR_BIDEGREES[i][0] for i in w)
-                     for p in rels for w in p)
+    rel_degree = max(_bidegree(w)[0] for p in rels for w in p)
     top_gen = max(d for d, _ in GENERATOR_BIDEGREES.values())
     for name, least, top in (("--gen-degree", 1, gen_degree),
                              ("--commutativity-degree", 0, comm_degree),
@@ -332,8 +331,9 @@ def cmd_gb(r, args, cfg):
         ok = all(ncg.normal_form(p, gb) == {} for p in pub) and \
             all(ncg.normal_form(p, pub_basis) == {} for p in gb.polys)
         r.check("mutual reduction vanishes", ok)
+    top = 20  # the degree to which the standard words count HH^*
     counts, by_len = {}, {}  # by bidegree, and by length
-    for w in ncg.standard_words(gb, up_to_hom_degree=20):
+    for w in ncg.standard_words(gb, up_to_hom_degree=top):
         bd = alg.word_bidegree(w)
         counts[bd] = counts.get(bd, 0) + 1
         by_len[len(w)] = by_len.get(len(w), 0) + 1
@@ -341,13 +341,11 @@ def cmd_gb(r, args, cfg):
     r.check("68 standard words of length 3", by_len.get(3) == 68, by_len)
     r.check("88 distinct standard words of length 4 (the published list "
             "prints one of its 89 tokens twice)", by_len.get(4) == 88, by_len)
-    cox = CohomologyComplex(r.field, max_n=20)
-    ok = True
-    for n in range(0, 21):
-        gbrow = {d: c for (h, d), c in counts.items() if h == n}
-        if gbrow != cox.hilbert_series(n):
-            ok = False
-    r.check("bigraded standard words equal cohomology dims to degree 20", ok)
+    cox = CohomologyComplex(r.field)
+    ok = all({d: c for (h, d), c in counts.items() if h == n}
+             == cox.hilbert_series(n) for n in range(top + 1))
+    r.check("bigraded standard words equal cohomology dims to degree "
+            f"{top}", ok)
     write_outputs(r.out, "gb-summary", {
         "input": len(rels), "basis": len(gb),
         "std_words": {k: by_len.get(k, 0) for k in (2, 3, 4)},

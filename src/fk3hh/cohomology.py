@@ -27,7 +27,11 @@ read.  B is a signed permutation except on its degree-2
 block, which is unimodular, so B^-1 and every row are integral.
 `diff_key`, `diff_elem` and `rows` read those columns; `matrix` wraps the
 raw integer rows in a SparseMat as they are, and the class solvers factor
-such rows too.  Nothing assembled is kept.
+such rows too.  Nothing assembled is kept.  The basis, the dimensions of
+cocycles, coboundaries and cohomology (`dim_cycles`, `dim_boundaries`,
+`dim_homology`), the (n, m) grid (`dims`) and the Laurent series
+(`hilbert_series`) are `InducedComplex`'s, shared with the chain complex
+and read here with step +1 and m in `m_range(n)` = [-2 floor(n/4), 4].
 
 `cocycle_basis` returns canonical coset representatives: the RREF basis
 of the cocycles that vanish at the pivot columns of the coboundaries'
@@ -41,7 +45,7 @@ from __future__ import annotations
 from functools import cache
 
 from .exactmath import QQ, LinearSolver, SparseMat, add_term
-from .fk3core import BASIS_BY_DEGREE, DIM, WORD_DEGREE, dual_basis, mul_table
+from .fk3core import DIM, WORD_DEGREE, dual_basis, mul_table
 from .homology import HomologyComplex, InducedComplex
 
 
@@ -71,34 +75,23 @@ def frobenius_pairing():
 
 class CohomologyComplex(InducedComplex):
     """Q^n_m components with the codifferential, read off the dual A_nu
-    chain complex `chain`, built to degree max_n + 1."""
+    chain complex `chain`; basis keys (i, DualGen, word_idx)."""
 
     step = 1
 
-    def __init__(self, field=QQ, max_n=20):
-        super().__init__(field, max_n)
-        self.chain = HomologyComplex(field, max_n + 1, "A_nu")
+    def __init__(self, field=QQ):
+        super().__init__(field)
+        self.chain = HomologyComplex(field, "A_nu")
         self._classes = {}
         self._class_solvers = {}
 
-    def min_m(self, n: int) -> int:
-        return -2 * (n // 4)
+    @staticmethod
+    def key(i, x, g):
+        return i, g, x
 
-    def basis(self, n: int, m: int):
-        """Basis keys (i, DualGen, word_idx) of Q^n_m."""
-        if n < 0:
-            return []
-        if (n, m) not in self._basis:
-            out = []
-            for i in range(n // 4 + 1):
-                mm = m + 2 * i
-                if not 0 <= mm <= 4:
-                    continue
-                for g in dual_basis(n - 4 * i):
-                    for x in BASIS_BY_DEGREE[mm]:
-                        out.append((i, g, x))
-            self._basis[(n, m)] = out
-        return self._basis[(n, m)]
+    @staticmethod
+    def m_range(n: int) -> range:
+        return range(-2 * (n // 4), 5)
 
     def dim(self, n: int, m: int) -> int:
         """len(basis(n, m)): the dimension of the dual chain component."""
@@ -139,38 +132,6 @@ class CohomologyComplex(InducedComplex):
         """Rank of Q^n_m -> Q^{n+1}_{m+1}: that of the dual chain map."""
         return self.chain.rank(n + 1, 3 - m)
 
-    def dim_coboundaries(self, n: int, m: int) -> int:
-        return self.rank(n - 1, m - 1)
-
-    def dim_cocycles(self, n: int, m: int) -> int:
-        return self.dim(n, m) - self.rank(n, m)
-
-    def dim_cohomology(self, n: int, m: int) -> int:
-        return self.dim_cocycles(n, m) - self.dim_coboundaries(n, m)
-
-    def cohomology_dims(self, max_n=None):
-        max_n = self.max_n if max_n is None else max_n
-        grid = {}
-        totals = {}
-        for n in range(max_n + 1):
-            tot = 0
-            for m in range(self.min_m(n), 5):
-                d = self.dim_cohomology(n, m)
-                if d:
-                    grid[(n, m)] = d
-                tot += d
-            totals[n] = tot
-        return grid, totals
-
-    def hilbert_series(self, n: int) -> dict:
-        """h^n as {internal degree m - n: dim}; exponents may be negative."""
-        out = {}
-        for m in range(self.min_m(n), 5):
-            d = self.dim_cohomology(n, m)
-            if d:
-                out[m - n] = d
-        return out
-
     def cocycle_basis(self, n: int):
         """Canonical cocycle representatives spanning degree-n cohomology.
 
@@ -182,7 +143,7 @@ class CohomologyComplex(InducedComplex):
         if n in self._classes:
             return self._classes[n]
         out = []
-        for m in range(self.min_m(n), 5):
+        for m in self.m_range(n):
             basis = self.basis(n, m)
             if not basis:
                 continue

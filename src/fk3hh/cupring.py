@@ -254,7 +254,7 @@ class CupRing:
     def __init__(self, field=QQ, max_n=12):
         self.field = field
         self.res = BimoduleResolution(field, max_n=max_n)
-        self.cox = CohomologyComplex(field, max_n=max_n)
+        self.cox = CohomologyComplex(field)
         self._lifts = {}
         self._generator_lifts = {}
         self._gen_deltas = {}
@@ -362,7 +362,7 @@ class CupRing:
                 f = self.generators[word[0]] if word else _unit()
             else:
                 prefix = word[:-1]
-                deg = sum(GENERATOR_BIDEGREES[i][0] for i in prefix)
+                deg = _bidegree(prefix)[0]
                 f = self.compose_with_lift(
                     self.evaluate_word(prefix),
                     self.generator_lift(word[-1], horizon=deg), deg)
@@ -371,7 +371,7 @@ class CupRing:
 
     def word_class(self, word):
         f = self.evaluate_word(word)
-        n = sum(GENERATOR_BIDEGREES[i][0] for i in word)
+        n = _bidegree(word)[0]
         return self.cox.class_coordinates(n, f)
 
     def evaluate_poly(self, poly: dict):
@@ -541,7 +541,12 @@ class CupRing:
 
 def _bidegree(word):
     """(homological, internal) degree of a generator word."""
-    return tuple(sum(GENERATOR_BIDEGREES[i][j] for i in word) for j in (0, 1))
+    h = d = 0
+    for i in word:
+        hi, di = GENERATOR_BIDEGREES[i]
+        h += hi
+        d += di
+    return h, d
 
 
 def _word_name(word) -> str:

@@ -26,8 +26,7 @@ generator g over the terms of g's d and f images and, through M's action
 table of the nonzero products r.x.l, fills the twelve columns (x, g)
 together.  `diff_key` and `diff_elem` read those columns, shifted by i, and
 `rows` assembles a component's differential from them as raw integer rows,
-which `matrix` wraps in a SparseMat as they are (`InducedComplex` holds
-diff_key, diff_elem and rows, for the cochain complex too).  Above m = 4
+which `matrix` wraps in a SparseMat as they are.  Above m = 4
 the (n, m) component has no omega_0 layer and is the (n - 4, m - 2)
 component one layer up, differential included; at m = 4 its omega_0
 columns map into M_5 = 0, so the rank is still that of (n - 4, 2), and
@@ -60,6 +59,15 @@ none, and `rank` derives columns only for degrees below it.  `rows` and
 `columns` stay the one source of the differential (the cochain side and
 `diff_elem` read them at every degree).  Nothing assembled is kept but the
 templates.
+
+`InducedComplex` holds what this complex and its dual, the cochain complex
+of `fk3hh.cohomology`, share, written once in terms of the direction
+`step` of the differential (-1 here, +1 there): `basis`, `diff_key`,
+`diff_elem`, `rows`, the dimensions of cycles, boundaries and (co)homology,
+`dims` (the (n, m) grid and the totals to a degree) and `hilbert_series`.
+Each complex adds its key order, `m_range`, `dim`, `columns`, `rank` and
+`matrix`.  Nothing bounds the degrees a complex answers for: every
+component is built on demand.
 
 Dimensions of boundaries/cycles/homology come from ranks, never from the
 published representative families; `fk3hh.paperdata` checks those against
@@ -118,18 +126,33 @@ def _evaluate(template, n: int) -> list:
 # ---------------------------------------------------------------------------
 
 class InducedComplex:
-    """What the chain complex and its dual share: basis keys (i, a, b) of
-    the (n, m) components, and a differential (n, m) -> (n + step, m + 1)
-    read off `columns(deg)`, which maps (a, b) to the entries
+    """What the chain complex and its dual share: basis keys of the (n, m)
+    components, a differential (n, m) -> (n + step, m + 1) read off
+    `columns(deg)`, and the dimensions of its (co)homology.
+
+    Layer i of the (n, m) component holds the tags g of degree n - 4i with
+    the words x of degree m + 2 step i, keyed in the subclass's order by
+    key(i, x, g).  columns(deg) maps (a, b) to the entries
     (layer offset, a2, b2, int) of the image of the key (0, a, b) in degree
     deg, once per relative degree deg = n - 4i; keys of a negative layer
-    are dropped.  Subclasses set step and define basis and columns."""
+    are dropped.  Subclasses set step and define key, m_range (the m of
+    the components that can be nonzero at n), dim, columns and rank."""
 
-    def __init__(self, field, max_n):
+    def __init__(self, field):
         self.field = field
-        self.max_n = max_n
         self._basis = {}
         self._columns = {}
+
+    def basis(self, n: int, m: int):
+        """Basis keys of the (n, m) component, layer by layer."""
+        if n < 0:
+            return []
+        if (n, m) not in self._basis:
+            self._basis[(n, m)] = [
+                self.key(i, x, g) for i in range(n // 4 + 1)
+                if 0 <= (mm := m + 2 * self.step * i) <= 4
+                for g in dual_basis(n - 4 * i) for x in BASIS_BY_DEGREE[mm]]
+        return self._basis[(n, m)]
 
     def diff_key(self, n: int, key) -> dict:
         """Differential of a single basis element of degree n."""
@@ -158,53 +181,72 @@ class InducedComplex:
                     rows[pos[(i + o, a2, b2)]][j] = c
         return rows, len(src)
 
+    def dim_cycles(self, n: int, m: int) -> int:
+        return self.dim(n, m) - self.rank(n, m)
+
+    def dim_boundaries(self, n: int, m: int) -> int:
+        return self.rank(n - self.step, m - 1)
+
+    def dim_homology(self, n: int, m: int) -> int:
+        """dim H at (n, m): homology for the chain complex, cohomology for
+        the cochain complex."""
+        return self.dim_cycles(n, m) - self.dim_boundaries(n, m)
+
+    def dims(self, max_n: int):
+        """(grid, totals): {(n, m): dim H} without zeros over every
+        m_range(n), and {n: total dim H}, for n = 0..max_n."""
+        grid = {}
+        totals = {}
+        for n in range(max_n + 1):
+            totals[n] = 0
+            for m in self.m_range(n):
+                if d := self.dim_homology(n, m):
+                    grid[(n, m)] = d
+                    totals[n] += d
+        return grid, totals
+
+    def hilbert_series(self, n: int) -> dict:
+        """The degree-n series as {internal degree m - step n: dim H};
+        exponents may be negative for the cochain complex."""
+        return {m - self.step * n: d for m in self.m_range(n)
+                if (d := self.dim_homology(n, m))}
+
 
 class HomologyComplex(InducedComplex):
     """The induced complex M (x)_{A^e} P with components indexed by (n, m),
-    for M named by `coefficients` (see `action_table`)."""
+    for M named by `coefficients` (see `action_table`); basis keys
+    (i, word_idx, DualGen)."""
 
     step = -1
 
-    def __init__(self, field=QQ, max_n=19, coefficients="A"):
-        super().__init__(field, max_n)
+    def __init__(self, field=QQ, coefficients="A"):
+        super().__init__(field)
         self.coefficients = coefficients
         self._dim = {}
         self._rank = {}
         self._templates = {}
 
-    def max_m(self, n=None) -> int:
-        n = self.max_n if n is None else n
-        return 2 * (n // 4) + 4
+    @staticmethod
+    def key(i, x, g):
+        return i, x, g
 
-    def basis(self, n: int, m: int):
-        """Basis keys (i, word_idx, DualGen) of the (n, m) component."""
-        if n < 0 or m < 0:
-            return []
-        if (n, m) not in self._basis:
-            out = []
-            for i in range(n // 4 + 1):
-                mm = m - 2 * i
-                if not 0 <= mm <= 4:
-                    continue
-                for g in dual_basis(n - 4 * i):
-                    for x in BASIS_BY_DEGREE[mm]:
-                        out.append((i, x, g))
-            self._basis[(n, m)] = out
-        return self._basis[(n, m)]
+    @staticmethod
+    def m_range(n: int) -> range:
+        return range(2 * (n // 4) + 5)
 
     def dim(self, n: int, m: int) -> int:
         """len(basis(n, m)), counted without building the basis: a sum
         over the layers 0 <= i <= n/4 with 0 <= m - 2i <= 4, memoised per n
-        over the support 0 <= m <= max_m(n)."""
-        if n < 0 or not 0 <= m <= self.max_m(n):
+        as {m: dim} over m_range(n)."""
+        if n < 0:
             return 0
         if n not in self._dim:
-            self._dim[n] = tuple(
-                sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[mm - 2 * i]
-                    for i in range(max(0, (mm - 3) // 2),
-                                   min(n // 4, mm // 2) + 1))
-                for mm in range(self.max_m(n) + 1))
-        return self._dim[n][m]
+            self._dim[n] = {
+                mm: sum(dual_dim(n - 4 * i) * DIM_BY_DEGREE[mm - 2 * i]
+                        for i in range(max(0, (mm - 3) // 2),
+                                       min(n // 4, mm // 2) + 1))
+                for mm in self.m_range(n)}
+        return self._dim[n].get(m, 0)
 
     def columns(self, deg: int) -> dict:
         """derive_columns(deg), built once per relative degree."""
@@ -296,39 +338,6 @@ class HomologyComplex(InducedComplex):
                                   f"through n = {n0}, {n0 + 2} misses n = {n4}")
         return template, ncols
 
-    def dim_boundaries(self, n: int, m: int) -> int:
-        return self.rank(n + 1, m - 1)
-
-    def dim_cycles(self, n: int, m: int) -> int:
-        return self.dim(n, m) - self.rank(n, m)
-
-    def dim_homology(self, n: int, m: int) -> int:
-        return self.dim_cycles(n, m) - self.dim_boundaries(n, m)
-
-    def homology_dims(self, max_n=None):
-        """{(n, m): dim H} over the full support, plus per-n totals."""
-        max_n = self.max_n if max_n is None else max_n
-        grid = {}
-        totals = {}
-        for n in range(max_n + 1):
-            tot = 0
-            for m in range(self.max_m(n) + 1):
-                d = self.dim_homology(n, m)
-                if d:
-                    grid[(n, m)] = d
-                tot += d
-            totals[n] = tot
-        return grid, totals
-
-    def hilbert_series(self, n: int) -> dict:
-        """h_n as {exponent: coefficient} in the internal-degree variable."""
-        out = {}
-        for m in range(self.max_m(n) + 1):
-            d = self.dim_homology(n, m)
-            if d:
-                out[m + n] = d
-        return out
-
     def cyclic_series(self, max_n: int):
         """Reduced cyclic homology series [g_0, ..., g_max_n]; char 0 only."""
         if self.field.characteristic != 0:
@@ -365,5 +374,5 @@ def exactness_defects(field, max_n: int) -> list:
     C (x)_A k ends in the augmentation A (x)_A k = A -> k, of rank 1, so
     when P is exact the homology of P (x)_A k is k, in degree 0; exactness
     there is rank(delta_1 (x) k) = 11."""
-    totals = HomologyComplex(field, max_n, "eps A").homology_dims()[1]
+    totals = HomologyComplex(field, "eps A").dims(max_n)[1]
     return [totals[n] - (n == 0) for n in range(max_n + 1)]

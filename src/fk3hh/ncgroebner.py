@@ -34,8 +34,12 @@ class NcPolyError(ValueError):
     pass
 
 
+# the most elements a completion may hold before it gives up
+ELEMENT_CEILING = 2000
+
+
 class CompletionOverflow(RuntimeError):
-    """Raised when completion exceeds the configured element ceiling."""
+    """Raised when a completion exceeds ELEMENT_CEILING elements."""
 
 
 class FreeAlgebra:
@@ -165,12 +169,11 @@ class GBasis:
     out of the index only.  The index maps each lead word to the indices
     that have it, ascending, and a lookup tries the lead lengths in
     ascending order, so it meets the leads in canonical order, equal leads
-    by index.  `reduced` marks full interreduction.
+    by index.
     """
 
-    def __init__(self, algebra: FreeAlgebra, polys, reduced=False, truncated=False):
+    def __init__(self, algebra: FreeAlgebra, polys, truncated=False):
         self.algebra = algebra
-        self.reduced = reduced
         self.truncated = truncated
         self.polys = []
         self.leads = []
@@ -332,8 +335,7 @@ def interreduce(algebra: FreeAlgebra, polys):
     return [polys[i] for i in sorted(live, key=lambda i: word_key(leads[i]))]
 
 
-def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
-                        element_ceiling=2000):
+def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6):
     """Overlap completion of a list of polynomials, truncated by word length.
 
     Obstructions whose overlap word is longer than degree_bound are skipped
@@ -385,30 +387,32 @@ def buchberger_complete(algebra: FreeAlgebra, rels, degree_bound=6,
         if not r:
             continue
         new = index.add(make_monic(F, r))
-        if len(basis) > element_ceiling:
-            raise CompletionOverflow(f"completion exceeded {element_ceiling} elements")
+        if len(basis) > ELEMENT_CEILING:
+            raise CompletionOverflow(
+                f"completion exceeded {ELEMENT_CEILING} elements")
         admit(new)
 
-    reduced = interreduce(algebra, basis)
-    return GBasis(algebra, reduced, reduced=True, truncated=skipped)
+    return GBasis(algebra, interreduce(algebra, basis), truncated=skipped)
 
 
-def standard_words(basis: GBasis, up_to_hom_degree, max_len=None):
+def standard_words(basis: GBasis, up_to_hom_degree):
     """All words not divisible by any leading word, with hom degree <= bound.
 
     Uses the incremental suffix criterion: appending a generator to a standard
     word can only create forbidden subwords that are suffixes ending at the
     new letter, of length at most the longest leading word.  A brute-force
-    cross-check for short lengths lives in the tests.
+    cross-check for short lengths lives in the tests.  A standard word
+    longer than up_to_hom_degree + 2 (number of degree-0 generators) + 2
+    raises NcPolyError: the quotient may then be infinite in bounded
+    homological degree.
     """
     alg = basis.algebra
     if alg.bidegrees is None:
         raise NcPolyError("standard_words needs a graded algebra")
     leads = set(map(tuple, basis.lead_words()))
     maxlw = max((len(w) for w in leads), default=1)
-    if max_len is None:
-        zero_hom = sum(1 for h, _ in alg.bidegrees if h == 0)
-        max_len = up_to_hom_degree + zero_hom * 2 + 2
+    zero_hom = sum(1 for h, _ in alg.bidegrees if h == 0)
+    max_len = up_to_hom_degree + zero_hom * 2 + 2
     out = []
 
     def ok_suffix(w):

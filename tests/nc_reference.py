@@ -106,8 +106,7 @@ def complete_all_pairs(algebra, rels, degree_bound, reduce):
             enqueue(t, new)
             if t != new:
                 enqueue(new, t)
-    return GBasis(algebra, ncg.interreduce(algebra, basis), reduced=True,
-                  truncated=skipped)
+    return GBasis(algebra, ncg.interreduce(algebra, basis), truncated=skipped)
 
 
 def brute_force_standard_words(basis: GBasis, length):

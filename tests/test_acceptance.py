@@ -46,16 +46,16 @@ def _verdict(num, label, ok):
 
 @pytest.fixture(scope="module")
 def hom_q():
-    return HomologyComplex(QQ, max_n=19)
+    return HomologyComplex(QQ)
 
 
 @pytest.fixture(scope="module")
 def coh_q():
-    return CohomologyComplex(QQ, max_n=20)
+    return CohomologyComplex(QQ)
 
 
 def test_criterion_1_homology_dimensions(hom_q):
-    grid, totals = hom_q.homology_dims(19)
+    grid, totals = hom_q.dims(19)
     ok = all(totals[n] == HOMOLOGY_TOTALS[n] for n in range(20))
     for m, row in HOMOLOGY_GRID.items():
         for n, want in enumerate(row):
@@ -72,7 +72,7 @@ def test_criterion_2_homology_hilbert_series(hom_q):
 
 
 def test_criterion_3_cohomology(coh_q):
-    _, totals = coh_q.cohomology_dims(20)
+    _, totals = coh_q.dims(20)
     ok = all(totals[n] == cohomology_total_formula(n) for n in range(21))
     ok = ok and all(coh_q.hilbert_series(n) == COHOMOLOGY_SERIES[n]
                     for n in range(8))
@@ -223,14 +223,14 @@ def test_criterion_9_algebra_sanity():
 def test_criterion_10_field_independence(hom_q, coh_q, res_q):
     ok = True
     # criterion 1 over F_p
-    hom_p = HomologyComplex(FP, max_n=19)
-    _, tq = hom_q.homology_dims(19)
-    _, tp = hom_p.homology_dims(19)
+    hom_p = HomologyComplex(FP)
+    _, tq = hom_q.dims(19)
+    _, tp = hom_p.dims(19)
     ok = ok and tq == tp
     # criterion 3 over F_p
-    coh_p = CohomologyComplex(FP, max_n=20)
-    _, cq = coh_q.cohomology_dims(20)
-    _, cp = coh_p.cohomology_dims(20)
+    coh_p = CohomologyComplex(FP)
+    _, cq = coh_q.dims(20)
+    _, cp = coh_p.dims(20)
     ok = ok and cq == cp
     # criterion 5 over F_p
     res_p = BimoduleResolution(FP, max_n=13)

@@ -83,7 +83,7 @@ def test_bar_differential_squares_to_zero():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_bar_homology_matches_resolution(n):
-    cx = HomologyComplex(QQ, max_n=6)
+    cx = HomologyComplex(QQ)
     for d in range(n, n + 5):
         want = cx.dim_homology(n, d - n)
         got = hh_dim_via_bar(n, d)

@@ -31,7 +31,7 @@ W = WORD_INDEX
 
 @pytest.fixture(scope="module")
 def cx():
-    return HomologyComplex(QQ, max_n=19)
+    return HomologyComplex(QQ)
 
 
 def induced_word(k, n, x, gen):
@@ -93,7 +93,7 @@ def test_tilde_f_consistency_with_bimodule_maps():
 
 def test_diff_squares_to_zero(cx):
     for n in range(2, 20):
-        for m in range(cx.max_m(n) + 1):
+        for m in cx.m_range(n):
             if not cx.basis(n, m):
                 continue
             prod = matmul(cx.matrix(n - 1, m + 1), cx.matrix(n, m))
@@ -115,7 +115,7 @@ def test_boundary_dims_match_paper(cx):
 
 
 def test_homology_grid_matches_paper(cx):
-    grid, totals = cx.homology_dims(19)
+    grid, totals = cx.dims(19)
     for m, row in HOMOLOGY_GRID.items():
         for n, want in enumerate(row):
             if want is None:
@@ -129,7 +129,7 @@ def test_homology_grid_matches_paper(cx):
 def test_recursion_in_m(cx):
     # boundaries and cycles repeat under (n, m) -> (n-2m+6, 3) / (n-2m+8, 4)
     for n in range(0, 16):
-        for m in range(5, cx.max_m(n) + 1):
+        for m in cx.m_range(n)[5:]:
             if m % 2 == 1:
                 assert cx.dim_boundaries(n, m) == cx.dim_boundaries(n - 2 * m + 6, 3)
                 assert cx.dim_cycles(n, m) == cx.dim_cycles(n - 2 * m + 6, 3)
@@ -155,7 +155,7 @@ def test_total_decomposes_into_one_stratum_pieces(cx):
     # contributes 1.
     assert dim_one_stratum_homology(cx, 3, 3) == 2
     assert cx.dim_homology(3, 3) == 1
-    _, totals = cx.homology_dims(14)
+    _, totals = cx.dims(14)
     for n in range(0, 15):
         total = 0
         for i in range(n // 4 + 1):
@@ -207,15 +207,15 @@ def test_cyclic_series(cx):
 
 
 def test_cyclic_refuses_prime_field():
-    cxp = HomologyComplex(PrimeField(10007), max_n=4)
+    cxp = HomologyComplex(PrimeField(10007))
     with pytest.raises(ValueError):
         cxp.cyclic_series(2)
 
 
 def test_prime_field_dims_agree(cx):
-    cxp = HomologyComplex(PrimeField(10007), max_n=8)
-    _, totals_p = cxp.homology_dims(8)
-    _, totals_q = cx.homology_dims(8)
+    cxp = HomologyComplex(PrimeField(10007))
+    _, totals_p = cxp.dims(8)
+    _, totals_q = cx.dims(8)
     assert totals_p == totals_q
 
 
@@ -312,14 +312,14 @@ def _direct_matrix(src, tgt, column, field):
 
 def test_layer_assembled_matrices_equal_direct_reduction():
     for field in (QQ, PrimeField(7)):
-        hom, co = HomologyComplex(field, 40), CohomologyComplex(field, 40)
+        hom, co = HomologyComplex(field), CohomologyComplex(field)
         for n in range(41):
-            for m in range(hom.max_m(n) + 1):
+            for m in hom.m_range(n):
                 ref = _direct_matrix(
                     hom.basis(n, m), hom.basis(n - 1, m + 1),
                     lambda key: _direct_homology_column(n, key), field)
                 assert hom.matrix(n, m) == ref, (field, "homology", n, m)
-            for m in range(co.min_m(n), 5):
+            for m in co.m_range(n):
                 ref = _direct_matrix(
                     co.basis(n, m), co.basis(n + 1, m + 1),
                     lambda key: _direct_cohomology_column(n, key), field)
@@ -332,13 +332,13 @@ def test_layer_class_ranks_equal_direct_ranks(field, top):
     """rank() ranks one matrix per omega-layer class and dim() counts without
     building a basis: both agree with each component's own matrix and basis,
     from one below to one above the support in m."""
-    hom, co = HomologyComplex(field, top), CohomologyComplex(field, top)
+    hom, co = HomologyComplex(field), CohomologyComplex(field)
     for n in range(top + 1):
-        for m in range(-1, hom.max_m(n) + 2):
+        for m in range(-1, hom.m_range(n).stop + 1):
             assert hom.dim(n, m) == len(hom.basis(n, m)), ("homology", n, m)
             assert hom.rank(n, m) == hom.matrix(n, m).rank(), \
                 ("homology", n, m)
-        for m in range(co.min_m(n) - 1, 6):
+        for m in range(co.m_range(n).start - 1, 6):
             assert co.dim(n, m) == len(co.basis(n, m)), ("cohomology", n, m)
             assert co.rank(n, m) == co.matrix(n, m).rank(), \
                 ("cohomology", n, m)
@@ -349,7 +349,7 @@ def test_layer_class_ranks_equal_direct_ranks(field, top):
 def test_template_rows_equal_assembled_rows(field, coefficients):
     """From STABLE_N on, the affine template gives the raw integer rows
     that rows() assembles, entry for entry, to degree 100."""
-    hom = HomologyComplex(field, 100, coefficients)
+    hom = HomologyComplex(field, coefficients)
     for n in range(STABLE_N, 101):
         for m in range(4):
             assert hom.template_rows(n, m) == hom.rows(n, m), (n, m)
@@ -381,7 +381,7 @@ def test_template_fit_that_misses_raises(squared_fb_coefficient, tmp_path,
     # the (n, 2) rows of odd n carry the tag ab of f at degree n - 4: the
     # fit through n = 13, 15 misses n = 17, so the first odd rank above the
     # samples raises, and the even ones do not
-    hom = HomologyComplex(QQ, 30)
+    hom = HomologyComplex(QQ)
     assert hom.rank(STABLE_N + 6, 2) == hom.matrix(STABLE_N + 6, 2).rank()
     with pytest.raises(ArithmeticError):
         hom.rank(STABLE_N + 7, 2)
@@ -395,9 +395,9 @@ def test_template_fit_that_misses_raises(squared_fb_coefficient, tmp_path,
 def test_diff_elem_equals_matrix_column(field):
     """diff_elem of a basis key is its matrix column in field scalars: over
     F_7 the integer sums are reduced and the multiples of 7 dropped."""
-    hom = HomologyComplex(field, 24)
+    hom = HomologyComplex(field)
     for n in range(25):
-        for m in range(hom.max_m(n) + 1):
+        for m in hom.m_range(n):
             src, tgt = hom.basis(n, m), hom.basis(n - 1, m + 1)
             cols = [{} for _ in src]
             for i, j, v in hom.matrix(n, m).triplets():

@@ -222,6 +222,47 @@ def test_verify_all_keeps_a_failure_through_a_later_internal_error(
                         "match the closed formulas", "detail": ""}]
 
 
+# each closed-formula check: the command that prints it, at its default
+# bound, and the paperdata formula that it reads
+FORMULA_CHECKS = [
+    ("homology", "homology_total_formula",
+     "homology totals match the closed formula"),
+    ("homology", "homology_series_formula",
+     "homology series match the closed formulas"),
+    ("cohomology", "cohomology_total_formula",
+     "cohomology totals match the closed formula"),
+    ("cohomology", "cohomology_series_formula",
+     "cohomology series match the closed formulas"),
+    ("cyclic", "cyclic_series_formula",
+     "cyclic series match the closed formulas"),
+]
+
+
+@pytest.mark.parametrize("command, formula, label", FORMULA_CHECKS,
+                         ids=[f for _, f, _ in FORMULA_CHECKS])
+def test_every_closed_formula_check_can_fail(command, formula, label,
+                                             tmp_path, capsys, monkeypatch):
+    # one formula is wrong at n = 5, within every default bound: its check
+    # fails, the command's other checks pass, and the run exits 1
+    right = getattr(paperdata, formula)
+
+    def wrong(n):
+        value = right(n)
+        if n != 5:
+            return value
+        if isinstance(value, int):
+            return value + 1
+        return {**value, 0: value.get(0, 0) + 1}
+
+    monkeypatch.setattr(paperdata, formula, wrong)
+    rc = cli.main([command, "--out", str(tmp_path / "o")])
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[")]
+    assert rc == 1
+    assert checks == [f"[{'FAIL' if other == label else 'pass'}] {other}"
+                      for c, _, other in FORMULA_CHECKS if c == command]
+
+
 # the commands of hh verify-all that write tables, each with the options
 # that it runs them with (hh resolution writes none)
 VERIFY_ALL_TABLES = {

@@ -256,7 +256,7 @@ def test_deeper_bound_adds_nothing(alg, gb):
 
 def test_bigraded_counts_equal_cohomology_dims_to_degree_40(gb):
     counts = standard_word_counts(gb, up_to_hom_degree=40)
-    cox = CohomologyComplex(max_n=40)
+    cox = CohomologyComplex()
     for n in range(0, 41):
         gbrow = {d: c for (h, d), c in counts.items() if h == n}
         assert cox.hilbert_series(n) == gbrow, n
@@ -265,7 +265,7 @@ def test_bigraded_counts_equal_cohomology_dims_to_degree_40(gb):
 def test_completion_is_reduced(alg, gb):
     F = alg.field
     leads = gb.lead_words()
-    assert gb.reduced and len(set(leads)) == len(leads)
+    assert len(set(leads)) == len(leads)
     for i, lw in enumerate(leads):
         assert gb.polys[i][lw] == F.one
         assert not any(lw[s:s + len(other)] == other

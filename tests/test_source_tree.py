@@ -10,6 +10,10 @@ count otherwise.  Code that only the tests call belongs in tests/; the
 names that only the tracer's wrappers keep in src/fk3hh are pinned, so
 that a new one fails.
 
+The bigraded bookkeeping (basis, dimensions of cycles, boundaries and
+(co)homology, the (n, m) grid, the Hilbert series) is written once, on
+`InducedComplex`, for the chain complex and its dual alike.
+
 The induced complexes have one source: only `fk3hh.homology` calls
 `gen_image`, in the one pass over the generator images that serves the
 coefficients A, A_nu and eps A, and `fk3hh.cohomology` reads its
@@ -25,6 +29,7 @@ from pathlib import Path
 from fk3hh import ncgroebner as ncg
 from fk3hh.cupring import CupRing
 from fk3hh.exactmath import QQ, PrimeField
+from fk3hh.homology import InducedComplex
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fk3hh"
@@ -160,3 +165,25 @@ def test_only_homology_calls_gen_image():
                     callers.append(f"{path.name}:{node.lineno}")
     assert callers and all(c.startswith("homology.py:") for c in callers), \
         callers
+
+
+# what InducedComplex writes once for every induced complex
+SHARED_BOOKKEEPING = {"basis", "dims", "hilbert_series", "dim_homology",
+                      "dim_cycles", "dim_boundaries"}
+
+
+def test_no_induced_complex_redefines_the_shared_bookkeeping():
+    for path in sorted(SRC.glob("[!_]*.py")):
+        importlib.import_module(f"fk3hh.{path.stem}")
+    subclasses, todo = [], [InducedComplex]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("fk3hh."):
+                subclasses.append(sub)
+                todo.append(sub)
+    assert {c.__name__ for c in subclasses} >= {"HomologyComplex",
+                                                 "CohomologyComplex"}
+    assert SHARED_BOOKKEEPING <= set(vars(InducedComplex))
+    redefined = sorted((c.__name__, name) for c in subclasses
+                       for name in SHARED_BOOKKEEPING & set(vars(c)))
+    assert not redefined, redefined
