@@ -19,12 +19,14 @@ omega*_i g*|x pairs with omega_i x'|g by B(x, x'), which vanishes unless
     (codifferential of Q^n_m)^T P_{n+1} = P_n (differential of (n+1, 3-m)).
 
 Hence `dim(n, m)` is the chain dim(n, 4 - m) and `rank(n, m)` the chain
-rank(n + 1, 3 - m), ranked once per omega-layer class there (from the
-chain's affine templates above their samples), and `columns` reads the
-codifferential off the chain columns through B and B^-1; it builds them by
-`chain.derive_columns`, so the chain keeps only the columns its own ranks
-read.  B is a signed permutation except on its degree-2
-block, which is unimodular, so B^-1 and every row are integral.
+rank(n + 1, 3 - m), ranked once per omega-layer class there (above the
+samples, from the split of the chain's affine templates: once the rank of
+their constant rows, then at each degree the few residual rows that depend
+on n), and `columns` reads the codifferential off the chain columns
+through B and B^-1; it builds them by `chain.derive_columns`, so the chain
+keeps only the columns its own ranks read.  B is a signed permutation
+except on its degree-2 block, which is unimodular, so B^-1 and every row
+are integral.
 `diff_key`, `diff_elem` and `rows` read those columns; `matrix` wraps the
 raw integer rows in a SparseMat as they are, and the class solvers factor
 such rows too.  Nothing assembled is kept.  The basis, the dimensions of

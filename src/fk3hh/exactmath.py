@@ -3,8 +3,10 @@
 Every rank, kernel, image and solve in the project runs through this module,
 on one matrix type, SparseMat, which holds its rows as dicts col -> entry,
 and through one sparse elimination kernel (_echelon, wrapped by
-SparseMat.rank, by _rref_core and by LinearSolver, which factorises a
-SparseMat; SparseMat.solve_many solves through it): pivot columns in
+SparseMat.rank, by _rref_core, by LinearSolver, which factorises a
+SparseMat (SparseMat.solve_many solves through it), and by AffineRank,
+which ranks integer rows a + b n at every n from one elimination of their
+constant rows): pivot columns in
 increasing order (so the reduced row echelon form is canonical), each taken
 from the shortest row holding it, with a column -> rows index kept up to
 date as entries fill in and cancel.  The kernel copies its input rows once;
@@ -581,4 +583,79 @@ def _dots(by_entry, b):
     for i, bi in b.items():
         for t, v in by_entry.get(i, ()):
             out[t] = out.get(t, 0) + v * bi
+    return out
+
+
+def affine_at(rows, n: int) -> list:
+    """The raw integer rows a + b n of affine rows {col: (a, b)}, zeros
+    dropped."""
+    return [{c: v for c, (a, b) in row.items() if (v := a + b * n)}
+            for row in rows]
+
+
+class AffineRank:
+    """The rank at every n of the integer rows a + b n of affine rows
+    {col: (a, b)}, from one elimination of the constant rows C (b = 0) and,
+    at each n, one of the few others reduced modulo C's row space:
+
+        rank [C; A + n B] = rank C + rank of (A + n B) reduced modulo C.
+
+    Reduction is linear, so the residual of a row a + b n is a' + b' n for
+    the residuals a' and b' of a and b.  They are reduced in lockstep
+    against the pivot rows of C's reduced echelon form, in integers: at
+    each pivot both are scaled by the same pivot entry (one over F_p), so
+    a' + b' n is a nonzero integer multiple of the residual at every n.
+    Kept are rank C (`rank_c`), the residual pairs (`residuals`, the rows
+    that reduce to zero dropped) and `cols`."""
+
+    def __init__(self, rows, cols: int, field):
+        p = field.characteristic
+        self.cols, self.field = cols, field
+        const, affine = [], []
+        for row in rows:
+            if any(b for _, b in row.values()):
+                affine.append(row)
+            else:
+                const.append({c: a for c, (a, _) in row.items()})
+        pivrows, _ = _echelon(SparseMat.from_rows(const, cols, field)._r,
+                              cols, field)
+        self.rank_c = len(pivrows)
+        self.residuals = []
+        for row in affine:
+            a, b = ({c: v for c, ab in row.items()
+                     if (v := ab[k] % p if p else ab[k])} for k in (0, 1))
+            for pc, prow in pivrows:  # zero at every other pivot column
+                ca, cb = a.get(pc, 0), b.get(pc, 0)
+                if ca or cb:
+                    d = prow[pc]
+                    if not p:
+                        g = gcd(d, ca, cb)
+                        d, ca, cb = d // g, ca // g, cb // g
+                    a, b = _combine(a, d, ca, prow, p), _combine(b, d, cb,
+                                                                 prow, p)
+            if a or b:
+                g = 1 if p else gcd(*a.values(), *b.values())
+                self.residuals.append({c: (a.get(c, 0) // g, b.get(c, 0) // g)
+                                       for c in sorted(a.keys() | b.keys())})
+
+    def at(self, n: int) -> int:
+        """The rank of the rows at n: rank C plus that of the residuals."""
+        if not self.residuals:
+            return self.rank_c
+        return self.rank_c + SparseMat.from_rows(
+            affine_at(self.residuals, n), self.cols, self.field).rank()
+
+
+def _combine(v, d, c, prow, p):
+    """A new row d v - c prow, zeros dropped, reduced mod p over F_p."""
+    out = {j: d * x for j, x in v.items()}
+    if c:
+        for j, x in prow.items():
+            nv = out.get(j, 0) - c * x
+            if p:
+                nv %= p
+            if nv:
+                out[j] = nv
+            else:
+                out.pop(j, None)
     return out

@@ -36,8 +36,8 @@ class.  `dim` counts the keys layer by layer without building a basis
 assembled; `fk3core.dual_basis` is memoised and read-only.
 
 Up to the samples below, `rank` ranks `matrix(n, m)`.  Above them it
-ranks `template_rows(n, m)`: the same rows, evaluated from a template of
-entries a + b n, one per (n mod 2, m) for m = 0..3, by this lemma:
+reads the rank off a template of the same rows, with entries a + b n, one
+per (n mod 2, m) for m = 0..3, by this lemma:
 
     For n >= 12 and m <= 3 the source (n, m) has the layers i = 0, 1 and
     the target (n - 1, m + 1) the layers i = 0, 1, 2, of dual degrees
@@ -57,8 +57,20 @@ samples are the degrees STABLE_N..STABLE_N + 5, and `rank` reads the
 templates from STABLE_N + 6 on, so a complex ranked only below that fits
 none, and `rank` derives columns only for degrees below it.  `rows` and
 `columns` stay the one source of the differential (the cochain side and
-`diff_elem` read them at every degree).  Nothing assembled is kept but the
-templates.
+`diff_elem` read them at every degree).
+
+A confirmed template is split once (`exactmath.AffineRank`) into its
+constant rows C and its affine rows A + n B, by
+
+    rank [C; A + n B] = rank C + rank of (A + n B) reduced modulo the row
+    space of C,
+
+where, the reduction being linear, the residual of a row a + n b is
+a' + n b' for the residuals a' and b' of a and b.  C is eliminated once;
+what is kept per (parity, m) is rank C, the pairs (a', b') and the number
+of columns, and at each degree only the residual rows, at most three, are
+ranked (none where every row is constant or reduces to zero).  Nothing
+assembled is kept.
 
 `InducedComplex` holds what this complex and its dual, the cochain complex
 of `fk3hh.cohomology`, share, written once in terms of the direction
@@ -78,7 +90,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .exactmath import QQ, SparseMat, add_term, scalars
+from .exactmath import (
+    QQ, AffineRank, SparseMat, add_term, affine_at, scalars)
 from .fk3core import (
     BASIS_BY_DEGREE,
     DIM,
@@ -113,12 +126,6 @@ def action_table(coefficients: str) -> dict:
         return {(r, l): () if WORD_DEGREE[r] else t
                 for (r, l), t in table.items()}
     raise ValueError(f"no coefficient bimodule {coefficients!r}")
-
-
-def _evaluate(template, n: int) -> list:
-    """The raw integer rows of an affine template at n, zeros dropped."""
-    return [{j: v for j, (a, b) in row.items() if (v := a + b * n)}
-            for row in template]
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +304,14 @@ class HomologyComplex(InducedComplex):
             return 0
         if (n, m) not in self._rank:
             if n < STABLE_N + 6:
-                mat = self.matrix(n, m)
+                self._rank[(n, m)] = self.matrix(n, m).rank()
             else:
-                mat = SparseMat.from_rows(*self.template_rows(n, m),
-                                          self.field)
-            self._rank[(n, m)] = mat.rank()
+                key = (n % 2, m)
+                if key not in self._templates:
+                    self._templates[key] = AffineRank(
+                        *self._fit_template(*key), self.field)
+                self._rank[(n, m)] = self._templates[key].at(n)
         return self._rank[(n, m)]
-
-    def template_rows(self, n: int, m: int):
-        """rows(n, m) for n >= STABLE_N and 0 <= m <= 3, evaluated from the
-        affine template of n's parity, fitted and confirmed on first use."""
-        key = (n % 2, m)
-        if key not in self._templates:
-            self._templates[key] = self._fit_template(*key)
-        template, ncols = self._templates[key]
-        return _evaluate(template, n), ncols
 
     def _fit_template(self, parity: int, m: int):
         """([{column: (a, b)}], ncols): the rows of rows(n, m) as a + b n
@@ -333,7 +333,7 @@ class HomologyComplex(InducedComplex):
                 row[j] = (row0.get(j, 0) - b * n0, b)
             template.append(row)
         n4 = n0 + 4
-        if (_evaluate(template, n4), ncols) != self.rows(n4, m):
+        if (affine_at(template, n4), ncols) != self.rows(n4, m):
             raise ArithmeticError(f"the affine fit of the (n, {m}) rows "
                                   f"through n = {n0}, {n0 + 2} misses n = {n4}")
         return template, ncols

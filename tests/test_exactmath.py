@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from fk3hh.exactmath import (
     QQ,
+    AffineRank,
     EchelonBasis,
     FieldError,
     LinearSolver,
     PrimeField,
     SparseMat,
     Subspace,
+    affine_at,
     field_from_name,
     to_integers,
 )
@@ -373,3 +375,34 @@ def test_echelon_basis_grows_with_the_dense_rank(fm):
         assert span.add(dict(enumerate(row))) == (len(after) > len(before))
         assert len(span) == len(after)
     assert not any(span.add(sparse(row, F)) for row in rows)
+
+
+@pytest.mark.parametrize("field, drops", [
+    (QQ, lambda n: n == 3),
+    (PrimeField(7), lambda n: n % 7 == 3),
+], ids=["q", "f7"])
+def test_affine_rank_drops_where_the_residual_vanishes(field, drops):
+    # the rows 1 and n x0 + (n - 3) x1: modulo the constant row the second
+    # leaves (n - 3) x1, so the rank is 1 where n - 3 vanishes, else 2
+    ar = AffineRank([{0: (1, 0)}, {0: (0, 1), 1: (-3, 1)}], 2, field)
+    assert (ar.rank_c, len(ar.residuals)) == (1, 1)
+    for n in range(-20, 40):
+        assert ar.at(n) == (1 if drops(n) else 2), n
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
+def test_affine_rank_equals_the_rank_at_each_n(field):
+    # random affine rows, some constant, against the rank of their values
+    rng = random.Random(5)
+    for _ in range(60):
+        nrows, cols = rng.randint(0, 7), rng.randint(1, 6)
+        rows = []
+        for _ in range(nrows):
+            affine = rng.random() < 0.4
+            row = {j: (rng.randint(-4, 4), rng.randint(-3, 3) if affine else 0)
+                   for j in range(cols) if rng.random() < 0.5}
+            rows.append({j: ab for j, ab in row.items() if any(ab)})
+        ar = AffineRank(rows, cols, field)
+        for n in range(-8, 9):
+            want = SparseMat.from_rows(affine_at(rows, n), cols, field).rank()
+            assert ar.at(n) == want, (rows, n)

@@ -3,9 +3,9 @@ import functools
 import pytest
 
 from fk3hh.cohomology import CohomologyComplex
-from fk3hh.exactmath import QQ, PrimeField, SparseMat
+from fk3hh.exactmath import QQ, PrimeField, SparseMat, affine_at
 from fk3hh.fk3core import WORD_INDEX, DualGen, dgen, dual_basis
-from fk3hh import cli, resolution
+from fk3hh import cli, exactmath, resolution
 from fk3hh.homology import STABLE_N, HomologyComplex
 from fk3hh.paperdata import (
     cyclic_series_formula,
@@ -347,12 +347,60 @@ def test_layer_class_ranks_equal_direct_ranks(field, top):
 @pytest.mark.parametrize("coefficients", ["A", "A_nu", "eps A"])
 @pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["f7", "q"])
 def test_template_rows_equal_assembled_rows(field, coefficients):
-    """From STABLE_N on, the affine template gives the raw integer rows
-    that rows() assembles, entry for entry, to degree 100."""
+    """From STABLE_N on, the fitted affine template gives the raw integer
+    rows that rows() assembles, entry for entry, to degree 100, and rank()
+    equals the rank of those rows."""
     hom = HomologyComplex(field, coefficients)
+    templates = {(parity, m): hom._fit_template(parity, m)
+                 for parity in (0, 1) for m in range(4)}
     for n in range(STABLE_N, 101):
         for m in range(4):
-            assert hom.template_rows(n, m) == hom.rows(n, m), (n, m)
+            template, ncols = templates[(n % 2, m)]
+            rows = hom.rows(n, m)
+            assert (affine_at(template, n), ncols) == rows, (n, m)
+            assert hom.rank(n, m) == SparseMat.from_rows(*rows, field).rank(), \
+                (n, m)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), QQ], ids=["f7", "q"])
+def test_ranks_above_the_samples_eliminate_only_the_affine_rows(field,
+                                                                monkeypatch):
+    """From STABLE_N + 6 on, rank() eliminates each template's constant rows
+    once per (parity, m) and at each degree only the residuals of its few
+    affine rows; it assembles no rows and derives no columns there."""
+    top = STABLE_N + 6
+    hom = HomologyComplex(field)
+    affine = max(sum(any(b for _, b in row.values()) for row in template)
+                 for template, _ in (hom._fit_template(parity, m)
+                                     for parity in (0, 1) for m in range(4)))
+    for n in range(top):
+        for m in hom.m_range(n):
+            hom.rank(n, m)
+    sizes, degrees = [], []
+    echelon, rows, derive = exactmath._echelon, hom.rows, hom.derive_columns
+
+    def spy_echelon(rows_in, *args, **kwargs):
+        rows_in = list(rows_in)
+        sizes.append(len(rows_in))
+        return echelon(rows_in, *args, **kwargs)
+
+    def spy_rows(n, m):
+        degrees.append(n)
+        return rows(n, m)
+
+    def spy_derive(deg):
+        degrees.append(deg)
+        return derive(deg)
+
+    monkeypatch.setattr(exactmath, "_echelon", spy_echelon)
+    monkeypatch.setattr(hom, "rows", spy_rows)
+    monkeypatch.setattr(hom, "derive_columns", spy_derive)
+    for n in range(top, 61):
+        for m in hom.m_range(n):
+            hom.rank(n, m)
+    assert 0 < affine <= 3
+    assert len([s for s in sizes if s > affine]) <= 2 * 4, sizes
+    assert sizes and max(degrees) < top
 
 
 @pytest.fixture
