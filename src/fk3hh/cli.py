@@ -4,9 +4,10 @@ Commands recompute their objects from scratch, verify them against the
 published closed formulas, write machine/human-readable tables under the
 output directory, and exit 0 only when every requested check passes
 (1 on a verification failure, 2 on usage errors, among them a --max-n that
-leaves an empty degree range, a cup degree beyond --max-n, a --gb-bound
-below the longest relation word or cyclic homology asked of a prime field,
-rejected before any work or output; 3 on an internal error of the engine).
+leaves an empty degree range or is given to cup or gb, which read none, a
+cup degree below its least, a --gb-bound below the longest relation word or
+cyclic homology asked of a prime field, rejected before any work or output;
+3 on an internal error of the engine).
 
 Every check prints a [pass]/[FAIL] line; a run closes with one line, "all
 checks passed" or the count of failures and the path of <out>/failures.json
@@ -25,7 +26,7 @@ import sys
 from . import ncgroebner as ncg
 from . import paperdata
 from .cohomology import CohomologyComplex
-from .cupring import GENERATOR_BIDEGREES, CupRing, _bidegree
+from .cupring import CupRing
 from .exactmath import FieldError, field_from_name
 from .homology import HomologyComplex, exactness_defects
 from .report import FORMATS, UsageError, write_outputs
@@ -66,10 +67,11 @@ def _parser():
     p.add_argument("--config", help="flat key=value config file; flags override")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
+    def common(sp, max_n=True):
         sp.add_argument("--field", default=None,
                         help="q (default) or prime:<p> with p >= 5")
-        sp.add_argument("--max-n", type=int, default=None)
+        if max_n:  # the top degree, of every command but cup and gb
+            sp.add_argument("--max-n", type=int, default=None)
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--formats", default=None,
                         help="comma list of json,csv,markdown")
@@ -82,13 +84,13 @@ def _parser():
     sp = sub.add_parser("cyclic", help="cyclic homology series (char 0)")
     common(sp)
     sp = sub.add_parser("cup", help="cup products: relations and generators")
-    common(sp)
+    common(sp, max_n=False)
     sp.add_argument("--gen-degree", type=int, default=None,
                     help="span check bound (default 8)")
     sp.add_argument("--commutativity-degree", type=int, default=None,
                     help="graded-commutativity sweep bound (default 7)")
     sp = sub.add_parser("gb", help="noncommutative basis completion")
-    common(sp)
+    common(sp, max_n=False)
     sp.add_argument("--gb-bound", type=int, default=None)
     sp.add_argument("--verify-printed", action="store_true")
     sp = sub.add_parser("resolution", help="resolution validity checks "
@@ -96,8 +98,8 @@ def _parser():
     common(sp)
     sp = sub.add_parser("verify-all", help="run every verification (with "
                         "--verify-representatives and --verify-printed, and "
-                        "the cup checks with --max-n 16, span to degree 12 "
-                        "and commutativity to 9)")
+                        "the cup checks with span to degree 12 and "
+                        "commutativity to 9)")
     common(sp)
     sp.add_argument("--gb-bound", type=int, default=None)
     return p
@@ -238,45 +240,31 @@ def cmd_cyclic(r, args, cfg):
 
 
 # hh cup's default bounds, and the wider ones hh verify-all checks
-CUP_DEFAULTS = {"gen-degree": 8, "commutativity-degree": 7, "max-n": 12}
-VERIFY_ALL_CUP = {"gen-degree": 12, "commutativity-degree": 9, "max-n": 16}
+CUP_DEFAULTS = {"gen-degree": 8, "commutativity-degree": 7}
+VERIFY_ALL_CUP = {"gen-degree": 12, "commutativity-degree": 9}
 # the on/off checks of hh homology and hh gb, which hh verify-all turns on
 VERIFY_ALL_FLAGS = ("verify-representatives", "verify-printed")
 
 
-def _cup_degrees(args, cfg, defaults, rels):
-    """(gen_degree, comm_degree, max_n) of hh cup, with the cup degrees
-    whose lifts would run past the resolution rejected.
-
-    A lift of a degree-m cocycle to stage k needs the resolution to degree
-    k + m, and ChainLift raises beyond max_n; each requested bound, the top
-    degree of the relations rels and that of the pairwise product table is
-    such a k + m."""
+def _cup_degrees(args, cfg, defaults):
+    """(gen_degree, comm_degree) of hh cup: the span check's bound, at
+    least 1, and the commutativity sweep's, at least 0."""
     gen_degree = _merge(args, cfg, "gen-degree", defaults["gen-degree"])
     comm_degree = _merge(args, cfg, "commutativity-degree",
                          defaults["commutativity-degree"])
-    max_n = _merge(args, cfg, "max-n", defaults["max-n"])
-    rel_degree = max(_bidegree(w)[0] for p in rels for w in p)
-    top_gen = max(d for d, _ in GENERATOR_BIDEGREES.values())
     for name, least, top in (("--gen-degree", 1, gen_degree),
-                             ("--commutativity-degree", 0, comm_degree),
-                             ("the relations' degree", 0, rel_degree),
-                             ("the product table's degree", 0, 2 * top_gen)):
+                             ("--commutativity-degree", 0, comm_degree)):
         if top < least:
             raise UsageError(f"{name} must be at least {least}, got {top}")
-        if top > max_n:
-            raise UsageError(f"{name} {top} needs the resolution to degree "
-                             f"{top}, beyond --max-n {max_n}")
-    return gen_degree, comm_degree, max_n
+    return gen_degree, comm_degree
 
 
 def cmd_cup(r, args, cfg, defaults=CUP_DEFAULTS):
+    gen_degree, comm_degree = _cup_degrees(args, cfg, defaults)
     alg = ncg.ring_algebra(r.field)
     comm_rels = ncg.load_commutation_relations(alg)
     ideal_rels = ncg.load_ideal_relations(alg)
-    gen_degree, comm_degree, max_n = _cup_degrees(
-        args, cfg, defaults, comm_rels + ideal_rels)
-    ring = CupRing(r.field, max_n=max_n)
+    ring = CupRing(r.field)
     relrep = {}
     rep = ring.verify_relations(comm_rels)
     relrep["commutation"] = rep
@@ -364,18 +352,18 @@ def cmd_resolution(r, args, cfg):
         if n:
             r.check(f"exactness by rank at degree {n}", not bad,
                     f"P (x)_A k is not exact at degrees {bad}")
-    res = BimoduleResolution(r.field, max_n=max_n + 1)
+    res = BimoduleResolution(r.field)
     ok = all(not res.minimality_violations(n) for n in range(1, max_n + 1))
     r.check("minimality (differential entries in the augmentation ideal)", ok)
-    bad = res.square_zero_defects()
+    bad = res.square_zero_defects(max_n + 1)
     r.check(f"delta^2 = 0 (d^2 = 0 and d f + f d = 0 on every generator to "
-            f"degree {res.max_n})", not bad, f"fails at degrees {bad}")
+            f"degree {max_n + 1})", not bad, f"fails at degrees {bad}")
 
 
 def cmd_verify_all(r, args, cfg):
     rels = _ring_relations(r.field)[1]
     _gb_bound(args, cfg, rels)  # a bad bound fails before any work,
-    _cup_degrees(args, cfg, VERIFY_ALL_CUP, rels)  # so do bad cup degrees
+    _cup_degrees(args, cfg, VERIFY_ALL_CUP)  # so do bad cup degrees
     for key in VERIFY_ALL_FLAGS:  # and so does a bad on/off value
         _flag(args, cfg, key)
     cfg = {**cfg, **dict.fromkeys(VERIFY_ALL_FLAGS, "1")}

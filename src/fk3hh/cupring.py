@@ -3,7 +3,8 @@
 A degree-m cochain is a dict over the Q-basis keys (i, DualGen, word_idx):
 the bimodule map sending the free generator omega_i 1|gen|1 of the resolution
 to the stored element of A.  A cocycle has one chain lift per ring, keyed by
-its content (CupRing.lift), built stage by stage on demand.  Two kinds of
+its content (CupRing.lift), built stage by stage on demand, to any stage:
+the resolution builds each degree it is asked for.  Two kinds of
 cocycle lift in closed form, with no solve:
 
 - degree 0: phi(1|eps|1) = z is central, so left multiplication by z is a
@@ -53,7 +54,7 @@ from .exactmath import (
     to_integers,
 )
 from .fk3core import WORD_DEGREE, WORD_INDEX, DualGen, dgen, mul_table
-from .ncgroebner import RING_BIDEGREES
+from .ncgroebner import RING_BIDEGREES, ring_algebra
 from .resolution import BimoduleResolution
 
 W = WORD_INDEX
@@ -97,6 +98,7 @@ def ring_generators():
 
 
 GENERATOR_BIDEGREES = dict(enumerate(RING_BIDEGREES, start=1))
+_bidegree = ring_algebra().word_bidegree  # of a generator word
 
 
 class LiftError(RuntimeError):
@@ -164,10 +166,6 @@ class ChainLift:
         res = ring.res
         while len(self.stages) <= horizon:
             k = len(self.stages)
-            if k + self.m > res.max_n:
-                raise LiftError(
-                    f"lift horizon {k} needs the resolution to degree "
-                    f"{k + self.m}, built only to {res.max_n}")
             if self.lowered is not None:
                 # stage k of phi' on omega_{i-1} g, moved to omega_i g
                 low = ring.lift(self.lowered, k).stages[k]
@@ -251,9 +249,9 @@ class ChainLift:
 class CupRing:
     """Cup-product engine over a resolution plus the dual cochain complex."""
 
-    def __init__(self, field=QQ, max_n=12):
+    def __init__(self, field=QQ):
         self.field = field
-        self.res = BimoduleResolution(field, max_n=max_n)
+        self.res = BimoduleResolution(field)
         self.cox = CohomologyComplex(field)
         self._lifts = {}
         self._generator_lifts = {}
@@ -537,16 +535,6 @@ class CupRing:
                                                        _word_name(v)],
                                              "degrees": [n1, n2]})
         return {"checked": checked, "failures": failures, "ok": not failures}
-
-
-def _bidegree(word):
-    """(homological, internal) degree of a generator word."""
-    h = d = 0
-    for i in word:
-        hi, di = GENERATOR_BIDEGREES[i]
-        h += hi
-        d += di
-    return h, d
 
 
 def _word_name(word) -> str:

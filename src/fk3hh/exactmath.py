@@ -601,12 +601,14 @@ class AffineRank:
         rank [C; A + n B] = rank C + rank of (A + n B) reduced modulo C.
 
     Reduction is linear, so the residual of a row a + b n is a' + b' n for
-    the residuals a' and b' of a and b.  They are reduced in lockstep
-    against the pivot rows of C's reduced echelon form, in integers: at
-    each pivot both are scaled by the same pivot entry (one over F_p), so
-    a' + b' n is a nonzero integer multiple of the residual at every n.
-    Kept are rank C (`rank_c`), the residual pairs (`residuals`, the rows
-    that reduce to zero dropped) and `cols`."""
+    the residuals a' and b' of a and b.  Each affine row is reduced as one
+    integer row [a | b], b's columns shifted by `cols`, by the kernel's
+    row operation (_eliminate) against each pivot row of C's reduced
+    echelon form and against that row shifted by `cols`: one operation
+    scales both halves alike, so a' + b' n is a nonzero integer multiple
+    of the residual at every n.  Kept are rank C (`rank_c`), the residual
+    pairs (`residuals`, the rows that reduce to zero dropped) and
+    `cols`."""
 
     def __init__(self, rows, cols: int, field):
         p = field.characteristic
@@ -622,21 +624,17 @@ class AffineRank:
         self.rank_c = len(pivrows)
         self.residuals = []
         for row in affine:
-            a, b = ({c: v for c, ab in row.items()
-                     if (v := ab[k] % p if p else ab[k])} for k in (0, 1))
+            r = {c + k * cols: v for c, ab in row.items() for k in (0, 1)
+                 if (v := ab[k] % p if p else ab[k])}
             for pc, prow in pivrows:  # zero at every other pivot column
-                ca, cb = a.get(pc, 0), b.get(pc, 0)
-                if ca or cb:
-                    d = prow[pc]
-                    if not p:
-                        g = gcd(d, ca, cb)
-                        d, ca, cb = d // g, ca // g, cb // g
-                    a, b = _combine(a, d, ca, prow, p), _combine(b, d, cb,
-                                                                 prow, p)
-            if a or b:
-                g = 1 if p else gcd(*a.values(), *b.values())
-                self.residuals.append({c: (a.get(c, 0) // g, b.get(c, 0) // g)
-                                       for c in sorted(a.keys() | b.keys())})
+                if pc in r:
+                    _eliminate(r, prow, pc, p, {}, None)
+                if pc + cols in r:
+                    _eliminate(r, {c + cols: x for c, x in prow.items()},
+                               pc + cols, p, {}, None)
+            if r:
+                self.residuals.append({c: (r.get(c, 0), r.get(c + cols, 0))
+                                       for c in sorted({c % cols for c in r})})
 
     def at(self, n: int) -> int:
         """The rank of the rows at n: rank C plus that of the residuals."""
@@ -645,17 +643,3 @@ class AffineRank:
         return self.rank_c + SparseMat.from_rows(
             affine_at(self.residuals, n), self.cols, self.field).rank()
 
-
-def _combine(v, d, c, prow, p):
-    """A new row d v - c prow, zeros dropped, reduced mod p over F_p."""
-    out = {j: d * x for j, x in v.items()}
-    if c:
-        for j, x in prow.items():
-            nv = out.get(j, 0) - c * x
-            if p:
-                nv %= p
-            if nv:
-                out[j] = nv
-            else:
-                out.pop(j, None)
-    return out

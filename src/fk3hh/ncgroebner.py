@@ -74,11 +74,15 @@ class FreeAlgebra:
         return out
 
     def word_bidegree(self, w: Word):
+        """(homological, internal) degree of a word."""
         if self.bidegrees is None:
             raise NcPolyError("algebra has no bigrading")
-        h = sum(self.bidegrees[i - 1][0] for i in w)
-        d = sum(self.bidegrees[i - 1][1] for i in w)
-        return (h, d)
+        h = d = 0
+        for i in w:
+            hi, di = self.bidegrees[i - 1]
+            h += hi
+            d += di
+        return h, d
 
     # ----- text format: one polynomial per line, terms coeff*x_i*...*x_j -----
 

@@ -49,9 +49,10 @@ f^(2), f^(3), ... are correcting homotopies solved degreewise from
 which is always consistent (the right-hand side is a cycle and the Koszul
 complex is exact in the relevant degrees; a solve that is not raises).
 The equations for k = 0 and k = 1, d d = 0 and d f + f d = 0, are checked
-on every generator by square_zero_defects, which also solves every stratum
-k >= 2 that delta applies up to max_n; with the solves they give
-delta^2 = 0.
+on every generator by square_zero_defects(max_n), which also solves every
+stratum k >= 2 that delta applies up to degree max_n; with the solves they
+give delta^2 = 0.  The resolution has no top degree: every piece, stratum
+and block is built on first use, to any degree, and kept.
 
 The tower by degree: delta keeps the internal degree, and omega_i carries
 6i of it, so each term l|v|r of f^(k)_n(1|u|1) has |l| + |r| = 2k + 1 (it
@@ -373,9 +374,8 @@ def layer_starts(n: int, d: int) -> list:
 class BimoduleResolution:
     """P^b_n = sum_i omega_i K^b_{n-4i}, with blockwise differential matrices."""
 
-    def __init__(self, field=QQ, max_n=12):
+    def __init__(self, field=QQ):
         self.field = field
-        self.max_n = max_n
         self._pieces = {}  # (k, m, e) -> [(row, col, coeff)], see _piece
         self._homotopy = {}  # (k, n) -> {tag: {basis key: coeff}}, k = 2, 3
 
@@ -414,10 +414,9 @@ class BimoduleResolution:
         in the coordinates kb_comp_basis(m, e) -> kb_comp_basis(m+4k-1, e+6k).
 
         This is the block of delta from omega_i to omega_{i-k} at degree
-        m + 4i and internal degree e + 6i, for every layer i >= k; pieces
-        with m <= max_n + 1 are kept.
-        It is built one generator u at a time: the columns x|u|y of u are
-        one extension of the image of 1|u|1, keyed by column."""
+        m + 4i and internal degree e + 6i, for every layer i >= k, and is
+        kept.  It is built one generator u at a time: the columns x|u|y of
+        u are one extension of the image of 1|u|1, keyed by column."""
         key = (k, m, e)
         trips = self._pieces.get(key)
         if trips is not None:
@@ -430,9 +429,8 @@ class BimoduleResolution:
             extend_into(img, self.stratum_on_gen(k, m, u), outer)
         row_of = {t[1:]: r for r, t in
                   enumerate(kb_comp_basis(m + 4 * k - 1, e + 6 * k))}
-        trips = [(row_of[t[1:]], t[0], c) for t, c in img.items()]
-        if m <= self.max_n + 1:
-            self._pieces[key] = trips
+        trips = self._pieces[key] = [(row_of[t[1:]], t[0], c)
+                                     for t, c in img.items()]
         return trips
 
     def _solve_homotopy(self, k: int, n: int):
@@ -556,7 +554,7 @@ class BimoduleResolution:
                         bad.append(((i, g), (i - k, v), c))
         return bad
 
-    def square_zero_defects(self) -> list:
+    def square_zero_defects(self, max_n: int) -> list:
         """Degrees n <= max_n at which d_{n-1} d_n or d_{n+3} f_n + f_{n-1} d_n
         is nonzero on a generator 1|u|1 of K^b_n (none may be); the outer
         d and f act on the generator's images through stratum_elem.
@@ -567,7 +565,7 @@ class BimoduleResolution:
         wherever a stratum is solved (the solve raises otherwise), so
         together they give delta^2 = 0 to degree max_n."""
         bad = []
-        for n in range(self.max_n + 1):
+        for n in range(max_n + 1):
             for g in dual_basis(n):
                 de = koszul_on_gen(n, g)
                 anti = self.stratum_elem(0, n + 3, fb_on_gen(n, g))
@@ -578,7 +576,7 @@ class BimoduleResolution:
                     break
         if not bad:
             for k in (2, 3):
-                for m in range(self.max_n - 4 * k + 1):
+                for m in range(max_n - 4 * k + 1):
                     for g in dual_basis(m):
                         self.stratum_on_gen(k, m, g)
         return bad

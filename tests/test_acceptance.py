@@ -91,7 +91,7 @@ def test_criterion_4_cyclic_homology(hom_q):
 
 @pytest.fixture(scope="module")
 def res_q():
-    return BimoduleResolution(QQ, max_n=13)
+    return BimoduleResolution(QQ)
 
 
 def test_criterion_5_resolution_validity(res_q):
@@ -134,7 +134,7 @@ def test_criterion_6_tables_equal_formulas():
 
 @pytest.fixture(scope="module")
 def ring_q():
-    return CupRing(QQ, max_n=12)
+    return CupRing(QQ)
 
 
 def test_criterion_7_cup_relations(ring_q):
@@ -233,7 +233,7 @@ def test_criterion_10_field_independence(hom_q, coh_q, res_q):
     _, cp = coh_p.dims(20)
     ok = ok and cq == cp
     # criterion 5 over F_p
-    res_p = BimoduleResolution(FP, max_n=13)
+    res_p = BimoduleResolution(FP)
     if exactness_defects(FP, 12) != [0] * 13:
         ok = False
     for n in range(13):

@@ -5,6 +5,7 @@ import json
 import random
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,7 +99,7 @@ def perturb_stage(ring, lift, k: int, seed: int = 0):
 
 @pytest.fixture(scope="module")
 def ring():
-    return CupRing(QQ, max_n=12)
+    return CupRing(QQ)
 
 
 def test_generator_bidegrees(ring):
@@ -276,7 +277,7 @@ def test_a_ring_is_freed_by_reference_counting():
     # built lifts is freed once its last name goes, with no cycle collection
     gc.disable()
     try:
-        fresh = CupRing(QQ, max_n=6)
+        fresh = CupRing(QQ)
         assert fresh.verify_generating_set(4)["ok"]
         assert fresh._lifts
         freed = weakref.ref(fresh)
@@ -288,7 +289,7 @@ def test_a_ring_is_freed_by_reference_counting():
 
 def test_lift_independence(ring):
     # perturbing a lift stage by kernel vectors must not change any class
-    fresh = CupRing(QQ, max_n=12)
+    fresh = CupRing(QQ)
     lift = fresh.generator_lift(9, horizon=2)
     base = fresh.word_class((9, 9))
     changed = perturb_stage(fresh, lift, 2, seed=1)
@@ -329,7 +330,7 @@ def test_graded_commutativity_low_degrees(ring):
 def test_word_bases_are_bases_of_hh(field):
     # one generator word per dimension of HH^n, n <= 9, with independent
     # classes; the empty word is the unit
-    fresh = CupRing(field, max_n=9)
+    fresh = CupRing(field)
     bases = fresh.word_bases(9)
     assert len(bases) == 10 and bases[0][0] == ()
     for n, words in enumerate(bases):
@@ -352,7 +353,7 @@ def test_word_basis_products_are_composed_in_integers(field):
     # every word of the bases to degree 8 is the left-to-right composition
     # of its letters, and over Q, where every lift stage of the generators
     # has denominator 1, its cochain holds plain ints
-    fresh = CupRing(field, max_n=8)
+    fresh = CupRing(field)
     words = [w for ws in fresh.word_bases(8) for w in ws]
     assert len(words) == 4 + 7 + 10 + 12 + 14 + 17 + 20 + 22 + 24
     for word in words[1:]:
@@ -402,7 +403,7 @@ def test_commutativity_names_the_pair_of_a_broken_product(monkeypatch):
     # u X9 doubled for deg u = 1: X4 X9 = 2 X9 X4 no longer holds, and the
     # failure names the two words and their degrees
     double_x9_stage_1(monkeypatch)
-    fresh = CupRing(QQ, max_n=6)
+    fresh = CupRing(QQ)
     rep = fresh.verify_graded_commutativity(max_total=4)
     assert not rep["ok"]
     assert {"words": ["X4", "X9"], "degrees": [1, 2]} in rep["failures"]
@@ -419,7 +420,7 @@ def test_commutativity_names_a_short_basis(monkeypatch):
     # with X13 left out of the letters the bases grow by, HH^3 has no basis
     # of words (X13 is no product of the others), and the sweep says so
     monkeypatch.delitem(cupring.GENERATOR_BIDEGREES, 13)
-    fresh = CupRing(QQ, max_n=6)
+    fresh = CupRing(QQ)
     rep = fresh.verify_graded_commutativity(max_total=3)
     assert not rep["ok"]
     assert rep["failures"] == [{"degree": 3, "basis": 11, "dim": 12}]
@@ -430,7 +431,7 @@ def test_span_check_names_a_short_basis(monkeypatch):
     # still be reported short: without X13, HH^3 is spanned to 11 of 12,
     # and the degrees around it in full
     monkeypatch.delitem(cupring.GENERATOR_BIDEGREES, 13)
-    rep = CupRing(QQ, max_n=6).verify_generating_set(4)
+    rep = CupRing(QQ).verify_generating_set(4)
     assert rep == {"ok": False, "degrees": {
         1: {"spanned": 7, "dim": 7}, 2: {"spanned": 10, "dim": 10},
         3: {"spanned": 11, "dim": 12}, 4: {"spanned": 14, "dim": 14}}}
@@ -454,16 +455,16 @@ def test_commutativity_failures_in_failures_json(tmp_path, capsys,
 
 
 def test_span_report_at_the_verify_all_bounds():
-    # hh verify-all's span check on a max-n 16 ring: the dimensions of
-    # HH^1..HH^12 (len(cocycle_basis(n))), each spanned
+    # hh verify-all's span check: the dimensions of HH^1..HH^12
+    # (len(cocycle_basis(n))), each spanned
     dims = [7, 10, 12, 14, 17, 20, 22, 24, 27, 30, 32, 34]
-    rep = CupRing(QQ, max_n=16).verify_generating_set(12)
+    rep = CupRing(QQ).verify_generating_set(12)
     assert rep == {"ok": True, "degrees": {
         n: {"spanned": d, "dim": d} for n, d in enumerate(dims, start=1)}}
 
 
 def test_generating_set_and_minimality():
-    ring = CupRing(QQ, max_n=12)
+    ring = CupRing(QQ)
     rep = ring.verify_generating_set(max_degree=6)
     assert rep["ok"], rep
     for n, row in rep["degrees"].items():
@@ -475,7 +476,7 @@ def test_generating_set_and_minimality():
 def test_minimality_flags_a_repeated_generator():
     # with X5's cochain replaced by X4's, each of the two lies in the span
     # of the other, and no other generator is affected
-    fresh = CupRing(QQ, max_n=6)
+    fresh = CupRing(QQ)
     fresh.generators[5] = fresh.generators[4]
     rep = fresh.verify_minimality()
     assert sorted(rep) == list(range(1, 15))
@@ -501,7 +502,7 @@ def test_lifts_are_shared_by_cochain_content():
     # a cocycle has one lift per ring whatever its coefficients' types, and
     # the lift of an upper-layer cocycle reads the lift one layer down
     for field in (QQ, PrimeField(7)):
-        fresh = CupRing(field, max_n=8)
+        fresh = CupRing(field)
         x13 = fresh.generator_lift(13, horizon=1)
         same = {key: field.of(c) for key, c in fresh.generators[13].items()}
         assert fresh.lift(same, horizon=0) is x13
@@ -519,29 +520,33 @@ def test_lifts_are_shared_by_cochain_content():
                 assert stage_value(up.stages[k], (i, g), field) == want
 
 
-def test_every_kind_of_lift_stops_at_the_resolution():
-    # a lift of a degree-m cocycle reaches stage k only if k + m <= max_n;
-    # beyond, LiftError, with no stage added, for a degree-0 (central) lift,
-    # a solved one and a shifted one, even where the lift one layer down
-    # could go deeper
-    fresh = CupRing(QQ, max_n=6)
+def test_every_kind_of_lift_extends_as_built_at_once():
+    # a degree-0 (central) lift, a solved one and two shifted ones, extended
+    # one stage at a time, equal the same lifts built to their top stage at
+    # once in a fresh ring; the resolution has no top degree to stop them
+    ring, fresh = CupRing(QQ), CupRing(QQ)
     x9_up = {(1, dgen("a", 2), W[""]): 1}  # X9 moved up one layer
-    cases = [(fresh.generators[1], 0), (fresh.generators[9], 2),
-             (fresh.generators[14], 4), (x9_up, 6)]
-    for cochain, m in cases:
-        lift = fresh.lift(cochain, horizon=6 - m)
-        assert lift.m == m
-        with pytest.raises(LiftError):
-            lift.ensure(fresh, 7 - m)
-        assert len(lift.stages) == 7 - m
-        with pytest.raises(LiftError):
-            fresh.lift(cochain, horizon=7 - m)
-    # the lifts one layer down of X14 (the unit) and of X9 moved up reach
-    # the stages that the shifted lifts may not
-    assert fresh.lift({(0, EPS, W[""]): 1}, horizon=3)
-    assert fresh.lift(fresh.generators[9], horizon=1)
-    assert fresh.lift(fresh.generators[14], 2).lowered is not None
-    assert fresh.lift(x9_up, 0).lowered is not None
+    cases = [(ring.generators[1], 0, 4), (ring.generators[9], 2, 3),
+             (ring.generators[14], 4, 2), (x9_up, 6, 2)]
+    for cochain, m, top in cases:
+        for k in range(top + 1):
+            grown = ring.lift(cochain, horizon=k)
+            assert len(grown.stages) == k + 1
+        whole = fresh.lift(cochain, horizon=top)
+        assert (grown.m, whole.m) == (m, m)
+        assert (grown.lowered is None) == (whole.lowered is None) == (m < 4)
+        for k in range(top + 1):
+            for gen in ring.res.pb_gens(k + m):
+                assert stage_value(grown.stages[k], gen, QQ) == \
+                    stage_value(whole.stages[k], gen, QQ), (m, k, gen)
+    # a stage that does not solve raises, and adds no stage
+    unsolvable = CupRing(QQ)
+    unsolvable.delta_solver = lambda k, intdeg: SimpleNamespace(
+        solve=lambda rhs: None)
+    lift = unsolvable.lift(unsolvable.generators[9], horizon=0)
+    with pytest.raises(LiftError):
+        lift.ensure(unsolvable, 1)
+    assert len(lift.stages) == 1
 
 
 def closed_form_cochains(ring, top=8):
@@ -720,11 +725,11 @@ def test_delta_solver_matches_the_dense_oracle(field):
     # Gauss-Jordan reads off [block | b], and None exactly where b raises
     # the dense rank.  The raw entries of the block (13, 15) include
     # nonzero multiples of 7, which its F_7 matrix must hold reduced to 0.
-    ring = CupRing(field, max_n=8)
+    ring = CupRing(field)
     res = ring.res
     rng = random.Random(8)
     if field.characteristic:
-        raw = BimoduleResolution(QQ, max_n=8).delta_block(13, 15)
+        raw = BimoduleResolution(QQ).delta_block(13, 15)
         sevens = [(i, j) for i, j, v in raw.triplets() if v % 7 == 0]
         assert sevens
         held = {(i, j) for i, j, _ in res.delta_block(13, 15).triplets()}
@@ -765,7 +770,7 @@ def elimination_digest(field) -> str:
     """sha256 of every elimination result on the dense-oracle blocks: the
     pivot rows and leftovers of _echelon, reduced and forward-only, and the
     pivot columns, denominators, transforms and checks of LinearSolver."""
-    res = BimoduleResolution(field, max_n=8)
+    res = BimoduleResolution(field)
     h = hashlib.sha256()
     for kd in delta_blocks(field):
         block = res.delta_block(*kd)
@@ -802,7 +807,7 @@ def test_pivot_rows_and_solver_transforms_are_pinned(label, field):
 def test_augmentation_solver_solves_exactly_the_words_of_its_degree(field):
     # the solver of eps^b at internal degree d has one row per basis word,
     # so every word of degree d is solved and any other word is inconsistent
-    ring = CupRing(field, max_n=4)
+    ring = CupRing(field)
     solved = 0
     for d in range(9):
         solver = augmentation_solver(field, d)
@@ -826,7 +831,7 @@ def test_generator_lifts_equal_the_solved_lifts(field):
     # no solve: it is the particular solution of the augmentation system,
     # and every later stage, to degree 8, is the one solved on top of it
     # (X1, X2, X3 lift as multiplication by their central values instead)
-    ring = CupRing(field, max_n=8)
+    ring = CupRing(field)
     for idx in range(4, 15):
         top = 8 - GENERATOR_BIDEGREES[idx][0]
         lift = ring.generator_lift(idx, horizon=top)
@@ -840,7 +845,7 @@ def test_generator_lifts_equal_the_solved_lifts(field):
 
 @pytest.fixture(scope="module")
 def ring_mod_p():
-    return CupRing(PrimeField(10007), max_n=8)
+    return CupRing(PrimeField(10007))
 
 
 @pytest.mark.parametrize("which", ["ring", "ring_mod_p"])
@@ -887,10 +892,9 @@ def test_cli_cup_over_prime_field_reduces_the_rational_table(
 
 def test_verify_all_checks_the_cup_products_wider(
         ring, tmp_path, capsys, monkeypatch):
-    # hh verify-all runs the cup checks with --max-n 16, the span to degree
-    # 12 and commutativity to 9 (hh cup's own defaults are 12, 8 and 7),
-    # and writes the table under <out>/cup; the other commands are stubbed
-    # out here
+    # hh verify-all runs the cup checks with the span to degree 12 and
+    # commutativity to 9 (hh cup's own defaults are 8 and 7), and writes
+    # the table under <out>/cup; the other commands are stubbed out here
     for name in ("cmd_homology", "cmd_cohomology", "cmd_gb",
                  "cmd_resolution"):
         monkeypatch.setattr(cli, name, lambda r, args, cfg: None)

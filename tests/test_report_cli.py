@@ -142,10 +142,8 @@ def test_cli_config_rejects_bad_flag_values(tmp_path, capsys, command, key,
 
 def test_verify_all_runs_printed_basis_and_representative_checks(
         tmp_path, capsys, monkeypatch):
-    # the cup and resolution commands are stubbed out here, and so is the
-    # cup's degree check, which rejects --max-n 4 up front
+    # the cup and resolution commands are stubbed out here
     monkeypatch.setattr(cli, "cmd_cup", lambda r, args, cfg, defaults: None)
-    monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
     monkeypatch.setattr(cli, "cmd_resolution", lambda r, args, cfg: None)
     rc = cli.main(["verify-all", "--max-n", "4", "--out", str(tmp_path / "o")])
     lines = capsys.readouterr().out.splitlines()
@@ -167,14 +165,12 @@ def test_verify_all_reports_the_failures_of_every_subcommand(
         tmp_path, capsys, monkeypatch):
     # one closed-formula term of the cohomology series is wrong, and the
     # published basis lacks one element, so one lead word is missing; the
-    # cup command and its degree check are stubbed out, as --max-n 4 is
-    # below what the cup checks need
+    # cup command, which reads no --max-n, is stubbed out to keep this short
     break_cohomology_series(monkeypatch)
     published = ncg.load_published_basis
     monkeypatch.setattr(ncg, "load_published_basis",
                         lambda alg: published(alg)[1:])
     monkeypatch.setattr(cli, "cmd_cup", lambda r, args, cfg, defaults: None)
-    monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
     out = tmp_path / "o"
     rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
@@ -209,7 +205,6 @@ def test_verify_all_keeps_a_failure_through_a_later_internal_error(
 
     monkeypatch.setattr(ncg, "buchberger_complete", broken)
     monkeypatch.setattr(cli, "cmd_cup", lambda r, args, cfg, defaults: None)
-    monkeypatch.setattr(cli, "_cup_degrees", lambda *args: None)
     out = tmp_path / "o"
     rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
     captured = capsys.readouterr()
@@ -268,8 +263,7 @@ def test_every_closed_formula_check_can_fail(command, formula, label,
 VERIFY_ALL_TABLES = {
     "homology": ["--verify-representatives"],
     "cohomology": [],
-    "cup": ["--max-n", "16", "--gen-degree", "12",
-            "--commutativity-degree", "9"],
+    "cup": ["--gen-degree", "12", "--commutativity-degree", "9"],
     "gb": ["--verify-printed"],
     "cyclic": [],
 }
@@ -347,9 +341,8 @@ def test_cli_rejects_empty_degree_range(tmp_path, capsys, command, max_n):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--gen-degree", "14"], ["--commutativity-degree", "13"],
-    ["--commutativity-degree", "-1"], ["--gen-degree", "0"], ["--max-n", "7"]])
-def test_cli_cup_rejects_degrees_beyond_resolution(tmp_path, capsys, flags):
+    ["--commutativity-degree", "-1"], ["--gen-degree", "0"]])
+def test_cli_cup_rejects_degrees_below_their_least(tmp_path, capsys, flags):
     out = tmp_path / "o"
     rc = cli.main(["cup", *flags, "--out", str(out)])
     captured = capsys.readouterr()
@@ -359,14 +352,29 @@ def test_cli_cup_rejects_degrees_beyond_resolution(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_verify_all_rejects_cup_degrees_before_any_work(tmp_path, capsys):
-    # verify-all's cup checks need the resolution to degree 16; a lower
-    # --max-n is a bad request, refused before homology or cohomology runs
+@pytest.mark.parametrize("command,max_n", [("cup", 12), ("gb", 3)])
+def test_cli_rejects_max_n_where_no_command_reads_it(tmp_path, capsys,
+                                                     command, max_n):
+    # hh cup and hh gb have no top degree: a --max-n is a bad request
     out = tmp_path / "o"
-    rc = cli.main(["verify-all", "--max-n", "4", "--out", str(out)])
+    rc = cli.main([command, "--max-n", str(max_n), "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert "usage error" in captured.err and "--max-n 4" in captured.err
+    assert "--max-n" in captured.err and "Traceback" not in captured.err
+    assert "[pass]" not in captured.out
+    assert not out.exists()
+
+
+def test_verify_all_rejects_cup_degrees_before_any_work(tmp_path, capsys):
+    # a span check to degree 0 is a bad request, refused before homology
+    # or cohomology runs
+    out = tmp_path / "o"
+    cfgfile = tmp_path / "hh.cfg"
+    cfgfile.write_text("gen-degree = 0\n")
+    rc = cli.main(["--config", str(cfgfile), "verify-all", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "usage error" in captured.err and "--gen-degree" in captured.err
     assert "[pass]" not in captured.out and "[FAIL]" not in captured.out
     assert not out.exists()
 

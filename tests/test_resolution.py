@@ -58,7 +58,7 @@ def kb(word_l, tag, n, word_r, coeff=1):
 
 @pytest.fixture(scope="module")
 def res():
-    return BimoduleResolution(QQ, max_n=12)
+    return BimoduleResolution(QQ)
 
 
 def reference_extend(out, i, x, image, y, c=1):
@@ -163,7 +163,7 @@ def test_stratum_elem_applies_d_as_the_reference(field):
     # d on any element is the bimodule extension of its value on the
     # generators; elements over every tag, with outer words of all degrees
     # and terms spread over three layers
-    resf = BimoduleResolution(field, max_n=16)
+    resf = BimoduleResolution(field)
     rng = random.Random(23)
     for n in range(17):
         gens = dual_basis(n)
@@ -326,7 +326,7 @@ def test_augmentation_exact_at_zero(res):
 def test_higher_strata_vanish_under_both_reductions():
     # the induced complexes use only f^(0) = d and f^(1) = f; every higher
     # stratum of the tower must reduce to zero on both sides
-    resq = BimoduleResolution(QQ, max_n=21)
+    resq = BimoduleResolution(QQ)
     for k, top in ((2, 40), (3, 36), (4, 25)):
         for n in range(top + 1):
             images = {g: resq.stratum_on_gen(k, n, g) for g in dual_basis(n)}
@@ -343,7 +343,7 @@ def test_the_tower_by_degree(field):
     # every term l|v|r of f^(k)_n(1|u|1) lies over a generator v of degree
     # n + 4k - 1 with outer degree |l| + |r| = 2k + 1; so from k = 4 on the
     # stratum's component is empty and stratum_on_gen returns it unsolved
-    resf = BimoduleResolution(field, max_n=30)
+    resf = BimoduleResolution(field)
     terms = 0
     for k in (2, 3):
         for n in range(31):
@@ -362,7 +362,7 @@ def test_the_tower_by_degree(field):
 
 
 def test_delta_blocks_prime_field_ranks_match(res):
-    resp = BimoduleResolution(PrimeField(10007), max_n=6)
+    resp = BimoduleResolution(PrimeField(10007))
     for n in range(1, 6):
         assert delta_rank(resp, n) == delta_rank(res, n), n
         assert eps_rank(PrimeField(10007), n) == eps_rank(QQ, n), n
@@ -373,7 +373,7 @@ def test_layer_assembled_delta_blocks_equal_column_images(field):
     # delta_block shifts layer-free pieces into place by layer offsets;
     # here each block is built column by column from delta_elem instead,
     # and each column also by the reference extension
-    resf = BimoduleResolution(field, max_n=16)
+    resf = BimoduleResolution(field)
     for n in range(1, 17):
         for d in intdegs(n):
             src, (tgt, row_of) = comp_basis(n, d)[0], comp_basis(n - 1, d)
@@ -394,7 +394,7 @@ def test_one_sided_blocks_equal_the_reduced_column_images(field):
     # with coefficients eps A must have these columns, component by
     # component (internal degree n + m), in its own basis order
     eps = HomologyComplex(field, "eps A")
-    resf = BimoduleResolution(field, max_n=13)
+    resf = BimoduleResolution(field)
     compared = 0
     for n in range(1, 14):
         for m in eps.m_range(n):
@@ -426,7 +426,7 @@ def test_eps_class_ranks_equal_direct_ranks(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["q", "f7"])
 def test_one_sided_and_bimodule_defects_vanish_together(field):
-    resf = BimoduleResolution(field, max_n=12)
+    resf = BimoduleResolution(field)
     one_sided = exactness_defects(field, 12)
     bimodule = [bimodule_defect(resf, n) for n in range(13)]
     assert one_sided == bimodule == [0] * 13
@@ -444,7 +444,7 @@ def test_both_checks_fail_at_degree_3_without_the_comparison_maps(
     # exact only up to degree 2, and each layer repeats its homology four
     # degrees up.  The bimodule homology is twelve times as large
     monkeypatch.setattr(resolution, "fb_on_gen", lambda n, gen: {})
-    bare = BimoduleResolution(QQ, max_n=10)
+    bare = BimoduleResolution(QQ)
     one_sided = exactness_defects(QQ, 9)
     assert one_sided == [0, 0, 0, 1, 1, 0, 0, 1, 1, 0]
     assert [bimodule_defect(bare, n) for n in range(10)] == \
@@ -467,7 +467,7 @@ def test_both_checks_fail_at_degree_3_without_the_comparison_maps(
 def test_pieces_equal_the_column_reference(field):
     # each piece is built one generator at a time over the nonzero products
     # only; the reference builds it one column at a time over the whole table
-    resf = BimoduleResolution(field, max_n=12)
+    resf = BimoduleResolution(field)
     built = 0
     for k in range(4):
         for m in range(14):
@@ -482,7 +482,7 @@ def test_pieces_equal_the_column_reference(field):
 def test_stratum_elem_equals_the_reference_on_mixed_layers(field):
     # elements spread over several layers, generators and outer words, with
     # repeated (x, u, y) in different layers
-    resf = BimoduleResolution(field, max_n=12)
+    resf = BimoduleResolution(field)
     rng = random.Random(5)
     for k in range(4):
         for n in (0, 1, 2, 5, 8, 11):
@@ -501,7 +501,7 @@ def test_stratum_elem_equals_the_reference_on_mixed_layers(field):
 
 
 def test_square_zero_defects_find_a_perturbed_coefficient(monkeypatch):
-    assert BimoduleResolution(QQ, max_n=13).square_zero_defects() == []
+    assert BimoduleResolution(QQ).square_zero_defects(13) == []
     published = resolution._fb_terms
 
     def perturbed(n, tag):
@@ -516,9 +516,9 @@ def test_square_zero_defects_find_a_perturbed_coefficient(monkeypatch):
             mp.setattr(resolution, "_fb_terms", perturbed)
             fb_on_gen.cache_clear()
             # f_6 enters d f + f d = 0 at degrees 6 (d f_6) and 7 (f_6 d_7)
-            assert BimoduleResolution(QQ, max_n=13).square_zero_defects() \
+            assert BimoduleResolution(QQ).square_zero_defects(13) \
                 == [6, 7]
-            assert BimoduleResolution(QQ, max_n=5).square_zero_defects() \
+            assert BimoduleResolution(QQ).square_zero_defects(5) \
                 == []
     finally:
         fb_on_gen.cache_clear()
@@ -540,10 +540,10 @@ def test_square_zero_defects_find_a_perturbed_koszul_coefficient(monkeypatch):
             koszul_on_gen.cache_clear()
             # d_6 enters d_6 f_3 at degree 3, d_5 d_6 and f_5 d_6 at 6, and
             # d_6 d_7 at 7
-            assert BimoduleResolution(QQ, max_n=13).square_zero_defects() \
+            assert BimoduleResolution(QQ).square_zero_defects(13) \
                 == [3, 6, 7]
-            assert BimoduleResolution(QQ, max_n=5).square_zero_defects() \
+            assert BimoduleResolution(QQ).square_zero_defects(5) \
                 == [3]
     finally:
         koszul_on_gen.cache_clear()
-    assert BimoduleResolution(QQ, max_n=13).square_zero_defects() == []
+    assert BimoduleResolution(QQ).square_zero_defects(13) == []

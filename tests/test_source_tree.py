@@ -19,6 +19,9 @@ The induced complexes have one source: only `fk3hh.homology` calls
 coefficients A, A_nu and eps A, and `fk3hh.cohomology` reads its
 codifferential off the dual chain complex and never touches the generator
 images itself.
+
+No class of the engine takes a top degree: every constructor builds its
+object without a max_n, and each degree is built when it is asked for.
 """
 
 import ast
@@ -133,7 +136,7 @@ def test_container_named_methods_are_reached_from_src(monkeypatch):
         rels = ncg.load_commutation_relations(alg) + \
             ncg.load_ideal_relations(alg)
         ncg.buchberger_complete(alg, rels, degree_bound=4)
-    CupRing(QQ, max_n=2).verify_generating_set(2)
+    CupRing(QQ).verify_generating_set(2)
     unreached = sorted(set(methods) - reached)
     assert not unreached, f"no call from src/fk3hh reaches {unreached}"
 
@@ -187,3 +190,18 @@ def test_no_induced_complex_redefines_the_shared_bookkeeping():
     redefined = sorted((c.__name__, name) for c in subclasses
                        for name in SHARED_BOOKKEEPING & set(vars(c)))
     assert not redefined, redefined
+
+
+def test_no_engine_class_takes_a_top_degree():
+    # the resolution, the cup ring and the induced complexes build each
+    # degree on demand: no constructor takes a max_n to bound them
+    inits, bounded = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                inits += 1
+                args = node.args.posonlyargs + node.args.args + \
+                    node.args.kwonlyargs
+                if any(a.arg == "max_n" for a in args):
+                    bounded.append((path.stem, node.lineno))
+    assert inits and not bounded, bounded
